@@ -1,0 +1,6 @@
+"""The benchmark's modules import each other by bare name, as when run as scripts."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
