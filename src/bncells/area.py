@@ -196,15 +196,6 @@ class AreaWords:
     block: tuple[SignedPerm, ...]
     fused: tuple[SignedPerm, ...]
 
-    def sigma_element(self, q: int) -> SignedPerm:
-        return self.sigma[q]
-
-    def block_element(self, q: int) -> SignedPerm:
-        return self.block[q]
-
-    def fused_element(self, q: int) -> SignedPerm:
-        return self.fused[q]
-
 
 def _assert_reduced(n: int, word: tuple[int, ...], what: str) -> SignedPerm:
     elt = from_word(n, word)

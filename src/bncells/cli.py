@@ -22,18 +22,14 @@ Subcommands
 
 All output is newline-terminated UTF-8; ``--format tsv|json`` selects the
 encoding.  Exit codes: 0 = all checks pass, 1 = a checked claim is false,
-2 = usage, budget, or regime error.  ``--jobs`` (or the ``BNCELLS_JOBS``
-environment variable) bounds per-command thread use.
+2 = usage, budget, or regime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .area import area_decomposition, area_elements, in_area
 from .descents import rxi, rxi_partition, XiDescentSet
@@ -42,50 +38,29 @@ from .errors import (
     BudgetError,
     FalsificationError,
     InvalidInputError,
+    RankError,
     RegimeError,
 )
 from .group import (
     WeightFunction,
+    check_enumeration_rank,
     element_index,
     group_elements,
     length,
     length_t,
     parse_window,
     right_descents,
+    window_text,
 )
-from .hecke import kl_basis, left_cells
+from .hecke import check_oracle_budget, kl_basis, left_cells
 from .partition import GroupPartition
 from .tableaux import count_standard_bitableaux, rs_generalized, shape
-from .vogan import classes_to_tsv, run_summary, vogan_classes, xi_orbits
+from .vogan import classes_to_tsv, vogan_classes, xi_orbits
 
 METHODS = ("oracle-kl", "vogan", "rs-asymptotic", "rxi", "orbits", "area")
 FORMATS = ("tsv", "json")
 TABLE_RANKS = range(2, 8)
 ORACLE_CROSS_CHECK_MAX_RANK = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation's resolved, deterministic parameters."""
-
-    n: int
-    weight: WeightFunction
-    method: str = "vogan"
-    fmt: str = "tsv"
-    jobs: int = 1
-    allow_heavy: bool = False
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise InvalidInputError(
-                f"unknown method {self.method!r}; choose from {METHODS}"
-            )
-        if self.fmt not in FORMATS:
-            raise InvalidInputError(
-                f"unknown format {self.fmt!r}; choose from {FORMATS}"
-            )
-        if self.jobs < 1:
-            raise InvalidInputError("jobs must be a positive integer")
 
 
 def _emit(lines, out) -> None:
@@ -95,10 +70,6 @@ def _emit(lines, out) -> None:
 
 def _emit_json(payload, out) -> None:
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _window_text(w) -> str:
-    return ",".join(str(x) for x in w)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +132,12 @@ def _table_row(n: int, exact: bool) -> dict:
 
 
 def cmd_table(args, out) -> int:
-    ranks = [n for n in TABLE_RANKS if n <= args.max_n]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda n: _table_row(n, args.exact), ranks))
-    else:
-        rows = [_table_row(n, args.exact) for n in ranks]
+    if args.max_n not in TABLE_RANKS:
+        raise RankError(
+            f"--max-n must be in {TABLE_RANKS.start}..{TABLE_RANKS.stop - 1}, "
+            f"got {args.max_n}"
+        )
+    rows = [_table_row(n, args.exact) for n in range(TABLE_RANKS.start, args.max_n + 1)]
     if args.format == "json":
         _emit_json({"rows": rows}, out)
         return 0
@@ -203,12 +174,12 @@ def _class_diff(oracle: GroupPartition, classes: GroupPartition) -> str:
     for members in oracle.classes():
         hit = {classes.class_of(i) for i in members}
         if len(hit) != 1:
-            windows = ", ".join(_window_text(elements[i]) for i in sorted(members))
+            windows = ", ".join(window_text(elements[i]) for i in sorted(members))
             return f"oracle cell {{{windows}}} meets {len(hit)} classes"
         cid = next(iter(hit))
         size = classes.class_sizes()[cid]
         if size != len(members):
-            windows = ", ".join(_window_text(elements[i]) for i in sorted(members))
+            windows = ", ".join(window_text(elements[i]) for i in sorted(members))
             return (
                 f"oracle cell {{{windows}}} sits inside a strictly larger "
                 f"class of size {size}"
@@ -281,11 +252,16 @@ def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
 
 def cmd_verify(args, out) -> int:
     n = args.n
+    if n < 2:
+        raise RankError(f"verify needs rank >= 2 for the weight (1,n-1), got {n}")
     weight = WeightFunction(args.a, args.b)
     regime = weight.regime(n)
+    theorem_regime = regime in ("asymptotic", "intermediate")
+    if theorem_regime:
+        check_oracle_budget(n, args.allow_heavy)
     run = vogan_classes(n, weight)
     checks: list[dict] = []
-    if regime in ("asymptotic", "intermediate"):
+    if theorem_regime:
         regime_label = regime
         _verify_theorem_regime(n, weight, run, args.allow_heavy, checks)
     else:
@@ -349,32 +325,32 @@ def cmd_verify(args, out) -> int:
 def _area_partition(n: int) -> GroupPartition:
     lookup = {}
     for cell in area_decomposition(n):
-        label = _window_text(min(cell, key=lambda w: (length(w), w)))
+        label = window_text(min(cell, key=lambda w: (length(w), w)))
         for w in cell:
             lookup[w] = label
     keys = [lookup.get(w) for w in group_elements(n)]
     return GroupPartition.from_keys(n, keys, label_fn=str)
 
 
-def _partition_for(config: RunConfig) -> tuple[GroupPartition, dict]:
+def _partition_for(args) -> tuple[GroupPartition, dict]:
     """The selected partition plus its JSON summary payload."""
-    n, weight = config.n, config.weight
+    n, weight = args.n, WeightFunction(args.a, args.b)
     extra: dict = {}
-    if config.method == "oracle-kl":
-        part = left_cells(kl_basis(n, weight, allow_heavy=config.allow_heavy))
-    elif config.method == "vogan":
+    if args.method == "oracle-kl":
+        part = left_cells(kl_basis(n, weight, allow_heavy=args.allow_heavy))
+    elif args.method == "vogan":
         run = vogan_classes(n, weight)
         part = run.final
         extra = {"round_count": run.round_count}
-    elif config.method == "rs-asymptotic":
+    elif args.method == "rs-asymptotic":
         part = GroupPartition.from_keys(
             n,
             [rs_generalized(w)[1] for w in group_elements(n)],
             label_fn=lambda b: b.to_text(),
         )
-    elif config.method == "rxi":
+    elif args.method == "rxi":
         part = rxi_partition(n, weight)
-    elif config.method == "orbits":
+    elif args.method == "orbits":
         part = xi_orbits(n, weight)
     else:
         part = _area_partition(n)
@@ -382,7 +358,7 @@ def _partition_for(config: RunConfig) -> tuple[GroupPartition, dict]:
         "n": n,
         "a": weight.a,
         "b": weight.b,
-        "method": config.method,
+        "method": args.method,
         "num_classes": part.num_classes,
         **extra,
     }
@@ -390,16 +366,8 @@ def _partition_for(config: RunConfig) -> tuple[GroupPartition, dict]:
 
 
 def cmd_cells(args, out) -> int:
-    config = RunConfig(
-        n=args.n,
-        weight=WeightFunction(args.a, args.b),
-        method=args.method,
-        fmt=args.format,
-        jobs=args.jobs,
-        allow_heavy=args.allow_heavy,
-    )
-    part, payload = _partition_for(config)
-    if config.fmt == "json":
+    part, payload = _partition_for(args)
+    if args.format == "json":
         _emit_json(payload, out)
     else:
         _emit(classes_to_tsv(part), out)
@@ -454,7 +422,7 @@ def cmd_element(args, out) -> int:
     weight = WeightFunction(args.a, args.b if args.b is not None else n)
     a_tab, b_tab = rs_generalized(w)
     report = {
-        "window": _window_text(w),
+        "window": window_text(w),
         "n": n,
         "length": length(w),
         "length_t": length_t(w),
@@ -491,35 +459,18 @@ def cmd_element(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("BNCELLS_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(
-            f"BNCELLS_JOBS must be an integer, got {raw!r}"
-        ) from exc
-
-
-def _add_common(parser, *, need_n=True, default_b=None) -> None:
+def _add_common(parser, *, need_n=True, oracle=False) -> None:
     if need_n:
         parser.add_argument("--n", type=int, required=True, help="rank")
     parser.add_argument("--a", type=int, default=1, help="swap-generator weight")
-    parser.add_argument(
-        "--b", type=int, default=default_b, help="sign-generator weight"
-    )
+    parser.add_argument("--b", type=int, default=None, help="sign-generator weight")
     parser.add_argument("--format", choices=FORMATS, default="tsv")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="thread bound (default: BNCELLS_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--allow-heavy",
-        action="store_true",
-        help="permit the rank-5 Hecke oracle (minutes of runtime)",
-    )
+    if oracle:
+        parser.add_argument(
+            "--allow-heavy",
+            action="store_true",
+            help="permit the rank-5 Hecke oracle (minutes of runtime)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,16 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="refine cell counts exactly at every rank (slower)",
     )
     p_table.add_argument("--format", choices=FORMATS, default="tsv")
-    p_table.add_argument("--jobs", type=int, default=None)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="oracle-vs-classes comparison")
-    _add_common(p_verify)
+    _add_common(p_verify, oracle=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cells = sub.add_parser("cells", help="dump a partition of the group")
     p_cells.add_argument("--method", choices=METHODS, default="vogan")
-    _add_common(p_cells)
+    _add_common(p_cells, oracle=True)
     p_cells.set_defaults(func=cmd_cells)
 
     p_orbits = sub.add_parser("orbits", help="dump the orbit partition")
@@ -567,21 +517,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_area = sub.add_parser("area", help="dump the staircase-shape region")
     p_area.add_argument("--n", type=int, required=True)
     p_area.add_argument("--format", choices=FORMATS, default="tsv")
-    p_area.add_argument("--jobs", type=int, default=None)
     p_area.set_defaults(func=cmd_area)
 
     return parser
 
 
-def _resolve_weight_defaults(args) -> None:
-    # default weight is the dominant one for the configured rank; the
-    # element command resolves its own default from the window's rank
-    if getattr(args, "b", 0) is None and getattr(args, "n", None) is not None:
-        args.b = args.n
-    if getattr(args, "jobs", 0) is None:
-        args.jobs = _default_jobs()
-    if getattr(args, "jobs", 1) < 1:
-        raise InvalidInputError("jobs must be a positive integer")
+def _resolve_rank_defaults(args) -> None:
+    # check --n before anything is built from it; the default weight is the
+    # dominant one for that rank, and the element command resolves its own
+    # default from the window's rank
+    if getattr(args, "n", None) is not None:
+        check_enumeration_rank(args.n)
+        if getattr(args, "b", 0) is None:
+            args.b = args.n
 
 
 def _glue_window_values(argv: list[str]) -> list[str]:
@@ -603,7 +551,7 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_window_values(list(sys.argv[1:] if argv is None else argv)))
     try:
-        _resolve_weight_defaults(args)
+        _resolve_rank_defaults(args)
         return args.func(args, out)
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)

@@ -22,17 +22,14 @@ from typing import Sequence
 
 from .errors import InvalidInputError
 from .group import (
-    SignedPerm,
     WeightFunction,
-    enumerate_group,
     from_word,
+    group_elements,
     length,
     mul,
     right_descents,
 )
 from .partition import GroupPartition
-
-rdes = right_descents
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def rxi_partition(n: int, weight: WeightFunction) -> GroupPartition:
 
     Labels are the rendered invariants.
     """
-    keys = [rxi(w, weight) for w in enumerate_group(n)]
+    keys = [rxi(w, weight) for w in group_elements(n)]
     return GroupPartition.from_keys(n, keys, label_fn=lambda k: k.to_text())
 
 

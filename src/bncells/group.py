@@ -28,7 +28,6 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -108,7 +107,7 @@ class SignedPerm(tuple):
     # -- text ------------------------------------------------------------------
 
     def to_text(self) -> str:
-        return ",".join(str(x) for x in self)
+        return window_text(self)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.to_text()
@@ -120,6 +119,15 @@ class SignedPerm(tuple):
 def identity(n: int) -> SignedPerm:
     """The identity element of rank ``n``."""
     return SignedPerm(range(1, n + 1))
+
+
+def window_text(w: Sequence[int]) -> str:
+    """Comma-separated window text, the inverse of :func:`parse_window`.
+
+    >>> window_text((-2, 1, 3))
+    '-2,1,3'
+    """
+    return ",".join(str(x) for x in w)
 
 
 def mul(w: Sequence[int], u: Sequence[int]) -> tuple[int, ...]:
@@ -546,7 +554,7 @@ def _rep_targets(n: int) -> tuple[int, ...]:
     return tuple(range(n, 0, -1)) + tuple(range(-1, -n - 1, -1))
 
 
-def _check_enumeration_rank(n: int) -> None:
+def check_enumeration_rank(n: int) -> None:
     if not 1 <= n <= MAX_ENUMERATION_RANK:
         raise RankError(
             f"full enumeration supports ranks 1..{MAX_ENUMERATION_RANK}, got {n}"
@@ -567,7 +575,7 @@ def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
     >>> len(group_elements(3))
     48
     """
-    _check_enumeration_rank(n)
+    check_enumeration_rank(n)
     if n == 1:
         return ((1,), (-1,))
     base = group_elements(n - 1)
@@ -588,7 +596,7 @@ def group_index(n: int) -> dict[tuple[int, ...], int]:
 def element_index(w: Sequence[int]) -> int:
     """Canonical index of ``w`` by pure index arithmetic (no table needed)."""
     n = len(w)
-    _check_enumeration_rank(n)
+    check_enumeration_rank(n)
     idx = 0
     order = group_order(n)
     cur = tuple(w)
@@ -656,10 +664,6 @@ class WeightFunction:
     def slope_exceeds(self, k: int) -> bool:
         """Exact test of ``b/a > k``."""
         return self.b > k * self.a
-
-    def slope_at_least(self, k: int) -> bool:
-        """Exact test of ``b/a >= k``."""
-        return self.b >= k * self.a
 
     def gate_profile(self, n: int) -> tuple[bool, ...]:
         """Outcomes of the threshold tests ``b/a > k-1`` for ``k = 2..n``.

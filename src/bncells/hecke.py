@@ -29,12 +29,12 @@ from .group import (
     WeightFunction,
     group_elements,
     group_index,
-    inverse,
     inverse_index_table,
     length,
     mul_gen_left,
     mul_gen_right,
     parse_window,
+    window_text,
 )
 from .laurent import (
     LaurentPoly,
@@ -79,9 +79,6 @@ class GroupTables:
 
     def is_left_descent(self, g: int, i: int) -> bool:
         return self.length[self.lmul[g][i]] < self.length[i]
-
-    def is_right_descent(self, i: int, g: int) -> bool:
-        return self.length[self.rmul[g][i]] < self.length[i]
 
     def min_left_descent(self, i: int) -> int:
         for g in range(self.n):
@@ -266,22 +263,8 @@ def _extract_interference(
     return out
 
 
-def kl_basis(
-    n: int,
-    weight: WeightFunction,
-    *,
-    allow_heavy: bool = False,
-    check_bar: bool | None = None,
-    check_degenerate: bool | None = None,
-) -> KLBasis:
-    """Compute the canonical basis and all interference coefficients.
-
-    Budget guard: ranks above 5 are refused outright; rank 5 requires
-    ``allow_heavy=True``.  Bar-invariance of every basis element is verified
-    by default up to rank 4, and the degenerate products
-    ``C_g * C_w = (v^c + v^-c) C_w`` (for ``g`` shortening ``w``) up to
-    rank 3.
-    """
+def check_oracle_budget(n: int, allow_heavy: bool) -> None:
+    """Refuse ranks above 5 outright; rank 5 requires ``allow_heavy=True``."""
     if n > HARD_MAX_RANK:
         raise BudgetError(
             f"canonical basis at rank {n} exceeds the hard budget ({HARD_MAX_RANK})"
@@ -290,6 +273,23 @@ def kl_basis(
         raise BudgetError(
             f"rank {n} needs allow_heavy=True (expect minutes of compute)"
         )
+
+
+def kl_basis(
+    n: int,
+    weight: WeightFunction,
+    *,
+    allow_heavy: bool = False,
+    check_bar: bool | None = None,
+) -> KLBasis:
+    """Compute the canonical basis and all interference coefficients.
+
+    The budget is checked first (:func:`check_oracle_budget`).
+    Bar-invariance of every basis element is verified by default up to
+    rank 4, and the degenerate products ``C_g * C_w = (v^c + v^-c) C_w``
+    (for ``g`` shortening ``w``) up to rank 3.
+    """
+    check_oracle_budget(n, allow_heavy)
     tables = group_tables(n)
     cw: list[HeckeElt | None] = [None] * tables.order
     mu: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
@@ -342,10 +342,9 @@ def kl_basis(
     result = KLBasis(n=n, weight=weight, tables=tables, cw=tuple(basis), mu=mu)
 
     run_bar = check_bar if check_bar is not None else n <= DEFAULT_MAX_RANK
-    run_degenerate = check_degenerate if check_degenerate is not None else n <= 3
     if run_bar:
         verify_bar_invariance(result)
-    if run_degenerate:
+    if n <= 3:
         verify_degenerate_products(result)
     return result
 
@@ -478,17 +477,13 @@ def two_sided_cells(kl: KLBasis) -> GroupPartition:
 # ---------------------------------------------------------------------------
 
 
-def _window_text(w: Sequence[int]) -> str:
-    return ",".join(str(x) for x in w)
-
-
 def kl_to_lines(kl: KLBasis) -> Iterator[str]:
     """Render the basis as ``y_window w_window : polynomial`` lines."""
     for iw in range(kl.tables.order):
-        w_text = _window_text(kl.tables.elements[iw])
+        w_text = window_text(kl.tables.elements[iw])
         for iy in sorted(kl.cw[iw]):
             poly = LaurentPoly(kl.cw[iw][iy])
-            yield f"{_window_text(kl.tables.elements[iy])} {w_text} : {poly.to_text()}"
+            yield f"{window_text(kl.tables.elements[iy])} {w_text} : {poly.to_text()}"
 
 
 def parse_kl_lines(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FalsificationError, InvalidInputError
-from .group import SignedPerm, enumerate_group, group_index, mul_gen_right
+from .group import group_elements, group_index, mul_gen_right
 from .partition import GroupPartition, UnionFind
 from .area import in_area
 
@@ -137,8 +137,7 @@ def knuth_classes(
     """Partition of the rank-``n`` group generated by the given moves."""
     index = group_index(n)
     uf = UnionFind(len(index))
-    for w in enumerate_group(n):
-        i = index[w]
+    for i, w in enumerate(group_elements(n)):
         for z in move_neighbors(w, kinds, prefix):
             uf.union(i, index[z])
     return uf.to_partition(n)

@@ -11,7 +11,7 @@ elements outside its domain with ``-1``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidInputError

@@ -39,6 +39,7 @@ from .group import (
     inverse,
     inverse_index_table,
     mul,
+    window_text,
 )
 from .partition import GroupPartition, UnionFind, canonical_ids
 from .tableaux import (
@@ -129,9 +130,6 @@ class CellularMap:
     @property
     def parabolic_size(self) -> int:
         return len(self.mapping)
-
-    def apply_index(self, i: int) -> int:
-        return self.mapping[i]
 
     def apply(self, u: Sequence[int]) -> tuple[int, ...]:
         """Image of a parabolic element given in the parabolic's own windows."""
@@ -504,15 +502,11 @@ def orbit_meets_canonical(
 # ---------------------------------------------------------------------------
 
 
-def _window_text(w: Sequence[int]) -> str:
-    return ",".join(str(x) for x in w)
-
-
 def classes_to_tsv(partition: GroupPartition) -> tuple[str, ...]:
     """One ``window<TAB>label`` line per in-domain element, in canonical order."""
     elements = group_elements(partition.n)
     return tuple(
-        f"{_window_text(w)}\t{partition.label_of(partition.class_of(i))}"
+        f"{window_text(w)}\t{partition.label_of(partition.class_of(i))}"
         for i, w in enumerate(elements)
         if partition.in_domain(i)
     )

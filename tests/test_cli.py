@@ -7,9 +7,8 @@ import sys
 
 import pytest
 
-from bncells.cli import RunConfig, main
-from bncells.errors import InvalidInputError
-from bncells.group import WeightFunction, parse_window
+from bncells.cli import main
+from bncells.group import parse_window
 from bncells.partition import GroupPartition
 from bncells.tableaux import rs_generalized
 
@@ -20,18 +19,40 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-# -- config --------------------------------------------------------------------
+# -- arguments -----------------------------------------------------------------
 
 
-def test_run_config_validation():
-    weight = WeightFunction(1, 2)
-    RunConfig(2, weight)  # defaults are fine
-    with pytest.raises(InvalidInputError):
-        RunConfig(2, weight, method="magic")
-    with pytest.raises(InvalidInputError):
-        RunConfig(2, weight, fmt="yaml")
-    with pytest.raises(InvalidInputError):
-        RunConfig(2, weight, jobs=0)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--max-n", "2", "--jobs", "2"),
+        ("area", "--n", "3", "--jobs", "2"),
+        ("orbits", "--n", "3", "--allow-heavy"),
+        ("element", "--w", "1,-2", "--quick", "--allow-heavy"),
+    ],
+)
+def test_no_subcommand_accepts_a_flag_it_ignores(argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv), out=io.StringIO())
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cells", "--n", "0"), "ranks 1..7, got 0"),
+        (("orbits", "--n", "0"), "ranks 1..7, got 0"),
+        (("verify", "--n", "0"), "ranks 1..7, got 0"),
+        (("verify", "--n", "1"), "rank >= 2"),
+        (("table", "--max-n", "9"), "--max-n must be in 2..7, got 9"),
+        (("table", "--max-n", "1"), "--max-n must be in 2..7, got 1"),
+    ],
+)
+def test_ranks_are_checked_at_the_boundary(capsys, argv, message):
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text == ""
+    assert message in capsys.readouterr().err
 
 
 # -- table ----------------------------------------------------------------------
@@ -55,26 +76,6 @@ def test_table_small_ranks_json():
     assert rows[0]["dominant"] == 6
     assert rows[0]["orbits"] == 8
     assert rows[1]["n"] == 3
-
-
-def test_table_respects_jobs_flag():
-    code, text = run_cli("table", "--max-n", "3", "--jobs", "2")
-    assert code == 0
-    assert "2\t4\t6\t8" in text
-
-
-def test_table_jobs_env_var(monkeypatch):
-    monkeypatch.setenv("BNCELLS_JOBS", "2")
-    code, _ = run_cli("table", "--max-n", "2")
-    assert code == 0
-    monkeypatch.setenv("BNCELLS_JOBS", "potato")
-    code, _ = run_cli("table", "--max-n", "2")
-    assert code == 2
-
-
-def test_table_rejects_bad_jobs():
-    code, _ = run_cli("table", "--max-n", "2", "--jobs", "0")
-    assert code == 2
 
 
 # -- verify -----------------------------------------------------------------------
@@ -126,6 +127,22 @@ def test_verify_low_regime_exits_two():
 def test_verify_budget_guard_exits_two():
     code, _ = run_cli("verify", "--n", "5", "--a", "1", "--b", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["5", "6"])
+def test_verify_checks_oracle_budget_before_refining(monkeypatch, n):
+    import bncells.cli as cli_module
+
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("refinement started before the budget check")
+
+    monkeypatch.setattr(cli_module, "vogan_classes", refuse)
+    code, _ = run_cli("verify", "--n", n)
+    assert code == 2
+    assert calls == []
 
 
 def test_verify_reports_falsification(monkeypatch):
@@ -194,9 +211,10 @@ def test_cells_vogan_json_reports_rounds():
 
 
 def test_cells_unknown_method_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["cells", "--n", "2", "--method", "magic"], out=io.StringIO())
-    assert err.value.code == 2
+    for option in (("--method", "magic"), ("--format", "yaml")):
+        with pytest.raises(SystemExit) as err:
+            main(["cells", "--n", "2", *option], out=io.StringIO())
+        assert err.value.code == 2
 
 
 # -- orbits -----------------------------------------------------------------------

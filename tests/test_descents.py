@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from bncells.area import in_area, sigma_word
-from bncells.descents import XiDescentSet, rdes, rdes_enhanced, rxi, rxi_partition
+from bncells.descents import XiDescentSet, rdes_enhanced, rxi, rxi_partition
 from bncells.errors import InvalidInputError
 from bncells.group import (
     WeightFunction,
@@ -86,10 +86,6 @@ def test_enhanced_invariant_agrees_with_full_one_at_rank_two():
         weight = WeightFunction(a, b)
         for w in enumerate_group(2):
             assert rdes_enhanced(w, weight) == rxi(w, weight)
-
-
-def test_rdes_alias_matches_group_module():
-    assert rdes is right_descents
 
 
 def test_gate_profile_alone_determines_the_partition():
