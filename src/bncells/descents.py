@@ -7,8 +7,8 @@ weight ``a``:
 - the two-sided sign reflection at position ``k`` (window ``k -> -k``)
   counts as a descent of ``w`` when ``b > (k-1) a`` and ``w(k) < 0``;
 - when ``a > b`` the roles flip and the single extra witness is the
-  negating swap of the first two positions (word ``t s1 t``), judged by the
-  length test.
+  negating swap of the first two positions (word ``t s1 t``), a descent
+  exactly when ``w(1) + w(2) < 0``.
 
 The full invariant — generators plus all gated sign reflections — is
 constant on left cells in the regimes where cells are understood, and its
@@ -17,18 +17,12 @@ fibers start the class refinement in :mod:`bncells.vogan`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidInputError
-from .group import (
-    WeightFunction,
-    from_word,
-    group_elements,
-    length,
-    mul,
-    right_descents,
-)
+from .group import WeightFunction, group_elements, right_descents
 from .partition import GroupPartition
 
 
@@ -85,13 +79,16 @@ class XiDescentSet:
         return ",".join(parts) if parts else "-"
 
 
-def _negating_swap_descent(w: Sequence[int]) -> bool:
-    """Length test for the reflection sending ``(w(1), w(2))`` to ``(-w(2), -w(1))``."""
-    n = len(w)
-    if n < 2:
-        return False
-    reflection = from_word(n, (0, 1, 0))
-    return length(mul(w, reflection)) < length(w)
+def ts1t_descent(w: Sequence[int]) -> bool:
+    """Whether the negating swap ``t s1 t`` of the first two positions is a descent.
+
+    The reflection sends ``(w(1), w(2))`` to ``(-w(2), -w(1))`` and shortens
+    ``w`` exactly when ``w(1) + w(2) < 0``; rank 1 has no such reflection.
+
+    >>> ts1t_descent((1, -2)), ts1t_descent((2, -1)), ts1t_descent((-1,))
+    (True, False, False)
+    """
+    return len(w) >= 2 and w[0] + w[1] < 0
 
 
 def rdes_enhanced(w: Sequence[int], weight: WeightFunction) -> XiDescentSet:
@@ -109,7 +106,7 @@ def rdes_enhanced(w: Sequence[int], weight: WeightFunction) -> XiDescentSet:
         extended = frozenset({2} if len(w) >= 2 and w[1] < 0 else ())
         return XiDescentSet(classical, extended, frozenset())
     if weight.a > weight.b:
-        extra = frozenset({"ts1t"} if _negating_swap_descent(w) else ())
+        extra = frozenset({"ts1t"} if ts1t_descent(w) else ())
         return XiDescentSet(classical, frozenset(), extra)
     return XiDescentSet(classical, frozenset(), frozenset())
 
@@ -136,13 +133,42 @@ def rxi(w: Sequence[int], weight: WeightFunction) -> XiDescentSet:
     return XiDescentSet(classical, extended, frozenset())
 
 
+def _from_mask(n: int, mask: int) -> XiDescentSet:
+    """The invariant that :func:`rxi_partition` encodes as ``mask`` at rank ``n``."""
+    return XiDescentSet(
+        frozenset(g for g in range(n) if mask >> g & 1),
+        frozenset(k for k in range(2, n + 1) if mask >> (n + k - 1) & 1),
+        frozenset({"ts1t"} if mask >> (2 * n) & 1 else ()),
+    )
+
+
 def rxi_partition(n: int, weight: WeightFunction) -> GroupPartition:
     """Fibers of the gated descent invariant over the whole rank-``n`` group.
 
-    Labels are the rendered invariants.
+    Each window is reduced to an integer mask of its :func:`rxi` value: bit
+    ``g`` for the generator descent ``g`` (``0`` is ``t``), bit ``n + k - 1``
+    for the gated sign position ``k`` and bit ``2n`` for ``ts1t``.  Class ids
+    number the masks in order of first appearance.  Labels are the rendered
+    invariants, each rendered once per fiber from its mask.
     """
-    keys = [rxi(w, weight) for w in group_elements(n)]
-    return GroupPartition.from_keys(n, keys, label_fn=lambda k: k.to_text())
+    gated = [k - 1 for k in range(2, n + 1) if weight.slope_exceeds(k - 1)]
+    flipped = weight.a > weight.b
+    swaps = range(1, n)
+    seen: dict[int, int] = {}
+    ids = array("i")
+    for w in group_elements(n):
+        mask = 1 if w[0] < 0 else 0
+        for i in swaps:
+            if w[i] < w[i - 1]:
+                mask |= 1 << i
+        for p in gated:
+            if w[p] < 0:
+                mask |= 1 << (n + p)
+        if flipped and ts1t_descent(w):
+            mask |= 1 << (2 * n)
+        ids.append(seen.setdefault(mask, len(seen)))
+    labels = tuple(_from_mask(n, mask).to_text() for mask in seen)
+    return GroupPartition(n=n, class_id=ids, labels=labels)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -271,7 +271,8 @@ def check_oracle_budget(n: int, allow_heavy: bool) -> None:
         )
     if n == HARD_MAX_RANK and not allow_heavy:
         raise BudgetError(
-            f"rank {n} needs allow_heavy=True (expect minutes of compute)"
+            f"rank {n} needs allow_heavy=True, or --allow-heavy on the command "
+            "line (expect minutes of compute)"
         )
 
 

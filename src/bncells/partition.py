@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import eq
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -125,7 +126,8 @@ class GroupPartition:
 
     def same_blocks(self, other: "GroupPartition") -> bool:
         """Equality as partitions (canonical ids make this an array compare)."""
-        return list(self.class_id) == list(other.class_id)
+        mine, theirs = self.class_id, other.class_id
+        return len(mine) == len(theirs) and all(map(eq, mine, theirs))
 
     def refines(self, other: "GroupPartition") -> bool:
         """True iff every class of ``self`` lies inside a class of ``other``.

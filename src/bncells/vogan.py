@@ -41,7 +41,7 @@ from .group import (
     mul,
     window_text,
 )
-from .partition import GroupPartition, UnionFind, canonical_ids
+from .partition import OUTSIDE, GroupPartition, canonical_ids
 from .tableaux import (
     bipartitions,
     canonical_element,
@@ -226,27 +226,33 @@ def extended_image_table(cmap: CellularMap) -> array:
     """Index-to-index table of the left extension over the whole group.
 
     For "K" the canonical enumeration is block-structured along the coset
-    representatives, so the table is pure index arithmetic; for "J" the
-    representative is the sorted window, applied directly.
+    representatives, so the table is pure index arithmetic.  For "J" every
+    element is ``r * u`` with ``r`` an increasing window (one per set of
+    negated values) and ``u`` a pattern, a permutation of window positions;
+    the table is filled one coset ``r`` at a time by
+    ``index(r * u) -> index(r * map(u))``, reading the map's image of each
+    of the ``n!`` patterns directly.  Each element then costs one window
+    build and one index lookup.
     """
     n = cmap.n
     total = group_order(n)
     out = array("i", bytes(4 * total))
+    mapping = cmap.mapping
     if cmap.subset_id == "K":
         m = cmap.parabolic_size
         for base in range(0, total, m):
             for j in range(m):
-                out[base + j] = base + cmap.mapping[j]
+                out[base + j] = base + mapping[j]
         return out
-    index = _parabolic_index("J", n)
-    perms = parabolic_elements("J", n)
-    mapping = cmap.mapping
-    for i, w in enumerate(group_elements(n)):
-        svals = sorted(w)
-        rank = {v: j + 1 for j, v in enumerate(svals)}
-        u = tuple(rank[x] for x in w)
-        u_img = perms[mapping[index[u]]]
-        out[i] = element_index(tuple(svals[j - 1] for j in u_img))
+    # A lookup of its own rather than the cached ``group_index``: at rank 7
+    # it holds about 45 MB, released as soon as the table is built.
+    index = {w: i for i, w in enumerate(group_elements(n))}
+    positions = [[v - 1 for v in u] for u in parabolic_elements("J", n)]
+    for negated in range(1 << n):
+        rep = sorted(-v if negated >> (v - 1) & 1 else v for v in range(1, n + 1))
+        coset = [index[tuple(map(rep.__getitem__, u))] for u in positions]
+        for j, image in zip(coset, mapping):
+            out[j] = coset[image]
     return out
 
 
@@ -267,15 +273,28 @@ def orbits_of_image_tables(
     if side not in ("right", "left"):
         raise InvalidInputError(f"side must be 'right' or 'left', got {side!r}")
     total = group_order(n)
-    uf = UnionFind(total)
-    for table in tables:
-        for i in range(total):
-            uf.union(i, table[i])
-    roots = [uf.find(i) for i in range(total)]
+    # Each orbit is labelled whole when its least index is reached, so ids
+    # come out in order of first appearance.  Following the tables forward
+    # reaches the whole orbit because each table is a permutation.
+    ids = array("i", [OUTSIDE]) * total
+    count = 0
+    for start in range(total):
+        if ids[start] != OUTSIDE:
+            continue
+        ids[start] = count
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for table in tables:
+                j = table[i]
+                if ids[j] == OUTSIDE:
+                    ids[j] = count
+                    stack.append(j)
+        count += 1
     if side == "left":
         inv = inverse_index_table(n)
-        roots = [roots[inv[i]] for i in range(total)]
-    return GroupPartition(n=n, class_id=canonical_ids(roots))
+        ids = canonical_ids([ids[inv[i]] for i in range(total)])
+    return GroupPartition(n=n, class_id=ids)
 
 
 @lru_cache(maxsize=None)
@@ -351,25 +370,35 @@ def vogan_classes(
     seed = rxi_partition(n, weight)
     rounds = [seed]
     cur = seed.class_id
-    total = group_order(n)
+    count = seed.num_classes
+    # A key packs the class ids of an element and of its images in base
+    # ``count``; ids are numbered by first appearance of their key.
     if schedule == "joint":
         while True:
-            keys = [(cur[i], cur[eps[i]], cur[psi[i]]) for i in range(total)]
-            new = canonical_ids(keys)
-            if list(new) == list(cur):
+            seen: dict[int, int] = {}
+            ids = [
+                seen.setdefault((c * count + cur[e]) * count + cur[p], len(seen))
+                for c, e, p in zip(cur, eps, psi)
+            ]
+            new = array("i", ids)
+            if new == cur:
                 break
             rounds.append(GroupPartition(n=n, class_id=new))
-            cur = new
+            cur, count = new, len(seen)
     else:
         changed = True
         while changed:
             changed = False
             for table in (eps, psi):
-                keys = [(cur[i], cur[table[i]]) for i in range(total)]
-                new = canonical_ids(keys)
-                if list(new) != list(cur):
+                seen = {}
+                ids = [
+                    seen.setdefault(c * count + cur[t], len(seen))
+                    for c, t in zip(cur, table)
+                ]
+                new = array("i", ids)
+                if new != cur:
                     rounds.append(GroupPartition(n=n, class_id=new))
-                    cur = new
+                    cur, count = new, len(seen)
                     changed = True
     final = GroupPartition(
         n=n, class_id=cur, labels=_minimal_index_labels(cur)

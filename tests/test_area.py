@@ -24,7 +24,6 @@ from bncells.area import (
 )
 from bncells.errors import InvalidInputError
 from bncells.group import (
-    WeightFunction,
     enumerate_group,
     from_word,
     inverse,
@@ -35,7 +34,7 @@ from bncells.group import (
     mul,
     right_descents,
 )
-from bncells.hecke import group_tables, kl_basis, left_cells
+from bncells.hecke import group_tables, left_cells
 from bncells.tableaux import hook_column_bipartition, shape
 
 from .test_hecke import cached_kl

@@ -124,9 +124,10 @@ def test_verify_low_regime_exits_two():
     assert code == 2
 
 
-def test_verify_budget_guard_exits_two():
+def test_verify_budget_guard_exits_two(capsys):
     code, _ = run_cli("verify", "--n", "5", "--a", "1", "--b", "5")
     assert code == 2
+    assert "--allow-heavy" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["5", "6"])

@@ -4,16 +4,25 @@ import pytest
 from hypothesis import given
 
 from bncells.area import in_area, sigma_word
-from bncells.descents import XiDescentSet, rdes_enhanced, rxi, rxi_partition
+from bncells.descents import (
+    XiDescentSet,
+    rdes_enhanced,
+    rxi,
+    rxi_partition,
+    ts1t_descent,
+)
 from bncells.errors import InvalidInputError
 from bncells.group import (
     WeightFunction,
     enumerate_group,
     from_word,
     group_elements,
+    length,
+    mul,
     right_descents,
 )
 from bncells.hecke import left_cells
+from bncells.partition import GroupPartition
 
 from .conftest import signed_perms
 from .test_hecke import cached_kl
@@ -188,6 +197,29 @@ def test_left_cells_refine_fibers(n, a, b):
     kl = cached_kl(n, a, b)
     part = rxi_partition(n, WeightFunction(a, b))
     assert left_cells(kl).refines(part)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ts1t_window_rule_matches_the_length_test(n):
+    reflection = from_word(n, (0, 1, 0))
+    for w in group_elements(n):
+        assert ts1t_descent(w) == (length(mul(w, reflection)) < length(w))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mask_seed_matches_per_element_invariants(n):
+    # a > b, a == b, then one weight inside each gate bracket k < b/a < k + 1
+    weights = [WeightFunction(3, 2), WeightFunction(2, 2)]
+    weights += [WeightFunction(2, 2 * k + 1) for k in range(1, max(n, 2))]
+    for weight in weights:
+        seed = rxi_partition(n, weight)
+        reference = GroupPartition.from_keys(
+            n,
+            [rxi(w, weight) for w in group_elements(n)],
+            label_fn=XiDescentSet.to_text,
+        )
+        assert list(seed.class_id) == list(reference.class_id)
+        assert seed.labels == reference.labels
 
 
 def test_partition_is_total_and_label_count_matches():

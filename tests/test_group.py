@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bncells.errors import InvalidInputError, RankError
 from bncells.group import (
     T_LETTER,
-    CosetDecomposition,
     SignedPerm,
     WeightFunction,
     bruhat_leq,
@@ -50,7 +49,6 @@ from .oracles import (
     oracle_bruhat_leq,
     oracle_eval_word,
     oracle_is_suffix,
-    reduced_words,
 )
 
 

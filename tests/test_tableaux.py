@@ -4,7 +4,6 @@ import math
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from bncells.errors import InvalidInputError
 from bncells.group import SignedPerm, enumerate_group, group_order, inverse

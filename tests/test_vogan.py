@@ -5,14 +5,13 @@ import itertools
 import pytest
 
 from bncells.area import area_elements, in_area, in_area_reduced
-from bncells.errors import FalsificationError, InvalidInputError, RegimeError
+from bncells.errors import InvalidInputError, RegimeError
 from bncells.group import (
     WeightFunction,
     element_index,
     enumerate_group,
     group_elements,
     group_order,
-    inverse,
     inverse_index_table,
     length,
 )
@@ -171,7 +170,7 @@ def test_left_extension_changes_lengths_somewhere():
     )
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_extended_table_matches_elementwise_extension(n):
     weight = ASYM[n]
     for cmap in (build_epsilon(n), build_psi(n, weight)):
@@ -342,6 +341,11 @@ def test_rounds_refine_monotonically_and_reach_a_fixpoint(n):
             assert later.num_classes > earlier.num_classes
         assert run.final.same_blocks(run.rounds[-1])
         assert run.round_count == len(run.rounds) - 1
+
+
+def test_rank_six_dominant_round_counts():
+    run = vogan_classes(6, ASYM[6])
+    assert [r.num_classes for r in run.rounds] == [486, 1195, 1359, 1383, 1384]
 
 
 @pytest.mark.parametrize("n", (2, 3))
