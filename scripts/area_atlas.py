@@ -21,15 +21,13 @@ from bncells.area import (
     upsilon_decomposition,
 )
 from bncells.descents import XiDescentSet
-from bncells.group import length, length_t, right_descents
-
-
-def window_text(w) -> str:
-    return ",".join(str(x) for x in w)
-
-
-def word_text(word) -> str:
-    return " ".join("t" if c == 0 else f"s{c}" for c in word) or "e"
+from bncells.group import (
+    length,
+    length_t,
+    right_descents,
+    window_text,
+    word_to_text,
+)
 
 
 def sort_cell(cell):
@@ -53,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
         sig = words.sigma[q]
         print(f"\nsign count q={q}")
         print(f"  minimal element {window_text(sig.window)}  "
-              f"word {word_text(sigma_word(n, q))}")
+              f"word {word_to_text(sigma_word(n, q)) or 'e'}")
         for cell in cells:
             members = sort_cell(cell)
             if length_t(members[0]) != q:

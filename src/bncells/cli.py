@@ -28,6 +28,7 @@ encoding.  Exit codes: 0 = all checks pass, 1 = a checked claim is false,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -55,17 +56,25 @@ from .group import (
 from .hecke import check_oracle_budget, kl_basis, left_cells
 from .partition import GroupPartition
 from .tableaux import count_standard_bitableaux, rs_generalized, shape
-from .vogan import classes_to_tsv, vogan_classes, xi_orbits
+from .vogan import classes_to_tsv, run_summary, vogan_classes, xi_orbits
 
 METHODS = ("oracle-kl", "vogan", "rs-asymptotic", "rxi", "orbits", "area")
 FORMATS = ("tsv", "json")
 TABLE_RANKS = range(2, 8)
 ORACLE_CROSS_CHECK_MAX_RANK = 4
+EMIT_BATCH = 4096
 
 
 def _emit(lines, out) -> None:
-    for line in lines:
-        out.write(line + "\n")
+    """Write ``lines`` as they come, ``EMIT_BATCH`` lines to a write call.
+
+    Written a line at a time, a dump streamed into a pipe leaves in
+    buffer-sized pieces, and waking the reader for each one made a cold
+    rank-6 ``cells`` about 10% slower on a 2-core VM.
+    """
+    lines = iter(lines)
+    while batch := list(itertools.islice(lines, EMIT_BATCH)):
+        out.write("\n".join(batch) + "\n")
 
 
 def _emit_json(payload, out) -> None:
@@ -284,15 +293,7 @@ def cmd_verify(args, out) -> int:
                 "detail": "skipped: cell equality is conjectural in this regime",
             }
         )
-    payload = {
-        "n": n,
-        "a": weight.a,
-        "b": weight.b,
-        "regime": regime_label,
-        "num_classes": run.final.num_classes,
-        "round_count": run.round_count,
-        "checks": checks,
-    }
+    payload = {**run_summary(run), "regime": regime_label, "checks": checks}
     if args.format == "json":
         _emit_json(payload, out)
     else:

@@ -5,7 +5,7 @@ Two parabolic subsets carry a canonical "cycle the recording tableau" map:
 - ``"J"`` (the swap generators): insertion on the all-positive window via the
   classic row bumping; the map keeps the insertion tableau and steps the
   recording tableau through the standard tableaux of its shape, cyclically,
-  in a chosen total order.
+  in increasing order of their row reading words.
 - ``"K"`` (everything but the last swap): same construction one rank down
   using the signed insertion pair, valid once the weight is dominant enough
   for that rank (``b > (n-2) a``).
@@ -23,7 +23,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .area import in_area_reduced
 from .descents import rxi_partition
@@ -54,21 +54,6 @@ from .tableaux import (
     standard_bitableaux,
     standard_tableaux,
 )
-
-ORDER_POLICIES = ("rowword", "rowword_desc")
-SCHEDULES = ("joint", "alternating")
-
-
-def _ordered(items: Sequence, order_policy: str) -> tuple:
-    """Apply a total-order policy to an enumeration of (bi)tableaux."""
-    if order_policy == "rowword":
-        return tuple(items)
-    if order_policy == "rowword_desc":
-        return tuple(reversed(items))
-    raise InvalidInputError(
-        f"unknown order policy {order_policy!r}; choose from {ORDER_POLICIES}"
-    )
-
 
 # ---------------------------------------------------------------------------
 # parabolic index spaces
@@ -102,22 +87,18 @@ class CellularMap:
     """A permutation of a parabolic subgroup that cycles recording fibers.
 
     ``mapping`` is stored over the parabolic's own index space (see
-    :func:`parabolic_elements`); ``cell_order`` names the total order used to
-    cycle recording tableaux within each shape.
+    :func:`parabolic_elements`).
     """
 
     subset_id: str
     n: int
     mapping: tuple[int, ...]
-    cell_order: str
 
     def __post_init__(self) -> None:
         if self.subset_id not in ("J", "K"):
             raise InvalidInputError(
                 f"unsupported parabolic subset id {self.subset_id!r}"
             )
-        if self.cell_order not in ORDER_POLICIES:
-            raise InvalidInputError(f"unknown order policy {self.cell_order!r}")
         expected = len(parabolic_elements(self.subset_id, self.n))
         if len(self.mapping) != expected:
             raise InvalidInputError(
@@ -143,30 +124,28 @@ class CellularMap:
 
 
 @lru_cache(maxsize=None)
-def build_epsilon(n: int, order_policy: str = "rowword") -> CellularMap:
+def build_epsilon(n: int) -> CellularMap:
     """Recording-cycling on the all-positive parabolic via classic insertion.
 
     For ``u`` with insertion pair ``(P, Q)`` the image has pair
     ``(P, next(Q))`` where ``next`` steps cyclically through the standard
-    tableaux of the shape in ``order_policy`` order.
+    tableaux of the shape in increasing order of their row reading words.
     """
     index = _parabolic_index("J", n)
     images = [0] * len(index)
     for lam in partitions(n):
-        tabs = _ordered(standard_tableaux(lam), order_policy)
+        tabs = standard_tableaux(lam)
         succ = {tabs[i]: tabs[(i + 1) % len(tabs)] for i in range(len(tabs))}
         for p in tabs:
             for q in tabs:
                 u = rs_classic_inverse(p, q)
                 v = rs_classic_inverse(p, succ[q])
                 images[index[u]] = index[v]
-    return CellularMap("J", n, tuple(images), order_policy)
+    return CellularMap("J", n, tuple(images))
 
 
 @lru_cache(maxsize=None)
-def build_psi(
-    n: int, weight: WeightFunction, order_policy: str = "rowword"
-) -> CellularMap:
+def build_psi(n: int, weight: WeightFunction) -> CellularMap:
     """Recording-cycling on the rank-``(n-1)`` parabolic via signed insertion.
 
     Requires ``b > (n-2) a``: below that the one-rank-down cells are no
@@ -180,18 +159,18 @@ def build_psi(
         )
     elements = parabolic_elements("K", n)
     if len(elements) == 1:
-        return CellularMap("K", n, (0,), order_policy)
+        return CellularMap("K", n, (0,))
     index = _parabolic_index("K", n)
     images = [0] * len(elements)
     for shp in bipartitions(n - 1):
-        bitabs = _ordered(standard_bitableaux(shp), order_policy)
+        bitabs = standard_bitableaux(shp)
         succ = {bitabs[i]: bitabs[(i + 1) % len(bitabs)] for i in range(len(bitabs))}
         for a_tab in bitabs:
             for b_tab in bitabs:
                 u = rs_generalized_inverse(a_tab, b_tab)
                 v = rs_generalized_inverse(a_tab, succ[b_tab])
                 images[index[u]] = index[v]
-    return CellularMap("K", n, tuple(images), order_policy)
+    return CellularMap("K", n, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +278,14 @@ def orbits_of_image_tables(
 
 @lru_cache(maxsize=None)
 def xi_orbits(
-    n: int,
-    weight: WeightFunction,
-    side: str = "right",
-    order_policy: str = "rowword",
+    n: int, weight: WeightFunction, side: str = "right"
 ) -> GroupPartition:
     """Orbits of the group generated by both extended cycling maps.
 
     Precondition ``b > (n-2) a`` (inherited from the rank-down map).
     """
-    eps = extended_image_table(build_epsilon(n, order_policy))
-    psi = extended_image_table(build_psi(n, weight, order_policy))
+    eps = extended_image_table(build_epsilon(n))
+    psi = extended_image_table(build_psi(n, weight))
     return orbits_of_image_tables(n, (eps, psi), side=side)
 
 
@@ -348,58 +324,32 @@ def _minimal_index_labels(ids: Sequence[int]) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def vogan_classes(
-    n: int,
-    weight: WeightFunction,
-    order_policy: str = "rowword",
-    schedule: str = "joint",
-) -> VoganRun:
+def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
     """Refine the gated-descent fibers until stable under both extended maps.
 
-    Each joint round splits every class by the pair of classes its two
-    images currently lie in; the alternating schedule splits by one map at a
-    time (same fixpoint, more rounds).  Final classes are labeled by their
-    minimal element index.
+    Each round splits every class by the pair of classes its two images
+    currently lie in, until a round splits nothing.  Final classes are
+    labeled by their minimal element index.
     """
-    if schedule not in SCHEDULES:
-        raise InvalidInputError(
-            f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
-        )
-    eps = extended_image_table(build_epsilon(n, order_policy))
-    psi = extended_image_table(build_psi(n, weight, order_policy))
+    eps = extended_image_table(build_epsilon(n))
+    psi = extended_image_table(build_psi(n, weight))
     seed = rxi_partition(n, weight)
     rounds = [seed]
     cur = seed.class_id
     count = seed.num_classes
     # A key packs the class ids of an element and of its images in base
     # ``count``; ids are numbered by first appearance of their key.
-    if schedule == "joint":
-        while True:
-            seen: dict[int, int] = {}
-            ids = [
-                seen.setdefault((c * count + cur[e]) * count + cur[p], len(seen))
-                for c, e, p in zip(cur, eps, psi)
-            ]
-            new = array("i", ids)
-            if new == cur:
-                break
-            rounds.append(GroupPartition(n=n, class_id=new))
-            cur, count = new, len(seen)
-    else:
-        changed = True
-        while changed:
-            changed = False
-            for table in (eps, psi):
-                seen = {}
-                ids = [
-                    seen.setdefault(c * count + cur[t], len(seen))
-                    for c, t in zip(cur, table)
-                ]
-                new = array("i", ids)
-                if new != cur:
-                    rounds.append(GroupPartition(n=n, class_id=new))
-                    cur, count = new, len(seen)
-                    changed = True
+    while True:
+        seen: dict[int, int] = {}
+        ids = [
+            seen.setdefault((c * count + cur[e]) * count + cur[p], len(seen))
+            for c, e, p in zip(cur, eps, psi)
+        ]
+        new = array("i", ids)
+        if new == cur:
+            break
+        rounds.append(GroupPartition(n=n, class_id=new))
+        cur, count = new, len(seen)
     final = GroupPartition(
         n=n, class_id=cur, labels=_minimal_index_labels(cur)
     )
@@ -531,14 +481,14 @@ def orbit_meets_canonical(
 # ---------------------------------------------------------------------------
 
 
-def classes_to_tsv(partition: GroupPartition) -> tuple[str, ...]:
-    """One ``window<TAB>label`` line per in-domain element, in canonical order."""
-    elements = group_elements(partition.n)
-    return tuple(
-        f"{window_text(w)}\t{partition.label_of(partition.class_of(i))}"
-        for i, w in enumerate(elements)
-        if partition.in_domain(i)
-    )
+def classes_to_tsv(partition: GroupPartition) -> Iterator[str]:
+    """One ``window<TAB>label`` line per in-domain element, in canonical order.
+
+    The lines are yielded one at a time, so a dump never holds them all.
+    """
+    for i, w in enumerate(group_elements(partition.n)):
+        if partition.in_domain(i):
+            yield f"{window_text(w)}\t{partition.label_of(partition.class_of(i))}"
 
 
 def run_summary(run: VoganRun) -> dict:

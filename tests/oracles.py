@@ -134,3 +134,27 @@ def oracle_knuth_closure(
                     queue.append(nxt)
         next_id += 1
     return comp
+
+
+def oracle_pair_refinement(seed, maps) -> set[frozenset[int]]:
+    """Coarsest refinement of ``seed`` stable under every map, over pairs.
+
+    ``seed`` gives a class key per element and each map an image index per
+    element.  Two elements are told apart when their keys differ, or when
+    some map sends them to a pair already told apart; the sweep repeats
+    until nothing new is told apart.  Returns the blocks as index sets.
+    """
+    size = len(seed)
+    apart = [[seed[x] != seed[y] for y in range(size)] for x in range(size)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(size):
+            row = apart[x]
+            for y in range(size):
+                if not row[y] and any(apart[f[x]][f[y]] for f in maps):
+                    row[y] = True
+                    changed = True
+    return {
+        frozenset(y for y in range(size) if not apart[x][y]) for x in range(size)
+    }

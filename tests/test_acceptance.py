@@ -31,7 +31,6 @@ from bncells.knuth import apply_move, knuth_classes, welsh_bridge
 from bncells.partition import GroupPartition
 from bncells.tableaux import rs_generalized, shape
 from bncells.vogan import (
-    ORDER_POLICIES,
     build_epsilon,
     build_psi,
     verify_admissible,
@@ -189,29 +188,15 @@ def test_criterion_6_region_structure_identities():
     )
 
 
-def test_criterion_7_admissibility_and_policy_independence():
+def test_criterion_7_admissibility():
     failures: list[str] = []
     for n in range(1, 6):
         failures += verify_admissible(build_epsilon(n))
     for n in range(2, 6):
         failures += verify_admissible(build_psi(n, dominant_weight(n)))
-
-    ok = not failures
-    for n in range(2, 5):
-        for weight in (dominant_weight(n), boundary_weight(n)):
-            finals = [
-                vogan_classes(n, weight, order_policy=p).final
-                for p in ORDER_POLICIES
-            ]
-            orbit_parts = [
-                xi_orbits(n, weight, order_policy=p) for p in ORDER_POLICIES
-            ]
-            ok &= all(finals[0].same_blocks(p) for p in finals[1:])
-            ok &= all(orbit_parts[0].same_blocks(p) for p in orbit_parts[1:])
     report(
-        "cycling maps admissible at ranks up to 5; classes independent of "
-        "enumeration policy at ranks up to 4",
-        ok,
+        "cycling maps admissible at ranks up to 5",
+        not failures,
         "; ".join(failures) if failures else "",
     )
 

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from bncells.area import area_elements, in_area, in_area_reduced
+from bncells.descents import rxi_partition
 from bncells.errors import InvalidInputError, RegimeError
 from bncells.group import (
     WeightFunction,
@@ -36,6 +37,7 @@ from bncells.vogan import (
     xi_orbits,
 )
 
+from .oracles import oracle_pair_refinement
 from .test_hecke import cached_kl
 
 ASYM = {n: WeightFunction(1, n) for n in range(1, 8)}
@@ -46,13 +48,11 @@ ASYM = {n: WeightFunction(1, n) for n in range(1, 8)}
 
 def test_cellular_map_rejects_bad_payloads():
     with pytest.raises(InvalidInputError):
-        CellularMap("X", 2, (0, 1), "rowword")
+        CellularMap("X", 2, (0, 1))
     with pytest.raises(InvalidInputError):
-        CellularMap("J", 2, (0, 1), "fancy")
+        CellularMap("J", 2, (0, 0))
     with pytest.raises(InvalidInputError):
-        CellularMap("J", 2, (0, 0), "rowword")
-    with pytest.raises(InvalidInputError):
-        CellularMap("J", 2, (0,), "rowword")
+        CellularMap("J", 2, (0,))
 
 
 def test_parabolic_index_spaces():
@@ -114,14 +114,12 @@ def test_psi_regime_gate():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_epsilon_admissible_against_insertion_fibers(n):
     assert verify_admissible(build_epsilon(n)) == ()
-    assert verify_admissible(build_epsilon(n, "rowword_desc")) == ()
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_psi_admissible_against_insertion_fibers(n):
     weight = WeightFunction(1, max(n - 1, 1))
     assert verify_admissible(build_psi(n, weight)) == ()
-    assert verify_admissible(build_psi(n, weight, "rowword_desc")) == ()
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -138,7 +136,7 @@ def test_verify_admissible_reports_violations():
     eps = build_epsilon(2)
     broken = list(eps.mapping)
     broken[0], broken[1] = broken[1], broken[0]
-    bad = CellularMap("J", 2, tuple(broken), "rowword")
+    bad = CellularMap("J", 2, tuple(broken))
     assert len(verify_admissible(bad)) > 0
 
 
@@ -348,29 +346,28 @@ def test_rank_six_dominant_round_counts():
     assert [r.num_classes for r in run.rounds] == [486, 1195, 1359, 1383, 1384]
 
 
-@pytest.mark.parametrize("n", (2, 3))
-def test_alternating_schedule_reaches_the_same_fixpoint(n):
-    for weight in (ASYM[n], WeightFunction(1, n - 1)):
-        joint = vogan_classes(n, weight, schedule="joint")
-        alt = vogan_classes(n, weight, schedule="alternating")
-        assert joint.final.same_blocks(alt.final)
-        assert alt.round_count >= joint.round_count
+@pytest.mark.parametrize(
+    "n,a,b",
+    [(2, 1, 2), (2, 1, 1), (2, 2, 1), (3, 1, 3), (3, 1, 2), (4, 1, 4), (4, 1, 3)],
+)
+def test_classes_match_the_pair_refinement_oracle(n, a, b):
+    weight = WeightFunction(a, b)
+    maps = [
+        extended_image_table(build_epsilon(n)),
+        extended_image_table(build_psi(n, weight)),
+    ]
+    expected = oracle_pair_refinement(rxi_partition(n, weight).class_id, maps)
+    final = vogan_classes(n, weight).final
+    assert {frozenset(members) for members in final.classes()} == expected
 
 
-def test_schedule_validation():
-    with pytest.raises(InvalidInputError):
-        vogan_classes(2, ASYM[2], schedule="random")
-
-
-@pytest.mark.parametrize("n", range(2, 5))
-def test_order_policy_independence(n):
-    weight = ASYM[n]
-    base_orbits = xi_orbits(n, weight, order_policy="rowword")
-    desc_orbits = xi_orbits(n, weight, order_policy="rowword_desc")
-    assert base_orbits.same_blocks(desc_orbits)
-    base_run = vogan_classes(n, weight, order_policy="rowword")
-    desc_run = vogan_classes(n, weight, order_policy="rowword_desc")
-    assert base_run.final.same_blocks(desc_run.final)
+def test_psi_is_built_once_per_weight():
+    weight = WeightFunction(3, 11)  # no other test uses it, so nothing is cached
+    before = build_psi.cache_info().misses
+    build_psi(4, weight)
+    vogan_classes(4, weight)
+    xi_orbits(4, weight)
+    assert build_psi.cache_info().misses == before + 1
 
 
 def test_run_validation():
@@ -413,7 +410,7 @@ def test_class_labels_are_minimal_element_indices():
 
 def test_tsv_lines_are_frozen_at_rank_two():
     run = vogan_classes(2, ASYM[2])
-    lines = classes_to_tsv(run.final)
+    lines = list(classes_to_tsv(run.final))
     assert lines[0] == "1,2\t0"
     assert lines[1] == "-1,2\t1"
     assert lines[2] == "2,1\t2"
@@ -422,7 +419,7 @@ def test_tsv_lines_are_frozen_at_rank_two():
 
 def test_tsv_falls_back_to_class_ids_without_labels():
     part = xi_orbits(2, ASYM[2])
-    lines = classes_to_tsv(part)
+    lines = list(classes_to_tsv(part))
     assert lines[0] == "1,2\t0"
     assert all("\t" in line for line in lines)
 
