@@ -8,8 +8,8 @@ it against the cheaper invariants:
 - left cells always refine the enhanced-descent fibers;
 - in the regimes where equality is claimed (slope at least ``n - 1``),
   the refinement classes equal the left cells class by class;
-- below that, classes produced at an interior weight of a slope bracket
-  equal the classes at the bracket's boundary weight.
+- below that, where equality is not claimed, every left cell lies inside
+  one refinement class.
 
 One line per (rank, weight) pair; exits 1 on the first falsification.
 
@@ -52,13 +52,12 @@ def check_weight(n: int, weight: WeightFunction) -> tuple[bool, str]:
             return False, f"{regime}: classes differ from left cells"
         return True, f"{regime}: classes equal left cells ({cells.num_classes})"
 
-    k = weight.b // weight.a if weight.b % weight.a else weight.b // weight.a - 1
-    bracket_boundary = vogan_classes(n, WeightFunction(1, k + 1))
-    if not run.final.same_blocks(bracket_boundary.final):
-        return False, f"{regime}: classes differ from the bracket boundary"
     if not cells.refines(run.final):
         return False, f"{regime}: left cells do not refine the classes"
-    return True, f"{regime}: classes match bracket boundary ({run.final.num_classes})"
+    return True, (
+        f"{regime}: cells refine classes "
+        f"({cells.num_classes} vs {run.final.num_classes})"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,6 +12,13 @@ the previous canonical element, then peel off the bar-invariant interference
 terms ``M`` from the top down.  Every structural property the construction
 relies on is asserted and raises :class:`FalsificationError` when violated.
 
+Bar invariance is checked apart from the recursion: ``bar(C_w)`` is
+rebuilt from the images ``bar(T_y)`` and compared with ``C_w``.  That check
+packs each element, per exponent, into one Python int with a fixed number
+``B`` of bits per group element, ``B`` taken from the coefficient bounds of
+the data, so the packed comparison is exact (see
+:func:`verify_bar_invariance`).
+
 Cells are strongly connected components of the multiplication graph: ``y``
 is reachable from ``w`` when ``C_y`` appears in some ``C_g * C_w``.
 """
@@ -183,13 +190,6 @@ def bar_t_elements(tables: GroupTables, weight: WeightFunction) -> list[HeckeElt
     return out  # type: ignore[return-value]
 
 
-def h_bar_via(bar_t: list[HeckeElt], h: HeckeElt) -> HeckeElt:
-    out: HeckeElt = {}
-    for i, coeff in h.items():
-        h_add_scaled(out, bar_t[i], dict_bar(coeff))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonical basis
 # ---------------------------------------------------------------------------
@@ -350,14 +350,80 @@ def kl_basis(
     return result
 
 
+def _pack(elt: HeckeElt, shift: Sequence[int]) -> dict[int, int]:
+    """``elt`` as ``{exponent: int}``: the coefficient of ``v^e T_x`` is the
+    signed ``B``-bit slot of ``out[e]`` that starts at bit ``shift[x]``."""
+    out: dict[int, int] = {}
+    for x, poly in elt.items():
+        s = shift[x]
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + (c << s)
+    return out
+
+
 def verify_bar_invariance(kl: KLBasis) -> None:
-    """Assert ``bar(C_w) = C_w`` for every ``w`` (independent of the recursion)."""
-    bar_t = bar_t_elements(kl.tables, kl.weight)
-    for i, elt in enumerate(kl.cw):
-        if not h_equal(h_bar_via(bar_t, elt), elt):
-            raise FalsificationError(
-                f"canonical element {i} is not bar-invariant"
-            )
+    """Assert ``bar(C_w) = C_w`` for every ``w`` (independent of the recursion).
+
+    ``bar(C_w) = sum_y bar(p_{y,w}) bar(T_y)`` is formed exactly, with the
+    ``bar(T_y)`` from :func:`bar_t_elements`, on packed integers: for each
+    exponent, one Python int holds the coefficients over every element
+    ``x``, ``B`` bits per element, slots in :meth:`GroupTables.by_length`
+    order.  A term ``c v^e`` of ``p_{y,w}`` then adds ``c`` times the
+    packed int of ``bar(T_y)`` at each exponent ``k`` into the accumulator
+    at exponent ``k - e``: one big-int addition per ``k`` when ``c = ±1``.
+
+    Exactness: let ``rmax`` be the largest ``|coefficient|`` in any
+    ``bar(T_y)``, ``smax`` the largest sum of ``|coefficient|`` over one
+    ``C_w`` and ``cmax`` the largest ``|coefficient|`` in any ``C_w``.  A
+    slot of ``bar(C_w) - C_w`` is a sum of at most ``smax`` products
+    ``c·r`` (weighted by ``|c|``) minus one coefficient of ``C_w``, so its
+    absolute value is at most ``rmax·smax + cmax < 2^(B-1)`` for
+    ``B = (rmax·smax + cmax).bit_length() + 1``.  A sum of signed slots
+    that small is zero only if every slot is zero (the top nonzero slot
+    outweighs all the lower ones), so a zero packed difference means
+    ``bar(C_w) = C_w`` coefficient by coefficient.  ``B`` is read off the
+    data, never fixed, and nothing is sampled or hashed.
+    """
+    tables = kl.tables
+    bar_t = bar_t_elements(tables, kl.weight)
+    rmax = max(abs(c) for elt in bar_t for poly in elt.values() for c in poly.values())
+    smax = max(
+        sum(abs(c) for poly in elt.values() for c in poly.values()) for elt in kl.cw
+    )
+    cmax = max(abs(c) for elt in kl.cw for poly in elt.values() for c in poly.values())
+    bits = (rmax * smax + cmax).bit_length() + 1
+    shift = [0] * tables.order
+    for slot, x in enumerate(tables.by_length()):
+        shift[x] = slot * bits
+    # bar(T_y) involves only x <= y in the Bruhat order, so in length order
+    # its packed row is no wider than y's own slot; each dict row is dropped
+    # as soon as it is packed, so the two forms of all rows never coexist
+    rows: list[dict[int, int]] = []
+    for y in range(tables.order):
+        rows.append(_pack(bar_t[y], shift))
+        bar_t[y] = {}
+    offset = max(abs(k) for row in rows for k in row) + max(
+        abs(e) for elt in kl.cw for poly in elt.values() for e in poly
+    )
+    acc = [0] * (2 * offset + 1)
+    for w, elt in enumerate(kl.cw):
+        for y, poly in elt.items():
+            row = rows[y]
+            for e, c in poly.items():
+                base = offset - e
+                if c == 1:
+                    for k, packed in row.items():
+                        acc[base + k] += packed
+                elif c == -1:
+                    for k, packed in row.items():
+                        acc[base + k] -= packed
+                else:
+                    for k, packed in row.items():
+                        acc[base + k] += c * packed
+        for e, packed in _pack(elt, shift).items():
+            acc[offset + e] -= packed
+        if any(acc):
+            raise FalsificationError(f"canonical element {w} is not bar-invariant")
 
 
 def verify_degenerate_products(kl: KLBasis) -> None:

@@ -106,17 +106,41 @@ def test_verify_boundary_weight_rank_three():
     }
 
 
+# oracle left cells and refinement classes at weights with n-2 < b/a < n-1
+INTERVAL_CELLS_AND_CLASSES = {(3, 2, 3): (20, 16), (4, 2, 5): (76, 68)}
+
+
 def test_verify_interval_weight_is_conjectural():
-    code, text = run_cli(
-        "verify", "--n", "3", "--a", "2", "--b", "3", "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(text)
-    assert "conjectural regime" in payload["regime"]
-    assert payload["num_classes"] == 16
-    checks = {check["check"]: check for check in payload["checks"]}
-    assert checks["interval-matches-boundary"]["ok"]
-    assert "skipped" in checks["oracle-vs-classes"]["detail"]
+    for (n, a, b), (cells, classes) in INTERVAL_CELLS_AND_CLASSES.items():
+        code, text = run_cli(
+            "verify", "--n", str(n), "--a", str(a), "--b", str(b), "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(text)
+        assert "conjectural regime" in payload["regime"]
+        assert payload["num_classes"] == classes
+        assert payload["checks"] == [
+            {
+                "check": "cells-refine-classes",
+                "ok": True,
+                "detail": f"cells refine classes ({cells} vs {classes})",
+            }
+        ]
+
+
+def test_verify_interval_weight_reports_a_split_cell(monkeypatch):
+    import bncells.cli as cli_module
+
+    def coarse(kl):
+        return GroupPartition(n=3, class_id=[0] * 48)
+
+    monkeypatch.setattr(cli_module, "left_cells", coarse)
+    code, text = run_cli("verify", "--n", "3", "--a", "2", "--b", "3")
+    assert code == 1
+    assert (
+        "check\tcells-refine-classes\tFAIL\t"
+        "1 cells meet two or more classes (1 vs 16)"
+    ) in text
 
 
 def test_verify_low_regime_exits_two():
@@ -144,6 +168,17 @@ def test_verify_checks_oracle_budget_before_refining(monkeypatch, n):
     code, _ = run_cli("verify", "--n", n)
     assert code == 2
     assert calls == []
+
+
+def test_verify_checks_oracle_budget_in_the_interval_regime(monkeypatch):
+    import bncells.cli as cli_module
+
+    def refuse(*args):
+        raise AssertionError("refinement started before the budget check")
+
+    monkeypatch.setattr(cli_module, "vogan_classes", refuse)
+    code, _ = run_cli("verify", "--n", "5", "--a", "3", "--b", "10")
+    assert code == 2
 
 
 def test_verify_reports_falsification(monkeypatch):

@@ -1,10 +1,14 @@
 """Canonical-basis construction, its self-checks, and cell extraction."""
 
+import dataclasses
 import functools
+import io
 
 import pytest
 
-from bncells.errors import BudgetError, InvalidInputError
+from bncells import hecke
+from bncells.cli import main
+from bncells.errors import BudgetError, FalsificationError, InvalidInputError
 from bncells.group import (
     SignedPerm,
     WeightFunction,
@@ -15,11 +19,11 @@ from bncells.group import (
     right_descents,
 )
 from bncells.hecke import (
+    KLBasis,
     bar_t_elements,
     c_gen_mul,
     group_tables,
     h_add_scaled,
-    h_bar_via,
     h_equal,
     kl_basis,
     kl_to_lines,
@@ -38,6 +42,18 @@ from bncells.laurent import LaurentPoly
 @functools.lru_cache(maxsize=None)
 def cached_kl(n, a, b):
     return kl_basis(n, WeightFunction(a, b))
+
+
+def add_to_element(kl, iw, extra):
+    """``kl`` with the element ``extra`` added to ``C_w`` (``w`` of index ``iw``)."""
+    elt = {y: dict(poly) for y, poly in kl.cw[iw].items()}
+    h_add_scaled(elt, extra, {0: 1})
+    return dataclasses.replace(kl, cw=kl.cw[:iw] + (elt,) + kl.cw[iw + 1 :])
+
+
+def change_lowest_coefficient(kl, iw, delta):
+    """``kl`` with ``delta`` added to the lowest term of ``T_e`` in ``C_w``."""
+    return add_to_element(kl, iw, {0: {min(kl.cw[iw][0]): delta}})
 
 
 def cells_as_windows(kl, partition):
@@ -123,11 +139,19 @@ class TestBasisInvariants:
                 assert kl.tables.length[iy] <= kl.tables.length[iw]
 
     def test_bar_transform_is_involution(self):
-        tables = group_tables(2)
+        # T_y + bar(T_y) is bar-invariant exactly when bar(bar(T_y)) = T_y;
+        # T_y alone is not (y != e), so the check is not vacuous
         weight = WeightFunction(1, 2)
-        bar_t = bar_t_elements(tables, weight)
-        for i in range(tables.order):
-            assert h_equal(h_bar_via(bar_t, bar_t[i]), t_basis(i))
+        for n in (2, 3):
+            tables = group_tables(n)
+            sums = []
+            for y, elt in enumerate(bar_t_elements(tables, weight)):
+                h_add_scaled(elt, t_basis(y), {0: 1})
+                sums.append(elt)
+            verify_bar_invariance(KLBasis(n, weight, tables, tuple(sums), {}))
+            plain = tuple(t_basis(y) for y in range(tables.order))
+            with pytest.raises(FalsificationError):
+                verify_bar_invariance(KLBasis(n, weight, tables, plain, {}))
 
     def test_inverse_symmetry_of_polynomials(self):
         # the T_w -> T_{w^-1} anti-automorphism preserves the canonical basis
@@ -160,6 +184,61 @@ class TestBasisInvariants:
             for j, m in interference.items():
                 h_add_scaled(expected, kl.cw[j], m)
             assert h_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, 2), (2, 55)])
+    @pytest.mark.parametrize("where", ["middle", "top"])
+    def test_bar_check_catches_one_changed_coefficient(self, n, a, b, where):
+        kl = cached_kl(n, a, b)
+        by_length = kl.tables.by_length()
+        iw = by_length[len(by_length) // 2] if where == "middle" else by_length[-1]
+        with pytest.raises(FalsificationError, match=f"element {iw} "):
+            verify_bar_invariance(change_lowest_coefficient(kl, iw, 1))
+
+    def test_bar_check_catches_a_coefficient_wider_than_any_fixed_slot(self):
+        kl = cached_kl(3, 2, 55)
+        iw = kl.tables.by_length()[-1]
+        with pytest.raises(FalsificationError, match=f"element {iw} "):
+            verify_bar_invariance(change_lowest_coefficient(kl, iw, 2**40))
+
+    def test_bar_check_slot_width_is_read_off_the_data(self):
+        # For generators x, y of equal weight in slots i, j (length order),
+        # X = (v - v^-1) (T_x - T_y - (2^(F i) - 2^(F j)) T_e) satisfies
+        # bar(X) = -X, so C_w + X is not bar-invariant; yet with F bits per
+        # slot X packs to zero and C_w + X packs like C_w.  Only a width
+        # read off the data tells them apart, whatever fixed F is tried.
+        kl = cached_kl(3, 2, 55)
+        by_length = kl.tables.by_length()
+        x, y = (kl.tables.lmul[g][0] for g in (1, 2))
+        i, j = by_length.index(x), by_length.index(y)
+        iw = by_length[-1]
+        for fixed_bits in range(1, 65):
+            spread = 2 ** (fixed_bits * i) - 2 ** (fixed_bits * j)
+            extra = {x: {1: 1, -1: -1}, y: {1: -1, -1: 1}, 0: {1: -spread, -1: spread}}
+            with pytest.raises(FalsificationError, match=f"element {iw} "):
+                verify_bar_invariance(add_to_element(kl, iw, extra))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kl_basis_runs_the_bar_check_by_default(self, monkeypatch, n):
+        calls = []
+        monkeypatch.setattr(hecke, "verify_bar_invariance", calls.append)
+        kl = kl_basis(n, WeightFunction(1, n))
+        assert len(calls) == 1 and calls[0] is kl
+        kl_basis(n, WeightFunction(1, n), check_bar=False)
+        assert len(calls) == 1
+
+    def test_oracle_cells_command_runs_the_bar_check(self, monkeypatch):
+        calls = []
+        check = hecke.verify_bar_invariance
+
+        def spy(kl):
+            calls.append(kl.n)
+            check(kl)
+
+        monkeypatch.setattr(hecke, "verify_bar_invariance", spy)
+        argv = ["cells", "--n", "3", "--method", "oracle-kl"]
+        assert main(argv, out=io.StringIO()) == 0
+        assert calls == [3]
 
     def test_budget_guards(self):
         with pytest.raises(BudgetError):
