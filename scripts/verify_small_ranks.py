@@ -11,7 +11,9 @@ it against the cheaper invariants:
 - below that, where equality is not claimed, every left cell lies inside
   one refinement class.
 
-One line per (rank, weight) pair; exits 1 on the first falsification.
+One line per (rank, weight) pair; exits 1 if any check is falsified.
+Rank 5 needs ``--allow-heavy``: each of its weights takes minutes and about
+1 GB of memory.
 
 Example:
     python3 scripts/verify_small_ranks.py --max-n 3
@@ -35,8 +37,10 @@ def weights_for(n: int) -> list[WeightFunction]:
     return out
 
 
-def check_weight(n: int, weight: WeightFunction) -> tuple[bool, str]:
-    cells = left_cells(kl_basis(n, weight))
+def check_weight(
+    n: int, weight: WeightFunction, allow_heavy: bool
+) -> tuple[bool, str]:
+    cells = left_cells(kl_basis(n, weight, allow_heavy=allow_heavy))
     fibers = rxi_partition(n, weight)
     if not cells.refines(fibers):
         return False, "left cells do not refine the descent fibers"
@@ -63,14 +67,19 @@ def check_weight(n: int, weight: WeightFunction) -> tuple[bool, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=3, help="largest rank")
+    parser.add_argument(
+        "--allow-heavy", action="store_true", help="permit rank 5 (minutes, ~1 GB)"
+    )
     args = parser.parse_args(argv)
-    if not 2 <= args.max_n <= 4:
-        parser.error("--max-n must be 2..4 (structure-constant oracle range)")
+    if not 2 <= args.max_n <= 5:
+        parser.error("--max-n must be 2..5 (structure-constant oracle range)")
+    if args.max_n == 5 and not args.allow_heavy:
+        parser.error("--max-n 5 needs --allow-heavy")
 
     failed = False
     for n in range(2, args.max_n + 1):
         for weight in weights_for(n):
-            ok, detail = check_weight(n, weight)
+            ok, detail = check_weight(n, weight, args.allow_heavy)
             status = "ok " if ok else "FAIL"
             print(f"{status} n={n} weight=({weight.a},{weight.b}) {detail}")
             failed |= not ok

@@ -12,12 +12,13 @@ the previous canonical element, then peel off the bar-invariant interference
 terms ``M`` from the top down.  Every structural property the construction
 relies on is asserted and raises :class:`FalsificationError` when violated.
 
-Bar invariance is checked apart from the recursion: ``bar(C_w)`` is
-rebuilt from the images ``bar(T_y)`` and compared with ``C_w``.  That check
-packs each element, per exponent, into one Python int with a fixed number
-``B`` of bits per group element, ``B`` taken from the coefficient bounds of
-the data, so the packed comparison is exact (see
-:func:`verify_bar_invariance`).
+The result is certified apart from the construction, and no ``bar(T_y)``
+is ever formed (:func:`verify_bar_invariance`): the generator tables are
+checked to be the group's, and each ``C_w`` meets the degree conditions and
+equals ``C_{ws} C_s`` minus bar-invariant multiples of shorter ``C_z`` for
+a right descent ``s`` (the right-handed mirror of Lusztig, *Hecke algebras
+with unequal parameters*, CRM Monograph 18, Thm 6.6).  Bar invariance then
+follows by induction on length, and with it the basis is the canonical one.
 
 Cells are strongly connected components of the multiplication graph: ``y``
 is reachable from ``w`` when ``C_y`` appears in some ``C_g * C_w``.
@@ -32,10 +33,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, FalsificationError, InvalidInputError
 from .group import (
+    T_LETTER,
     SignedPerm,
     WeightFunction,
     group_elements,
     group_index,
+    group_order,
     inverse_index_table,
     length,
     mul_gen_left,
@@ -54,7 +57,6 @@ from .partition import GroupPartition, canonical_ids
 
 HeckeElt = dict[int, dict[int, int]]
 
-DEFAULT_MAX_RANK = 4
 HARD_MAX_RANK = 5
 
 
@@ -169,27 +171,6 @@ def c_gen_mul(
     return out
 
 
-def bar_t_elements(tables: GroupTables, weight: WeightFunction) -> list[HeckeElt]:
-    """The bar involution of every ``T_y``, by induction on length.
-
-    ``bar(T_y) = (T_g - (v^c - v^-c) T_e) * bar(T_{gy})`` for a left descent
-    ``g`` of ``y`` with weight ``c``.
-    """
-    out: list[HeckeElt | None] = [None] * tables.order
-    out[0] = t_basis(0)
-    for i in tables.by_length():
-        if i == 0:
-            continue
-        g = tables.min_left_descent(i)
-        prev = out[tables.lmul[g][i]]
-        assert prev is not None
-        c = weight.letter_weight(g)
-        elt = t_mul_gen(tables, weight, prev, g, side="left")
-        h_add_scaled(elt, prev, {c: -1, -c: 1})
-        out[i] = elt
-    return out  # type: ignore[return-value]
-
-
 # ---------------------------------------------------------------------------
 # canonical basis
 # ---------------------------------------------------------------------------
@@ -226,7 +207,7 @@ def _extract_interference(
     tables: GroupTables,
     h: HeckeElt,
     cw: Sequence[HeckeElt],
-    g: int,
+    shortened: Sequence[int],
     top: int,
     *,
     known_tops: bool,
@@ -235,8 +216,10 @@ def _extract_interference(
 
     Mutates ``h`` top-down until only the canonical element remains (when
     ``known_tops`` is false, recursion step) or nothing remains (when true,
-    the leading term was subtracted beforehand).  Returns the extracted
-    coefficients keyed by element index.
+    the leading term was subtracted beforehand).  Every peeled ``C_i`` must
+    have ``i`` shortened by ``shortened``, the generator's table on the side
+    it multiplies from.  Returns the extracted coefficients keyed by element
+    index.
     """
     out: dict[int, dict[int, int]] = {}
     order = sorted(
@@ -254,9 +237,9 @@ def _extract_interference(
             raise FalsificationError(
                 f"interference coefficient not bar-invariant at index {i}: {m}"
             )
-        if not tables.is_left_descent(g, i):
+        if tables.length[shortened[i]] >= tables.length[i]:
             raise FalsificationError(
-                f"interference at index {i} not shortened by generator {g}"
+                f"interference at index {i} not shortened by the generator"
             )
         out[i] = dict(m)
         h_add_scaled(h, cw[i], {k: -c for k, c in m.items()})
@@ -281,14 +264,15 @@ def kl_basis(
     weight: WeightFunction,
     *,
     allow_heavy: bool = False,
-    check_bar: bool | None = None,
+    check_bar: bool = True,
 ) -> KLBasis:
     """Compute the canonical basis and all interference coefficients.
 
-    The budget is checked first (:func:`check_oracle_budget`).
-    Bar-invariance of every basis element is verified by default up to
-    rank 4, and the degenerate products ``C_g * C_w = (v^c + v^-c) C_w``
-    (for ``g`` shortening ``w``) up to rank 3.
+    The budget is checked first (:func:`check_oracle_budget`).  The result
+    is certified by :func:`verify_bar_invariance` at every rank unless
+    ``check_bar=False``, and the degenerate products
+    ``C_g * C_w = (v^c + v^-c) C_w`` (for ``g`` shortening ``w``) are
+    checked up to rank 3.
     """
     check_oracle_budget(n, allow_heavy)
     tables = group_tables(n)
@@ -306,7 +290,7 @@ def kl_basis(
         assert base is not None
         h = c_gen_mul(tables, weight, g, base)
         mu[(g, iu)] = _extract_interference(
-            tables, h, cw, g, iw, known_tops=False
+            tables, h, cw, tables.lmul[g], iw, known_tops=False
         )
         covered.add((g, iu))
         top = h.get(iw)
@@ -333,7 +317,7 @@ def kl_basis(
             h = c_gen_mul(tables, weight, g, basis[iu])
             h_add_scaled(h, basis[j], {0: -1})
             mu[(g, iu)] = _extract_interference(
-                tables, h, basis, g, -1, known_tops=True
+                tables, h, basis, tables.lmul[g], -1, known_tops=True
             )
             if h:
                 raise FalsificationError(
@@ -342,88 +326,101 @@ def kl_basis(
 
     result = KLBasis(n=n, weight=weight, tables=tables, cw=tuple(basis), mu=mu)
 
-    run_bar = check_bar if check_bar is not None else n <= DEFAULT_MAX_RANK
-    if run_bar:
+    if check_bar:
         verify_bar_invariance(result)
     if n <= 3:
         verify_degenerate_products(result)
     return result
 
 
-def _pack(elt: HeckeElt, shift: Sequence[int]) -> dict[int, int]:
-    """``elt`` as ``{exponent: int}``: the coefficient of ``v^e T_x`` is the
-    signed ``B``-bit slot of ``out[e]`` that starts at bit ``shift[x]``."""
-    out: dict[int, int] = {}
-    for x, poly in elt.items():
-        s = shift[x]
-        for e, c in poly.items():
-            out[e] = out.get(e, 0) + (c << s)
-    return out
+def _verify_generator_tables(tables: GroupTables) -> None:
+    """Assert that the tables are the group's: part (i) of the certificate.
+
+    Every generator table is an involution that changes length by 1, left
+    and right generators send ``e`` (index 0, length 0) to one element, the
+    right tables satisfy the type-B_n braid relations, and left and right
+    tables commute.  So ``rmul`` is a right action of a quotient of B_n.
+    Every ``w != e`` has a right descent (checked in part (ii)), so length
+    is the distance from ``e`` and the action is transitive, hence regular
+    on ``2^n n!`` points.  The left tables commute with it and agree at
+    ``e``, so they are left multiplication.  Cost ``O(|W| n^2)``.
+    """
+    n, length, lmul, rmul = tables.n, tables.length, tables.lmul, tables.rmul
+    identity = list(range(tables.order))
+    if len(identity) != group_order(n) or length[0] != 0:
+        raise FalsificationError(f"rank-{n} tables are not the group's")
+    for g in range(n):
+        if lmul[g][0] != rmul[g][0]:
+            raise FalsificationError(f"left and right generator {g} differ at e")
+        for side, table in (("left", lmul[g]), ("right", rmul[g])):
+            for i, j in enumerate(table):
+                if table[j] != i or abs(length[j] - length[i]) != 1:
+                    raise FalsificationError(
+                        f"{side} generator {g} is not an involution changing "
+                        f"length by 1 at index {i}"
+                    )
+        for h in range(g + 1, n):
+            step, power = [rmul[h][j] for j in rmul[g]], identity
+            for _ in range(2 if h > g + 1 else 4 if g == T_LETTER else 3):
+                power = [step[j] for j in power]
+            if power != identity:
+                raise FalsificationError(f"braid relation of generators {g}, {h} fails")
+        for h in range(n):
+            if any(lmul[g][rmul[h][i]] != rmul[h][lmul[g][i]] for i in identity):
+                raise FalsificationError(
+                    f"left generator {g} and right generator {h} do not commute"
+                )
 
 
 def verify_bar_invariance(kl: KLBasis) -> None:
-    """Assert ``bar(C_w) = C_w`` for every ``w`` (independent of the recursion).
+    """Certify that ``kl.cw`` is the canonical basis, without any ``bar(T_y)``.
 
-    ``bar(C_w) = sum_y bar(p_{y,w}) bar(T_y)`` is formed exactly, with the
-    ``bar(T_y)`` from :func:`bar_t_elements`, on packed integers: for each
-    exponent, one Python int holds the coefficients over every element
-    ``x``, ``B`` bits per element, slots in :meth:`GroupTables.by_length`
-    order.  A term ``c v^e`` of ``p_{y,w}`` then adds ``c`` times the
-    packed int of ``bar(T_y)`` at each exponent ``k`` into the accumulator
-    at exponent ``k - e``: one big-int addition per ``k`` when ``c = ±1``.
+    (i) :func:`_verify_generator_tables`: ``rmul`` is right multiplication
+    by the generators and ``length`` the Coxeter length, so :func:`t_mul_gen`
+    with ``side="right"`` multiplies by ``T_s``.  (ii) In
+    :meth:`GroupTables.by_length` order, ``C_w`` meets the degree
+    conditions: ``p_{w,w} = 1``, and every other ``T_y`` in it is shorter
+    than ``w`` with ``p_{y,w}`` in ``v^-1 Z[v^-1]``.  For ``w != e`` and a
+    right descent ``s`` of weight ``c``, ``C_{ws} C_s - C_w``, with
+    ``C_s = T_s + v^-c T_e``, holds only ``T_z`` shorter than ``w`` (by the
+    degree conditions); peeled from the top down, it must split into
+    bar-invariant multiples of ``C_z`` with ``zs < z`` and leave nothing.
 
-    Exactness: let ``rmax`` be the largest ``|coefficient|`` in any
-    ``bar(T_y)``, ``smax`` the largest sum of ``|coefficient|`` over one
-    ``C_w`` and ``cmax`` the largest ``|coefficient|`` in any ``C_w``.  A
-    slot of ``bar(C_w) - C_w`` is a sum of at most ``smax`` products
-    ``c·r`` (weighted by ``|c|``) minus one coefficient of ``C_w``, so its
-    absolute value is at most ``rmax·smax + cmax < 2^(B-1)`` for
-    ``B = (rmax·smax + cmax).bit_length() + 1``.  A sum of signed slots
-    that small is zero only if every slot is zero (the top nonzero slot
-    outweighs all the lower ones), so a zero packed difference means
-    ``bar(C_w) = C_w`` coefficient by coefficient.  ``B`` is read off the
-    data, never fixed, and nothing is sampled or hashed.
+    By induction on length every ``C_w`` is then bar-invariant: bar is a
+    ring involution, ``C_s`` is bar-invariant, and ``C_w`` is ``C_{ws} C_s``
+    minus bar-invariant multiples of shorter, certified ``C_z``.  This is
+    the right-handed mirror of Lusztig, *Hecke algebras with unequal
+    parameters*, CRM Monograph 18, Thm 6.6.  The degree conditions pin the
+    basis down: two such bases differ at ``w`` by a bar-invariant sum of
+    shorter ``T_y`` with coefficients in ``v^-1 Z[v^-1]``, whose longest
+    coefficient is then bar-invariant, hence zero.
     """
-    tables = kl.tables
-    bar_t = bar_t_elements(tables, kl.weight)
-    rmax = max(abs(c) for elt in bar_t for poly in elt.values() for c in poly.values())
-    smax = max(
-        sum(abs(c) for poly in elt.values() for c in poly.values()) for elt in kl.cw
-    )
-    cmax = max(abs(c) for elt in kl.cw for poly in elt.values() for c in poly.values())
-    bits = (rmax * smax + cmax).bit_length() + 1
-    shift = [0] * tables.order
-    for slot, x in enumerate(tables.by_length()):
-        shift[x] = slot * bits
-    # bar(T_y) involves only x <= y in the Bruhat order, so in length order
-    # its packed row is no wider than y's own slot; each dict row is dropped
-    # as soon as it is packed, so the two forms of all rows never coexist
-    rows: list[dict[int, int]] = []
-    for y in range(tables.order):
-        rows.append(_pack(bar_t[y], shift))
-        bar_t[y] = {}
-    offset = max(abs(k) for row in rows for k in row) + max(
-        abs(e) for elt in kl.cw for poly in elt.values() for e in poly
-    )
-    acc = [0] * (2 * offset + 1)
-    for w, elt in enumerate(kl.cw):
-        for y, poly in elt.items():
-            row = rows[y]
-            for e, c in poly.items():
-                base = offset - e
-                if c == 1:
-                    for k, packed in row.items():
-                        acc[base + k] += packed
-                elif c == -1:
-                    for k, packed in row.items():
-                        acc[base + k] -= packed
-                else:
-                    for k, packed in row.items():
-                        acc[base + k] += c * packed
-        for e, packed in _pack(elt, shift).items():
-            acc[offset + e] -= packed
-        if any(acc):
-            raise FalsificationError(f"canonical element {w} is not bar-invariant")
+    tables, weight = kl.tables, kl.weight
+    length, rmul = tables.length, tables.rmul
+    _verify_generator_tables(tables)
+    for iw in tables.by_length():
+        elt, lw = kl.cw[iw], length[iw]
+        if elt.get(iw) != {0: 1} or any(
+            y != iw and (length[y] >= lw or any(c and e >= 0 for e, c in p.items()))
+            for y, p in elt.items()
+        ):
+            raise FalsificationError(f"element {iw} fails the degree conditions")
+        if iw == 0:
+            continue
+        s = next((g for g in range(tables.n) if length[rmul[g][iw]] < lw), None)
+        if s is None:
+            raise FalsificationError(f"element {iw} has no right descent")
+        iu = rmul[s][iw]
+        h = t_mul_gen(tables, weight, kl.cw[iu], s, side="right")
+        h_add_scaled(h, kl.cw[iu], {-weight.letter_weight(s): 1})
+        h_add_scaled(h, elt, {0: -1})
+        step = f"canonical element {iw} fails its right-descent step by {s}"
+        try:
+            _extract_interference(tables, h, kl.cw, rmul[s], -1, known_tops=True)
+        except FalsificationError as exc:
+            raise FalsificationError(f"{step}: {exc}") from exc
+        if h:
+            raise FalsificationError(f"{step}: residue on {len(h)} elements")
 
 
 def verify_degenerate_products(kl: KLBasis) -> None:

@@ -1,8 +1,10 @@
 """Canonical-basis construction, its self-checks, and cell extraction."""
 
+import copy
 import dataclasses
 import functools
 import io
+from array import array
 
 import pytest
 
@@ -19,8 +21,6 @@ from bncells.group import (
     right_descents,
 )
 from bncells.hecke import (
-    KLBasis,
-    bar_t_elements,
     c_gen_mul,
     group_tables,
     h_add_scaled,
@@ -138,21 +138,6 @@ class TestBasisInvariants:
             for iy in elt:
                 assert kl.tables.length[iy] <= kl.tables.length[iw]
 
-    def test_bar_transform_is_involution(self):
-        # T_y + bar(T_y) is bar-invariant exactly when bar(bar(T_y)) = T_y;
-        # T_y alone is not (y != e), so the check is not vacuous
-        weight = WeightFunction(1, 2)
-        for n in (2, 3):
-            tables = group_tables(n)
-            sums = []
-            for y, elt in enumerate(bar_t_elements(tables, weight)):
-                h_add_scaled(elt, t_basis(y), {0: 1})
-                sums.append(elt)
-            verify_bar_invariance(KLBasis(n, weight, tables, tuple(sums), {}))
-            plain = tuple(t_basis(y) for y in range(tables.order))
-            with pytest.raises(FalsificationError):
-                verify_bar_invariance(KLBasis(n, weight, tables, plain, {}))
-
     def test_inverse_symmetry_of_polynomials(self):
         # the T_w -> T_{w^-1} anti-automorphism preserves the canonical basis
         for n in (2, 3):
@@ -217,6 +202,83 @@ class TestBasisInvariants:
             extra = {x: {1: 1, -1: -1}, y: {1: -1, -1: 1}, 0: {1: -spread, -1: spread}}
             with pytest.raises(FalsificationError, match=f"element {iw} "):
                 verify_bar_invariance(add_to_element(kl, iw, extra))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("extra", ["T_e", "(v+v^-1) T_ws", "(v+v^-1) C_t"])
+    def test_bar_check_enforces_the_degree_conditions(self, n, extra):
+        # each mutant is bar-invariant; C_w0 + (v+v^-1) C_t also passes the
+        # right-descent step by t, which shortens t, so only the degree
+        # conditions (p_{y,w} in v^-1 Z[v^-1] for y < w) tell it from C_w0
+        kl = cached_kl(n, 3, 2)
+        iw = kl.tables.by_length()[-1]
+        it, c = kl.tables.rmul[0][0], kl.weight.letter_weight(0)
+        added = {
+            "T_e": t_basis(0),
+            "(v+v^-1) T_ws": {kl.tables.rmul[0][iw]: {1: 1, -1: 1}},
+            "(v+v^-1) C_t": {it: {1: 1, -1: 1}, 0: {1 - c: 1, -1 - c: 1}},
+        }[extra]
+        with pytest.raises(FalsificationError, match=f"element {iw} fails the degree"):
+            verify_bar_invariance(add_to_element(kl, iw, added))
+
+    def test_bar_check_catches_a_term_the_peel_never_visits(self):
+        # adding to C_w the coefficient r_x of T_x in C_{ws} C_s - C_w keeps
+        # the degree conditions but removes x from the terms to peel; the
+        # peel then leaves x behind as a residue
+        kl = cached_kl(3, 1, 1)
+        tables = kl.tables
+        iw = tables.by_length()[-1]
+        iu = tables.rmul[0][iw]
+        residue = t_mul_gen(tables, kl.weight, kl.cw[iu], 0, side="right")
+        h_add_scaled(residue, kl.cw[iu], {-kl.weight.letter_weight(0): 1})
+        h_add_scaled(residue, kl.cw[iw], {0: -1})
+        ix = next(x for x, p in residue.items() if max(p) < 0)
+        with pytest.raises(FalsificationError, match=f"element {iw} .*residue"):
+            verify_bar_invariance(add_to_element(kl, iw, {ix: residue[ix]}))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bar_check_catches_a_coefficient_that_is_not_bar_invariant(self, n):
+        # v^-1 more on T_t in C_w0 keeps the degree conditions, and t is
+        # shortened by the right descent t of w0, so only the bar-invariance
+        # of the peeled coefficient at t can fail
+        kl = cached_kl(n, 3, 2)
+        iw, it = kl.tables.by_length()[-1], kl.tables.rmul[0][0]
+        with pytest.raises(FalsificationError, match=f"element {iw} .*bar-invariant"):
+            verify_bar_invariance(add_to_element(kl, iw, {it: {-1: 1}}))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "broken,message",
+        [
+            ("braid", "braid relation"),
+            ("commute", "do not commute"),
+            ("involution", "not an involution"),
+            ("length of e", "not the group's"),
+            ("image of e", "differ at e"),
+        ],
+    )
+    def test_bar_check_rejects_tables_that_are_not_the_groups(self, n, broken, message):
+        kl = cached_kl(n, 3, 2)
+        lmul, rmul = kl.tables.lmul, kl.tables.rmul
+        tables = copy.copy(kl.tables)
+        a, b = rmul[1][0], rmul[2][0]
+        table = array("i", rmul[0])
+        if broken == "braid":
+            # re-pair two ascents in the right table of t: still an
+            # involution that changes length by 1, but not B_n's table
+            table[a], table[rmul[0][b]] = rmul[0][b], a
+            table[b], table[rmul[0][a]] = rmul[0][a], b
+            tables.rmul = (table, *rmul[1:])
+        elif broken == "commute":
+            tables.lmul = rmul
+        elif broken == "involution":
+            table[a], table[b] = table[b], table[a]
+            tables.rmul = (table, *rmul[1:])
+        elif broken == "length of e":
+            tables.length = array("i", [1]) + kl.tables.length[1:]
+        else:
+            tables.lmul = (lmul[1], lmul[0], *lmul[2:])
+        with pytest.raises(FalsificationError, match=message):
+            verify_bar_invariance(dataclasses.replace(kl, tables=tables))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kl_basis_runs_the_bar_check_by_default(self, monkeypatch, n):

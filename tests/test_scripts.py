@@ -3,9 +3,10 @@
 ``perfbench/child.py trace`` calls the library layer by layer and reads the
 counters of its caches, so a change to those calls or counters shows here
 before it breaks the benchmark.  The two scripts under ``scripts/`` get a
-smoke run each.
+smoke run each, and the rank-5 gate of ``verify_small_ranks.py`` is checked.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -109,3 +110,17 @@ def test_script_runs(argv):
     done = run_python(*argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_verify_script_gates_rank_five_before_any_basis(monkeypatch, capsys):
+    path = ROOT / "scripts" / "verify_small_ranks.py"
+    spec = importlib.util.spec_from_file_location("verify_small_ranks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    built = []
+    monkeypatch.setattr(script, "kl_basis", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["--max-n", "5"])
+    assert exit_info.value.code == 2
+    assert "--allow-heavy" in capsys.readouterr().err
+    assert built == []
