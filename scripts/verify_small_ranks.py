@@ -12,8 +12,8 @@ it against the cheaper invariants:
   one refinement class.
 
 One line per (rank, weight) pair; exits 1 if any check is falsified.
-Rank 5 needs ``--allow-heavy``: each of its weights takes minutes and about
-1 GB of memory.
+Rank 5 needs ``--allow-heavy``: each of its weights takes about a minute,
+and the whole ``--max-n 5`` sweep stays under 100 MB of memory.
 
 Example:
     python3 scripts/verify_small_ranks.py --max-n 3
@@ -68,7 +68,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=3, help="largest rank")
     parser.add_argument(
-        "--allow-heavy", action="store_true", help="permit rank 5 (minutes, ~1 GB)"
+        "--allow-heavy",
+        action="store_true",
+        help="permit rank 5 (about a minute per weight)",
     )
     args = parser.parse_args(argv)
     if not 2 <= args.max_n <= 5:

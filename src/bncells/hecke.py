@@ -1,9 +1,16 @@
 """Iwahori-Hecke algebra with unequal weights and its canonical basis.
 
 Exact reference computation used to certify the fast combinatorial layers.
-Elements of the algebra live on the standard basis ``{T_w}`` and are stored
-as ``{element_index: {exponent: coefficient}}`` — plain dicts of the sparse
-Laurent dicts from :mod:`bncells.laurent`.
+Elements of the algebra live on the standard basis ``{T_w}``.  One that is
+being built or peeled is a transient ``{element_index: {exponent:
+coefficient}}`` dict.  A finished canonical element is stored compactly as
+two parallel ``array('i')``: its indices ``y`` in increasing order, and ids
+into one table per basis that holds each distinct polynomial ``p_{y,w}``
+once, as a tuple of ``(exponent, coefficient)`` pairs.  At rank 5 about
+three million ``(y, w)`` pairs share some twenty thousand polynomials, so
+the pairs cost eight bytes each (the storage of du Cloux's Coxeter3:
+*Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter groups*,
+Experiment. Math. 11, 2002).
 
 The canonical basis element ``C_w`` is the unique bar-invariant element equal
 to ``T_w`` plus a combination of ``T_y`` with strictly negative exponents.
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import functools
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,19 +51,14 @@ from .group import (
     length,
     mul_gen_left,
     mul_gen_right,
-    parse_window,
-    window_text,
 )
-from .laurent import (
-    LaurentPoly,
-    dict_add_scaled,
-    dict_bar,
-    dict_mul,
-    dict_symmetrized_nonneg,
-)
+from .laurent import LaurentPoly, dict_bar, dict_symmetrized_nonneg
 from .partition import GroupPartition, canonical_ids
 
 HeckeElt = dict[int, dict[int, int]]
+Poly = tuple[tuple[int, int], ...]
+Terms = Iterable[tuple[int, Sequence[tuple[int, int]]]]
+ONE: Poly = ((0, 1),)
 
 HARD_MAX_RANK = 5
 
@@ -114,30 +117,49 @@ def t_basis(i: int) -> HeckeElt:
     return {i: {0: 1}}
 
 
-def h_add_scaled(target: HeckeElt, source: HeckeElt, factor: dict[int, int]) -> None:
+def _add_term(
+    target: HeckeElt, i: int, poly: Sequence[tuple[int, int]], factor: Poly
+) -> None:
+    """In-place ``target[i] += factor * poly``, one shift per term of ``factor``."""
+    cur = target.get(i)
+    if cur is None:
+        cur = target[i] = {}
+    for k, f in factor:
+        for e, c in poly:
+            e += k
+            new = cur.get(e, 0) + f * c
+            if new:
+                cur[e] = new
+            else:
+                cur.pop(e, None)
+    if not cur:
+        del target[i]
+
+
+def h_add_scaled(target: HeckeElt, source: Terms, factor: dict[int, int]) -> None:
     """In-place ``target += factor * source`` with zero stripping."""
-    for i, coeff in source.items():
-        cur = target.setdefault(i, {})
-        dict_add_scaled(cur, dict_mul(factor, coeff))
-        if not cur:
-            del target[i]
+    pairs = tuple(factor.items())
+    for i, poly in source:
+        _add_term(target, i, poly, pairs)
 
 
 def h_equal(x: HeckeElt, y: HeckeElt) -> bool:
     return {i: c for i, c in x.items() if c} == {i: c for i, c in y.items() if c}
 
 
-def t_mul_gen(
+def c_gen_mul(
     tables: GroupTables,
     weight: WeightFunction,
-    h: HeckeElt,
     g: int,
+    h: Terms,
     side: str = "left",
 ) -> HeckeElt:
-    """Multiply by the generator basis element ``T_g`` on the given side.
+    """Multiply by the canonical generator element ``C_g`` on the given side.
 
-    The quadratic relation contributes ``(v^c - v^-c) T_y`` (with ``c`` the
-    generator's weight) whenever the generator shortens the element.
+    With ``c`` the generator's weight, ``C_g = T_g + v^-c T_e``, and the
+    quadratic relation ``T_g^2 = T_e + (v^c - v^-c) T_g`` gives, on the left,
+    ``C_g T_y = T_{gy} + v^-c T_y`` when ``g`` lengthens ``y`` and
+    ``T_{gy} + v^c T_y`` when it shortens ``y``; the right side mirrors it.
     """
     if side == "left":
         table = tables.lmul[g]
@@ -146,28 +168,13 @@ def t_mul_gen(
     else:
         raise InvalidInputError(f"side must be 'left' or 'right', got {side!r}")
     c = weight.letter_weight(g)
-    xi = {c: 1, -c: -1}
+    length = tables.length
+    up, down = ((c, 1),), ((-c, 1),)
     out: HeckeElt = {}
-    for i, coeff in h.items():
+    for i, poly in h:
         j = table[i]
-        tgt = out.setdefault(j, {})
-        dict_add_scaled(tgt, coeff)
-        if not tgt:
-            del out[j]
-        if tables.length[j] < tables.length[i]:
-            tgt = out.setdefault(i, {})
-            dict_add_scaled(tgt, dict_mul(xi, coeff))
-            if not tgt:
-                del out[i]
-    return out
-
-
-def c_gen_mul(
-    tables: GroupTables, weight: WeightFunction, g: int, h: HeckeElt
-) -> HeckeElt:
-    """Left-multiply by the canonical generator element ``C_g``."""
-    out = t_mul_gen(tables, weight, h, g, side="left")
-    h_add_scaled(out, h, {-weight.letter_weight(g): 1})
+        _add_term(out, j, poly, ONE)
+        _add_term(out, i, poly, up if length[j] < length[i] else down)
     return out
 
 
@@ -176,12 +183,40 @@ def c_gen_mul(
 # ---------------------------------------------------------------------------
 
 
+def intern_element(
+    h: HeckeElt, ids: dict[Poly, int], polys: list[Poly]
+) -> tuple[array, array]:
+    """``h`` as its sorted indices and the ids of its coefficients.
+
+    Each coefficient is looked up in ``ids`` as its sorted ``(exp, coeff)``
+    pairs; one not there yet is appended to ``polys`` and given the next id.
+    """
+    ys = array("i", sorted(h))
+    out = array("i")
+    for y in ys:
+        key = tuple(sorted(h[y].items()))
+        k = ids.get(key)
+        if k is None:
+            k = ids[key] = len(polys)
+            polys.append(key)
+        out.append(k)
+    return ys, out
+
+
+def _terms(elt: tuple[array, array], polys: Sequence[Poly]) -> Terms:
+    ys, ids = elt
+    return zip(ys, map(polys.__getitem__, ids))
+
+
 @dataclass(frozen=True)
 class KLBasis:
     """Canonical basis of one rank at one weight, plus interference data.
 
-    ``cw[i]`` is the canonical element ``C_w`` for the element of index
-    ``i``, expressed in the ``T`` basis.  ``mu[(g, i)]`` maps ``j`` to the
+    ``cw[i]`` stores the canonical element ``C_w`` for the element of index
+    ``i`` in the ``T`` basis as two parallel ``array('i')``: the indices
+    ``y`` of its terms in increasing order, and for each the id of
+    ``p_{y,w}`` in ``polys``, which holds every distinct coefficient once as
+    a tuple of ``(exp, coeff)`` pairs.  ``mu[(g, i)]`` maps ``j`` to the
     bar-invariant coefficient of ``C_j`` in ``C_g * C_i``, for every ``g``
     that lengthens ``i``; the leading term ``C_{g i}`` is not stored.
     """
@@ -189,24 +224,33 @@ class KLBasis:
     n: int
     weight: WeightFunction
     tables: GroupTables = field(repr=False)
-    cw: tuple[HeckeElt, ...] = field(repr=False)
+    cw: tuple[tuple[array, array], ...] = field(repr=False)
+    polys: tuple[Poly, ...] = field(repr=False)
     mu: dict[tuple[int, int], dict[int, dict[int, int]]] = field(repr=False)
+
+    def terms(self, i: int) -> Terms:
+        """The ``(y, p_{y,w})`` pairs of ``C_w`` for ``w`` of index ``i``."""
+        return _terms(self.cw[i], self.polys)
 
     def polynomial(self, y: SignedPerm | Sequence[int], w: SignedPerm | Sequence[int]) -> LaurentPoly:
         """Coefficient of ``T_y`` in ``C_w`` (zero when absent)."""
         iy = self.tables.index[tuple(y)]
-        iw = self.tables.index[tuple(w)]
-        return LaurentPoly(self.cw[iw].get(iy, {}))
+        ys, ids = self.cw[self.tables.index[tuple(w)]]
+        k = bisect_left(ys, iy)
+        if k < len(ys) and ys[k] == iy:
+            return LaurentPoly(self.polys[ids[k]])
+        return LaurentPoly()
 
     def support(self, w: SignedPerm | Sequence[int]) -> list[SignedPerm]:
-        iw = self.tables.index[tuple(w)]
-        return [SignedPerm(self.tables.elements[i]) for i in sorted(self.cw[iw])]
+        ys, _ = self.cw[self.tables.index[tuple(w)]]
+        return [SignedPerm(self.tables.elements[i]) for i in ys]
 
 
 def _extract_interference(
     tables: GroupTables,
     h: HeckeElt,
-    cw: Sequence[HeckeElt],
+    cw: Sequence[tuple[array, array]],
+    polys: Sequence[Poly],
     shortened: Sequence[int],
     top: int,
     *,
@@ -218,8 +262,9 @@ def _extract_interference(
     ``known_tops`` is false, recursion step) or nothing remains (when true,
     the leading term was subtracted beforehand).  Every peeled ``C_i`` must
     have ``i`` shortened by ``shortened``, the generator's table on the side
-    it multiplies from.  Returns the extracted coefficients keyed by element
-    index.
+    it multiplies from.  The lower ``C_i`` are read from the stored basis
+    ``cw`` over ``polys`` (see :class:`KLBasis`).  Returns the extracted
+    coefficients keyed by element index.
     """
     out: dict[int, dict[int, int]] = {}
     order = sorted(
@@ -242,7 +287,7 @@ def _extract_interference(
                 f"interference at index {i} not shortened by the generator"
             )
         out[i] = dict(m)
-        h_add_scaled(h, cw[i], {k: -c for k, c in m.items()})
+        h_add_scaled(h, _terms(cw[i], polys), {k: -c for k, c in m.items()})
     return out
 
 
@@ -273,24 +318,27 @@ def kl_basis(
     ``check_bar=False``, and the degenerate products
     ``C_g * C_w = (v^c + v^-c) C_w`` (for ``g`` shortening ``w``) are
     checked up to rank 3.
+
+    Each ``C_w`` is built as a transient dict and interned
+    (:func:`intern_element`) once it is finished; nothing else is interned.
     """
     check_oracle_budget(n, allow_heavy)
     tables = group_tables(n)
-    cw: list[HeckeElt | None] = [None] * tables.order
+    ids: dict[Poly, int] = {}
+    polys: list[Poly] = []
+    cw: list[tuple[array, array]] = [(array("i"), array("i"))] * tables.order
     mu: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     covered: set[tuple[int, int]] = set()
 
-    cw[0] = t_basis(0)
+    cw[0] = intern_element(t_basis(0), ids, polys)
     for iw in tables.by_length():
         if iw == 0:
             continue
         g = tables.min_left_descent(iw)
         iu = tables.lmul[g][iw]
-        base = cw[iu]
-        assert base is not None
-        h = c_gen_mul(tables, weight, g, base)
+        h = c_gen_mul(tables, weight, g, _terms(cw[iu], polys))
         mu[(g, iu)] = _extract_interference(
-            tables, h, cw, tables.lmul[g], iw, known_tops=False
+            tables, h, cw, polys, tables.lmul[g], iw, known_tops=False
         )
         covered.add((g, iu))
         top = h.get(iw)
@@ -303,9 +351,7 @@ def kl_basis(
                 raise FalsificationError(
                     f"non-negative exponent below the top of canonical element {iw}"
                 )
-        cw[iw] = h
-
-    basis: list[HeckeElt] = cw  # type: ignore[assignment]
+        cw[iw] = intern_element(h, ids, polys)
 
     # remaining ascent pairs: subtract the known leading term, then every
     # top coefficient of what is left is itself an interference coefficient
@@ -314,17 +360,19 @@ def kl_basis(
             j = tables.lmul[g][iu]
             if tables.length[j] < tables.length[iu] or (g, iu) in covered:
                 continue
-            h = c_gen_mul(tables, weight, g, basis[iu])
-            h_add_scaled(h, basis[j], {0: -1})
+            h = c_gen_mul(tables, weight, g, _terms(cw[iu], polys))
+            h_add_scaled(h, _terms(cw[j], polys), {0: -1})
             mu[(g, iu)] = _extract_interference(
-                tables, h, basis, tables.lmul[g], -1, known_tops=True
+                tables, h, cw, polys, tables.lmul[g], -1, known_tops=True
             )
             if h:
                 raise FalsificationError(
                     f"residue after interference extraction for ({g}, {iu}): {h}"
                 )
 
-    result = KLBasis(n=n, weight=weight, tables=tables, cw=tuple(basis), mu=mu)
+    result = KLBasis(
+        n=n, weight=weight, tables=tables, cw=tuple(cw), polys=tuple(polys), mu=mu
+    )
 
     if check_bar:
         verify_bar_invariance(result)
@@ -376,11 +424,12 @@ def verify_bar_invariance(kl: KLBasis) -> None:
     """Certify that ``kl.cw`` is the canonical basis, without any ``bar(T_y)``.
 
     (i) :func:`_verify_generator_tables`: ``rmul`` is right multiplication
-    by the generators and ``length`` the Coxeter length, so :func:`t_mul_gen`
-    with ``side="right"`` multiplies by ``T_s``.  (ii) In
-    :meth:`GroupTables.by_length` order, ``C_w`` meets the degree
-    conditions: ``p_{w,w} = 1``, and every other ``T_y`` in it is shorter
-    than ``w`` with ``p_{y,w}`` in ``v^-1 Z[v^-1]``.  For ``w != e`` and a
+    by the generators and ``length`` the Coxeter length, so :func:`c_gen_mul`
+    with ``side="right"`` multiplies by ``C_s``.  (ii) In
+    :meth:`GroupTables.by_length` order, ``C_w`` is stored with its indices
+    increasing and one id each, and meets the degree conditions:
+    ``p_{w,w} = 1``, and every other ``T_y`` in it is shorter than ``w``
+    with ``p_{y,w}`` in ``v^-1 Z[v^-1]``.  For ``w != e`` and a
     right descent ``s`` of weight ``c``, ``C_{ws} C_s - C_w``, with
     ``C_s = T_s + v^-c T_e``, holds only ``T_z`` shorter than ``w`` (by the
     degree conditions); peeled from the top down, it must split into
@@ -395,14 +444,17 @@ def verify_bar_invariance(kl: KLBasis) -> None:
     shorter ``T_y`` with coefficients in ``v^-1 Z[v^-1]``, whose longest
     coefficient is then bar-invariant, hence zero.
     """
-    tables, weight = kl.tables, kl.weight
+    tables, weight, polys = kl.tables, kl.weight, kl.polys
     length, rmul = tables.length, tables.rmul
     _verify_generator_tables(tables)
+    negative = [all(e < 0 for e, c in p if c) for p in polys]
     for iw in tables.by_length():
-        elt, lw = kl.cw[iw], length[iw]
-        if elt.get(iw) != {0: 1} or any(
-            y != iw and (length[y] >= lw or any(c and e >= 0 for e, c in p.items()))
-            for y, p in elt.items()
+        (ys, ids), lw = kl.cw[iw], length[iw]
+        if len(ys) != len(ids) or any(y >= z for y, z in zip(ys, ys[1:])):
+            raise FalsificationError(f"element {iw} is not stored in index order")
+        if iw not in ys or any(
+            polys[k] != ONE if y == iw else length[y] >= lw or not negative[k]
+            for y, k in zip(ys, ids)
         ):
             raise FalsificationError(f"element {iw} fails the degree conditions")
         if iw == 0:
@@ -410,13 +462,13 @@ def verify_bar_invariance(kl: KLBasis) -> None:
         s = next((g for g in range(tables.n) if length[rmul[g][iw]] < lw), None)
         if s is None:
             raise FalsificationError(f"element {iw} has no right descent")
-        iu = rmul[s][iw]
-        h = t_mul_gen(tables, weight, kl.cw[iu], s, side="right")
-        h_add_scaled(h, kl.cw[iu], {-weight.letter_weight(s): 1})
-        h_add_scaled(h, elt, {0: -1})
+        h = c_gen_mul(tables, weight, s, kl.terms(rmul[s][iw]), side="right")
+        h_add_scaled(h, kl.terms(iw), {0: -1})
         step = f"canonical element {iw} fails its right-descent step by {s}"
         try:
-            _extract_interference(tables, h, kl.cw, rmul[s], -1, known_tops=True)
+            _extract_interference(
+                tables, h, kl.cw, polys, rmul[s], -1, known_tops=True
+            )
         except FalsificationError as exc:
             raise FalsificationError(f"{step}: {exc}") from exc
         if h:
@@ -431,9 +483,9 @@ def verify_degenerate_products(kl: KLBasis) -> None:
         for iw in range(tables.order):
             if not tables.is_left_descent(g, iw):
                 continue
-            got = c_gen_mul(tables, weight, g, kl.cw[iw])
+            got = c_gen_mul(tables, weight, g, kl.terms(iw))
             expected: HeckeElt = {}
-            h_add_scaled(expected, kl.cw[iw], {c: 1, -c: 1})
+            h_add_scaled(expected, kl.terms(iw), {c: 1, -c: 1})
             if not h_equal(got, expected):
                 raise FalsificationError(
                     f"degenerate product rule fails for generator {g}, index {iw}"
@@ -534,38 +586,6 @@ def two_sided_cells(kl: KLBasis) -> GroupPartition:
 
     comp = strongly_connected_components(kl.tables.order, successors)
     return GroupPartition(kl.n, canonical_ids(comp))
-
-
-# ---------------------------------------------------------------------------
-# text export
-# ---------------------------------------------------------------------------
-
-
-def kl_to_lines(kl: KLBasis) -> Iterator[str]:
-    """Render the basis as ``y_window w_window : polynomial`` lines."""
-    for iw in range(kl.tables.order):
-        w_text = window_text(kl.tables.elements[iw])
-        for iy in sorted(kl.cw[iw]):
-            poly = LaurentPoly(kl.cw[iw][iy])
-            yield f"{window_text(kl.tables.elements[iy])} {w_text} : {poly.to_text()}"
-
-
-def parse_kl_lines(
-    lines: Iterable[str],
-) -> dict[tuple[SignedPerm, SignedPerm], LaurentPoly]:
-    out: dict[tuple[SignedPerm, SignedPerm], LaurentPoly] = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, poly_text = line.partition(":")
-        parts = head.split()
-        if len(parts) != 2 or not poly_text:
-            raise InvalidInputError(f"malformed basis line: {line!r}")
-        y = parse_window(parts[0])
-        w = parse_window(parts[1])
-        out[(y, w)] = LaurentPoly.from_text(poly_text.strip())
-    return out
 
 
 if __name__ == "__main__":  # pragma: no cover

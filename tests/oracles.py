@@ -158,3 +158,30 @@ def oracle_pair_refinement(seed, maps) -> set[frozenset[int]]:
     return {
         frozenset(y for y in range(size) if not apart[x][y]) for x in range(size)
     }
+
+
+def oracle_t_mul_gen(tables, weight, h, g, side="left"):
+    """``T_g * h`` (``side="left"``) or ``h * T_g``, on ``{index: {exp: coeff}}``.
+
+    The quadratic relation gives ``T_g T_y = T_{gy}`` when ``g`` lengthens
+    ``y``, and ``T_{gy} + (v^c - v^-c) T_y`` when it shortens ``y``, with
+    ``c`` the generator's weight.  Terms are summed in plain dicts and zeros
+    are dropped at the end.
+    """
+    table = tables.lmul[g] if side == "left" else tables.rmul[g]
+    c = weight.letter_weight(g)
+    out: dict[int, dict[int, int]] = {}
+
+    def add(i, e, k):
+        poly = out.setdefault(i, {})
+        poly[e] = poly.get(e, 0) + k
+
+    for i, poly in h.items():
+        j = table[i]
+        for e, k in poly.items():
+            add(j, e, k)
+            if tables.length[j] < tables.length[i]:
+                add(i, e + c, k)
+                add(i, e - c, -k)
+    cleaned = {i: {e: k for e, k in p.items() if k} for i, p in out.items()}
+    return {i: p for i, p in cleaned.items() if p}

@@ -12,7 +12,6 @@ from bncells import hecke
 from bncells.cli import main
 from bncells.errors import BudgetError, FalsificationError, InvalidInputError
 from bncells.group import (
-    SignedPerm,
     WeightFunction,
     canonical_word,
     group_elements,
@@ -25,18 +24,18 @@ from bncells.hecke import (
     group_tables,
     h_add_scaled,
     h_equal,
+    intern_element,
     kl_basis,
-    kl_to_lines,
     left_cells,
-    parse_kl_lines,
     right_cells,
     t_basis,
-    t_mul_gen,
     two_sided_cells,
     verify_bar_invariance,
     verify_degenerate_products,
 )
 from bncells.laurent import LaurentPoly
+
+from .oracles import oracle_t_mul_gen as t_mul_gen
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,16 +43,34 @@ def cached_kl(n, a, b):
     return kl_basis(n, WeightFunction(a, b))
 
 
+def terms(h):
+    """The ``(index, pairs)`` terms of a ``{index: {exp: coeff}}`` element."""
+    return [(i, tuple(poly.items())) for i, poly in h.items()]
+
+
+def element(kl, iw):
+    """``C_w`` (``w`` of index ``iw``) read back as ``{index: {exp: coeff}}``."""
+    return {y: dict(poly) for y, poly in kl.terms(iw)}
+
+
+def with_stored(kl, iw, stored, polys=None):
+    """``kl`` with ``C_w`` (``w`` of index ``iw``) stored as ``(ys, ids)``."""
+    cw = kl.cw[:iw] + (stored,) + kl.cw[iw + 1 :]
+    return dataclasses.replace(kl, cw=cw, polys=kl.polys if polys is None else polys)
+
+
 def add_to_element(kl, iw, extra):
     """``kl`` with the element ``extra`` added to ``C_w`` (``w`` of index ``iw``)."""
-    elt = {y: dict(poly) for y, poly in kl.cw[iw].items()}
-    h_add_scaled(elt, extra, {0: 1})
-    return dataclasses.replace(kl, cw=kl.cw[:iw] + (elt,) + kl.cw[iw + 1 :])
+    elt = element(kl, iw)
+    h_add_scaled(elt, terms(extra), {0: 1})
+    polys = list(kl.polys)
+    stored = intern_element(elt, {poly: k for k, poly in enumerate(polys)}, polys)
+    return with_stored(kl, iw, stored, tuple(polys))
 
 
 def change_lowest_coefficient(kl, iw, delta):
     """``kl`` with ``delta`` added to the lowest term of ``T_e`` in ``C_w``."""
-    return add_to_element(kl, iw, {0: {min(kl.cw[iw][0]): delta}})
+    return add_to_element(kl, iw, {0: {min(element(kl, iw)[0]): delta}})
 
 
 def cells_as_windows(kl, partition):
@@ -65,7 +82,7 @@ def cells_as_windows(kl, partition):
 class TestGenerators:
     def test_identity_element(self):
         kl = cached_kl(1, 1, 1)
-        assert kl.cw[0] == {0: {0: 1}}
+        assert element(kl, 0) == {0: {0: 1}}
 
     def test_generator_elements(self):
         # C_g = T_g + v^-weight(g) T_e
@@ -73,8 +90,8 @@ class TestGenerators:
         idx = group_index(2)
         i_t = idx[(-1, 2)]
         i_s = idx[(2, 1)]
-        assert kl.cw[i_t] == {i_t: {0: 1}, 0: {-2: 1}}
-        assert kl.cw[i_s] == {i_s: {0: 1}, 0: {-1: 1}}
+        assert element(kl, i_t) == {i_t: {0: 1}, 0: {-2: 1}}
+        assert element(kl, i_s) == {i_s: {0: 1}, 0: {-1: 1}}
 
     def test_quadratic_relation(self):
         # T_g^2 = T_e + (v^c - v^-c) T_g
@@ -112,9 +129,21 @@ class TestGenerators:
                 b = t_mul_gen(tables, weight, t_mul_gen(tables, weight, h, k, "right"), g, "left")
                 assert a == b
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_c_gen_mul_is_t_gen_plus_scaled_element(self, side):
+        # C_g h = T_g h + v^-c h (and mirrored), on every C_w and a mixed element
+        kl = cached_kl(3, 1, 2)
+        mixed = {5: {0: 1, -2: 3}, 17: {1: -1}, 40: {0: 2}}
+        for h in [element(kl, iw) for iw in range(kl.tables.order)] + [mixed]:
+            for g in range(3):
+                expected = t_mul_gen(kl.tables, kl.weight, h, g, side)
+                h_add_scaled(expected, terms(h), {-kl.weight.letter_weight(g): 1})
+                got = c_gen_mul(kl.tables, kl.weight, g, terms(h), side)
+                assert h_equal(got, expected)
+
     def test_bad_side_rejected(self):
         with pytest.raises(InvalidInputError):
-            t_mul_gen(group_tables(2), WeightFunction(1, 1), t_basis(0), 0, side="up")
+            c_gen_mul(group_tables(2), WeightFunction(1, 1), 0, terms(t_basis(0)), "up")
 
 
 class TestBasisInvariants:
@@ -126,7 +155,8 @@ class TestBasisInvariants:
 
     def test_unitriangular_with_negative_tail(self):
         kl = cached_kl(3, 1, 2)
-        for iw, elt in enumerate(kl.cw):
+        for iw in range(kl.tables.order):
+            elt = element(kl, iw)
             assert elt[iw] == {0: 1}
             for iy, coeff in elt.items():
                 if iy != iw:
@@ -134,8 +164,8 @@ class TestBasisInvariants:
 
     def test_support_within_bruhat_length(self):
         kl = cached_kl(3, 1, 3)
-        for iw, elt in enumerate(kl.cw):
-            for iy in elt:
+        for iw, (ys, _) in enumerate(kl.cw):
+            for iy in ys:
                 assert kl.tables.length[iy] <= kl.tables.length[iw]
 
     def test_inverse_symmetry_of_polynomials(self):
@@ -147,6 +177,28 @@ class TestBasisInvariants:
                     assert kl.polynomial(y, w) == kl.polynomial(
                         inverse(tuple(y)), inverse(w)
                     )
+
+    def test_frozen_polynomials(self):
+        kl = cached_kl(2, 1, 2)
+        assert kl.polynomial((1, 2), (1, 2)) == LaurentPoly({0: 1})
+        assert kl.polynomial((1, 2), (-1, 2)) == LaurentPoly({-2: 1})
+        assert kl.polynomial((1, 2), (-2, 1)) == LaurentPoly({-3: 1})
+        assert kl.polynomial((2, 1), (-2, 1)) == LaurentPoly({-2: 1})
+        assert kl.polynomial((-2, 1), (1, 2)).is_zero()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_interning_table_holds_each_used_polynomial_once(self, n):
+        kl = cached_kl(n, 3, 2)
+        for poly in kl.polys:
+            assert poly and poly == tuple(sorted(dict(poly).items()))
+            assert all(c for _, c in poly)
+        assert len(set(kl.polys)) == len(kl.polys)
+        used = set().union(*(ids for _, ids in kl.cw))
+        assert used == set(range(len(kl.polys)))
+        elements = kl.tables.elements
+        for iw, (ys, ids) in enumerate(kl.cw):
+            for y, k in zip(ys, ids):
+                assert kl.polynomial(elements[y], elements[iw]) == LaurentPoly(kl.polys[k])
 
     def test_mu_covers_every_ascent_pair(self):
         kl = cached_kl(3, 1, 2)
@@ -163,11 +215,11 @@ class TestBasisInvariants:
         kl = cached_kl(2, 1, 2)
         tables = kl.tables
         for (g, i), interference in kl.mu.items():
-            got = c_gen_mul(tables, kl.weight, g, kl.cw[i])
+            got = c_gen_mul(tables, kl.weight, g, kl.terms(i))
             expected = {}
-            h_add_scaled(expected, kl.cw[tables.lmul[g][i]], {0: 1})
+            h_add_scaled(expected, kl.terms(tables.lmul[g][i]), {0: 1})
             for j, m in interference.items():
-                h_add_scaled(expected, kl.cw[j], m)
+                h_add_scaled(expected, kl.terms(j), m)
             assert h_equal(got, expected)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -228,9 +280,8 @@ class TestBasisInvariants:
         tables = kl.tables
         iw = tables.by_length()[-1]
         iu = tables.rmul[0][iw]
-        residue = t_mul_gen(tables, kl.weight, kl.cw[iu], 0, side="right")
-        h_add_scaled(residue, kl.cw[iu], {-kl.weight.letter_weight(0): 1})
-        h_add_scaled(residue, kl.cw[iw], {0: -1})
+        residue = c_gen_mul(tables, kl.weight, 0, kl.terms(iu), side="right")
+        h_add_scaled(residue, kl.terms(iw), {0: -1})
         ix = next(x for x, p in residue.items() if max(p) < 0)
         with pytest.raises(FalsificationError, match=f"element {iw} .*residue"):
             verify_bar_invariance(add_to_element(kl, iw, {ix: residue[ix]}))
@@ -244,6 +295,35 @@ class TestBasisInvariants:
         iw, it = kl.tables.by_length()[-1], kl.tables.rmul[0][0]
         with pytest.raises(FalsificationError, match=f"element {iw} .*bar-invariant"):
             verify_bar_invariance(add_to_element(kl, iw, {it: {-1: 1}}))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bar_check_catches_an_id_pointing_at_another_polynomial(self, n):
+        kl = cached_kl(n, 3, 2)
+        iw = kl.tables.by_length()[-1]
+        ys, ids = kl.cw[iw]
+        k = len(ids) // 2
+        moved = array("i", ids)
+        moved[k] = (ids[k] + 1) % len(kl.polys)
+        with pytest.raises(FalsificationError, match=f"element {iw} "):
+            verify_bar_invariance(with_stored(kl, iw, (ys, moved)))
+
+    def test_bar_check_rejects_terms_out_of_index_order(self):
+        # the same terms with two swapped: polynomial() bisects the indices
+        kl = cached_kl(3, 3, 2)
+        iw = kl.tables.by_length()[-1]
+        ys, ids = (array("i", part) for part in kl.cw[iw])
+        ys[0], ys[1], ids[0], ids[1] = ys[1], ys[0], ids[1], ids[0]
+        with pytest.raises(FalsificationError, match=f"element {iw} is not stored"):
+            verify_bar_invariance(with_stored(kl, iw, (ys, ids)))
+
+    def test_peel_rejects_interference_the_generator_does_not_shorten(self):
+        # {0: 1} is bar-invariant, but generator 0 lengthens e (index 0)
+        kl = cached_kl(2, 1, 2)
+        with pytest.raises(FalsificationError, match="index 0 not shortened"):
+            hecke._extract_interference(
+                kl.tables, {0: {0: 1}}, kl.cw, kl.polys, kl.tables.lmul[0], -1,
+                known_tops=True,
+            )
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize(
@@ -378,30 +458,3 @@ class TestCells:
         for cls in left_cells(kl).classes():
             descents = {right_descents(kl.tables.elements[i]) for i in cls}
             assert len(descents) == 1
-
-
-class TestExport:
-    def test_frozen_lines(self):
-        kl = cached_kl(2, 1, 2)
-        lines = list(kl_to_lines(kl))
-        assert "1,2 1,2 : 1" in lines
-        assert "1,2 -1,2 : v^-2" in lines
-        assert "1,2 -2,1 : v^-3" in lines
-        assert "2,1 -2,1 : v^-2" in lines
-
-    def test_roundtrip(self):
-        kl = cached_kl(2, 2, 3)
-        table = parse_kl_lines(kl_to_lines(kl))
-        assert len(table) == sum(len(elt) for elt in kl.cw)
-        for (y, w), poly in table.items():
-            assert poly == kl.polynomial(y, w)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(InvalidInputError):
-            parse_kl_lines(["1,2 : v"])
-        with pytest.raises(InvalidInputError):
-            parse_kl_lines(["1,2 2,1 1,2 : v"])
-
-    def test_parse_skips_comments_and_blanks(self):
-        table = parse_kl_lines(["# header", "", "1,2 -1,2 : v^-2"])
-        assert table[(SignedPerm((1, 2)), SignedPerm((-1, 2)))] == LaurentPoly({-2: 1})
