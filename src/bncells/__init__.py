@@ -5,8 +5,7 @@ unequal-parameter weight (``a`` on the swap generators, ``b`` on the sign
 change) and provides, with exact integer/Laurent arithmetic throughout:
 
 - :mod:`bncells.group` -- signed permutations, words, length, descents,
-  Bruhat order, parabolic cosets, canonical enumeration;
-- :mod:`bncells.laurent` -- sparse integer Laurent polynomials;
+  parabolic cosets, canonical enumeration;
 - :mod:`bncells.hecke` -- the Iwahori-Hecke algebra, the Kazhdan-Lusztig
   basis, and the left/right/two-sided cell partitions (the oracle);
 - :mod:`bncells.tableaux` -- classic and signed-permutation

@@ -23,7 +23,8 @@ Subcommands
 
 All output is newline-terminated UTF-8; ``--format tsv|json`` selects the
 encoding.  Exit codes: 0 = all checks pass, 1 = a checked claim is false,
-2 = usage, budget, or regime error.
+2 = usage, budget, or regime error, 141 = the reader closed the output pipe
+(the status a shell reports for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -31,18 +32,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
-from .area import area_decomposition, area_elements, in_area
+from .area import area_decomposition, area_elements, in_area, upsilon_decomposition
 from .descents import rxi, rxi_partition, XiDescentSet
-from .errors import (
-    BnCellsError,
-    BudgetError,
-    FalsificationError,
-    InvalidInputError,
-    RankError,
-    RegimeError,
-)
+from .errors import BnCellsError, FalsificationError, RankError
 from .group import (
     WeightFunction,
     check_enumeration_rank,
@@ -215,8 +210,6 @@ def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
         region_cells = area_decomposition(n)
         label = "region cells"
     else:
-        from .area import upsilon_decomposition
-
         region_cells = upsilon_decomposition(n)
         label = "region cell pairs"
     bad = [cell for cell in region_cells if frozenset(cell) not in oracle_sets]
@@ -558,12 +551,16 @@ def main(argv=None, out=None) -> int:
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return 1
-    except (InvalidInputError, BudgetError, RegimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BnCellsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        if out is not sys.stdout:
+            raise
+        # The reader closed the pipe, as ``| head`` does.  Point stdout at
+        # devnull so the flush at shutdown cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

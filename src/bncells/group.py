@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, RankError
 
@@ -114,11 +114,6 @@ class SignedPerm(tuple):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SignedPerm({self.to_text()!r})"
-
-
-def identity(n: int) -> SignedPerm:
-    """The identity element of rank ``n``."""
-    return SignedPerm(range(1, n + 1))
 
 
 def window_text(w: Sequence[int]) -> str:
@@ -210,21 +205,6 @@ def word_to_text(word: Iterable[int]) -> str:
     return " ".join(letter_to_text(g) for g in word)
 
 
-def parse_word(text: str, n: int | None = None) -> tuple[int, ...]:
-    """Parse whitespace-separated letters ``"t s1 s2"`` into letter codes."""
-    letters = []
-    for tok in text.split():
-        if tok == "t":
-            letters.append(T_LETTER)
-        elif tok.startswith("s") and tok[1:].isdigit() and int(tok[1:]) >= 1:
-            letters.append(int(tok[1:]))
-        else:
-            raise InvalidInputError(f"unrecognized letter {tok!r}")
-    if n is not None:
-        check_letters(n, letters)
-    return tuple(letters)
-
-
 def parse_window(text: str, n: int | None = None) -> SignedPerm:
     """Parse comma-separated window text, e.g. ``"-7,-5,6,4,3,-2,1"``."""
     try:
@@ -293,31 +273,8 @@ def is_descent(w: Sequence[int], g: int) -> bool:
     return w[g] < w[g - 1]
 
 
-def t_reflection_window(n: int, j: int) -> SignedPerm:
-    """The sign-change reflection at position ``j``: the window negating ``j``.
-
-    This is the conjugate ``s_{j-1} ... s_1 t s_1 ... s_{j-1}`` of ``t``.
-    """
-    if not 1 <= j <= n:
-        raise RankError(f"reflection position {j} out of range for rank {n}")
-    return SignedPerm(tuple(-i if i == j else i for i in range(1, n + 1)))
-
-
-def is_descent_tj(w: Sequence[int], j: int) -> bool:
-    """True iff right-multiplying by the sign-change reflection at ``j`` shortens ``w``.
-
-    Equivalent window rule: ``w(j) < 0``.
-
-    >>> is_descent_tj((-7, -5, 6, 4, 3, -2, 1), 2)
-    True
-    """
-    if not 1 <= j <= len(w):
-        raise RankError(f"reflection position {j} out of range for rank {len(w)}")
-    return w[j - 1] < 0
-
-
 # ---------------------------------------------------------------------------
-# reduced words, suffixes, Bruhat order
+# reduced words and suffixes
 # ---------------------------------------------------------------------------
 
 
@@ -377,32 +334,6 @@ def suffixes(w: Sequence[int]) -> frozenset[tuple[int, ...]]:
     return _suffixes_cached(tuple(w))
 
 
-def bruhat_leq(y: Sequence[int], w: Sequence[int]) -> bool:
-    """Bruhat-Chevalley order via the standard descent recursion.
-
-    >>> bruhat_leq((1, 2), (-2, -1))
-    True
-    >>> bruhat_leq((-1, -2), (2, 1))
-    False
-    """
-    if len(y) != len(w):
-        raise RankError("Bruhat comparison requires equal ranks")
-    y = tuple(y)
-    w = tuple(w)
-    while True:
-        if y == w:
-            return True
-        lw = length(w)
-        if length(y) >= lw:
-            return False
-        g = min(left_descents(w))
-        sw = mul_gen_left(g, w)
-        sy = mul_gen_left(g, y)
-        if length(sy) < length(y):
-            y = sy
-        w = sw
-
-
 # ---------------------------------------------------------------------------
 # longest parabolic elements
 # ---------------------------------------------------------------------------
@@ -443,15 +374,6 @@ SUBSET_J = "J"
 SUBSET_K = "K"
 
 
-def subset_letters(subset_id: str, n: int) -> tuple[int, ...]:
-    """Generator letters of the named parabolic subset at rank ``n``."""
-    if subset_id == SUBSET_J:
-        return tuple(range(1, n))
-    if subset_id == SUBSET_K:
-        return tuple(range(0, n - 1))
-    raise InvalidInputError(f"unsupported parabolic subset id {subset_id!r}")
-
-
 @dataclass(frozen=True)
 class CosetDecomposition:
     """``w = rep * part`` with ``rep`` a minimal coset representative.
@@ -464,9 +386,6 @@ class CosetDecomposition:
     rep: SignedPerm
     part: SignedPerm
     subset_id: str
-
-    def recompose(self) -> SignedPerm:
-        return self.rep * self.part
 
 
 def rep_fix_last(n: int, k: int) -> SignedPerm:
@@ -514,26 +433,6 @@ def fix_last_projection(w: Sequence[int]) -> tuple[int, ...]:
     """
     k = abs(w[-1])
     return tuple(x if abs(x) < k else (x - 1 if x > 0 else x + 1) for x in w[:-1])
-
-
-def fix_last_embedding(u: Sequence[int], k: int) -> tuple[int, ...]:
-    """Inverse of :func:`fix_last_projection` for last entry ``k``: rebuild rank n.
-
-    >>> fix_last_embedding((-1, 2), 3)
-    (-1, 2, 3)
-    >>> fix_last_projection(fix_last_embedding((2, -1), -2))
-    (2, -1)
-    """
-    a = abs(k)
-    body = tuple(x if abs(x) < a else (x + 1 if x > 0 else x - 1) for x in u)
-    return body + (k,)
-
-
-def positive_part_perm(u: Sequence[int]) -> tuple[int, ...]:
-    """View an all-positive window as a plain permutation tuple of 1..n."""
-    if any(x < 0 for x in u):
-        raise InvalidInputError(f"window {tuple(u)} has negative entries")
-    return tuple(u)
 
 
 # ---------------------------------------------------------------------------
@@ -608,16 +507,6 @@ def element_index(w: Sequence[int]) -> int:
         cur = fix_last_projection(cur)
         n -= 1
     return idx + (0 if cur[0] == 1 else 1)
-
-
-def enumerate_group(n: int) -> Iterator[SignedPerm]:
-    """Iterate all elements of rank ``n`` in canonical order.
-
-    >>> [w.window for w in enumerate_group(1)]
-    [(1,), (-1,)]
-    """
-    for w in group_elements(n):
-        yield SignedPerm(w)
 
 
 @functools.lru_cache(maxsize=None)

@@ -35,14 +35,12 @@ from __future__ import annotations
 
 import functools
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, FalsificationError, InvalidInputError
 from .group import (
     T_LETTER,
-    SignedPerm,
     WeightFunction,
     group_elements,
     group_index,
@@ -52,7 +50,6 @@ from .group import (
     mul_gen_left,
     mul_gen_right,
 )
-from .laurent import LaurentPoly, dict_bar, dict_symmetrized_nonneg
 from .partition import GroupPartition, canonical_ids
 
 HeckeElt = dict[int, dict[int, int]]
@@ -232,18 +229,23 @@ class KLBasis:
         """The ``(y, p_{y,w})`` pairs of ``C_w`` for ``w`` of index ``i``."""
         return _terms(self.cw[i], self.polys)
 
-    def polynomial(self, y: SignedPerm | Sequence[int], w: SignedPerm | Sequence[int]) -> LaurentPoly:
-        """Coefficient of ``T_y`` in ``C_w`` (zero when absent)."""
-        iy = self.tables.index[tuple(y)]
-        ys, ids = self.cw[self.tables.index[tuple(w)]]
-        k = bisect_left(ys, iy)
-        if k < len(ys) and ys[k] == iy:
-            return LaurentPoly(self.polys[ids[k]])
-        return LaurentPoly()
 
-    def support(self, w: SignedPerm | Sequence[int]) -> list[SignedPerm]:
-        ys, _ = self.cw[self.tables.index[tuple(w)]]
-        return [SignedPerm(self.tables.elements[i]) for i in ys]
+def _bar(p: dict[int, int]) -> dict[int, int]:
+    """The involution ``v -> v^-1`` on a ``{exponent: coefficient}`` dict."""
+    return {-k: c for k, c in p.items()}
+
+
+def _symmetrized_nonneg(p: dict[int, int]) -> dict[int, int]:
+    """The unique bar-invariant polynomial matching ``p`` in degrees >= 0.
+
+    Used to peel bar-invariant correction terms: take the coefficients of
+    ``p`` in non-negative degrees and mirror the strictly positive ones.
+    """
+    out: dict[int, int] = {}
+    for k, c in p.items():
+        if k >= 0:
+            out[k] = out[-k] = c
+    return out
 
 
 def _extract_interference(
@@ -275,10 +277,10 @@ def _extract_interference(
         coeff = h.get(i)
         if not coeff:
             continue
-        m = coeff if known_tops else dict_symmetrized_nonneg(coeff)
+        m = coeff if known_tops else _symmetrized_nonneg(coeff)
         if not m:
             continue
-        if known_tops and dict_bar(m) != m:
+        if known_tops and _bar(m) != m:
             raise FalsificationError(
                 f"interference coefficient not bar-invariant at index {i}: {m}"
             )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import FalsificationError, InvalidInputError
 from .group import group_elements, group_index, mul_gen_right
@@ -48,17 +48,6 @@ class Move:
 
     def to_text(self) -> str:
         return f"{self.kind}@{self.position}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Move":
-        kind, sep, pos = text.strip().partition("@")
-        if not sep or not pos.isdigit():
-            raise InvalidInputError(f"malformed move text {text!r}")
-        return cls(position=int(pos), kind=kind)
-
-
-def format_moves(moves: Iterable[Move]) -> str:
-    return ", ".join(m.to_text() for m in moves)
 
 
 def _between(x: int, lo: int, hi: int) -> bool:
@@ -162,8 +151,8 @@ def welsh_bridge(w: Sequence[int]) -> tuple[Move, ...]:
     its final two entries — there the path is claimed always to exist, so an
     exhausted search is a falsification, not a usage error.
 
-    >>> format_moves(welsh_bridge((2, -3, 1, -4)))
-    'I@2'
+    >>> [m.to_text() for m in welsh_bridge((2, -3, 1, -4))]
+    ['I@2']
     >>> len(welsh_bridge((-2, 3, 1, -4))) > 1
     True
     """

@@ -99,9 +99,6 @@ class GroupPartition:
     def in_domain(self, index: int) -> bool:
         return self.class_id[index] != OUTSIDE
 
-    def is_total(self) -> bool:
-        return all(cid != OUTSIDE for cid in self.class_id)
-
     def classes(self) -> list[list[int]]:
         """Element indices grouped by class id (ascending within each class)."""
         out: list[list[int]] = [[] for _ in range(self.num_classes)]
@@ -148,24 +145,6 @@ class GroupPartition:
             else:
                 image[mine] = theirs
         return True
-
-    def meet(self, other: "GroupPartition") -> "GroupPartition":
-        """Common refinement (classes are intersections)."""
-        if self.size != other.size:
-            raise InvalidInputError("cannot combine partitions of different sizes")
-        keys = [
-            None if (a == OUTSIDE or b == OUTSIDE) else (a, b)
-            for a, b in zip(self.class_id, other.class_id)
-        ]
-        return GroupPartition(n=self.n, class_id=canonical_ids(keys))
-
-    def restrict(self, domain: Sequence[bool]) -> "GroupPartition":
-        """Partial partition keeping only positions where ``domain`` is true."""
-        keys = [
-            cid if keep and cid != OUTSIDE else None
-            for cid, keep in zip(self.class_id, domain)
-        ]
-        return GroupPartition(n=self.n, class_id=canonical_ids(keys))
 
 
 class UnionFind:

@@ -148,13 +148,6 @@ def bipartitions(n: int) -> Iterator[Bipartition]:
                 yield Bipartition(plus, minus)
 
 
-def hook_column_bipartition(n: int, q: int) -> Bipartition:
-    """The two-column shape ``(1^{n-q} | 1^q)``."""
-    if not 0 <= q <= n:
-        raise InvalidInputError(f"need 0 <= q <= n, got q={q}, n={n}")
-    return Bipartition((1,) * (n - q), (1,) * q)
-
-
 def count_standard_bitableaux_of_shape(shape: Bipartition) -> int:
     n = shape.size
     k = sum(shape.plus_part)
@@ -223,22 +216,6 @@ class StandardTableau:
         if not self.rows:
             return "-"
         return ";".join(" ".join(str(x) for x in row) for row in self.rows)
-
-    @classmethod
-    def from_text(cls, text: str) -> "StandardTableau":
-        text = text.strip()
-        if text == "-" or not text:
-            return cls(())
-        try:
-            rows = tuple(
-                tuple(int(tok) for tok in chunk.split()) for chunk in text.split(";")
-            )
-        except ValueError as exc:
-            raise InvalidInputError(f"malformed tableau text {text!r}") from exc
-        return cls(rows)
-
-
-EMPTY_TABLEAU = StandardTableau(())
 
 
 def _removable_corners(shape: Sequence[int]) -> list[int]:
@@ -322,15 +299,6 @@ class Bitableau:
 
     def to_text(self) -> str:
         return f"{self.plus.to_text()} | {self.minus.to_text()}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Bitableau":
-        parts = text.split("|")
-        if len(parts) != 2:
-            raise InvalidInputError(f"bitableau text needs one '|': {text!r}")
-        return cls(
-            StandardTableau.from_text(parts[0]), StandardTableau.from_text(parts[1])
-        )
 
 
 def standard_bitableaux(shape: Bipartition) -> list[Bitableau]:

@@ -32,7 +32,6 @@ from .group import (
     SignedPerm,
     WeightFunction,
     coset_decompose,
-    element_index,
     fix_last_projection,
     group_elements,
     group_order,
@@ -44,13 +43,11 @@ from .group import (
 from .partition import OUTSIDE, GroupPartition, canonical_ids
 from .tableaux import (
     bipartitions,
-    canonical_element,
     partitions,
     rs_classic,
     rs_classic_inverse,
     rs_generalized,
     rs_generalized_inverse,
-    shape,
     standard_bitableaux,
     standard_tableaux,
 )
@@ -452,28 +449,6 @@ def star_closed_form(z: Sequence[int]) -> bool:
     if not in_area_reduced(z):
         return True
     return z[-1] > 0 and inverse(z)[-1] > 0
-
-
-def orbit_meets_canonical(
-    z: Sequence[int],
-    right_orbits: GroupPartition,
-    left_orbits: GroupPartition,
-) -> bool:
-    """Existential form: does the orbit of ``z`` meet the left orbit of the
-    canonical element whose shape matches ``z``?
-
-    ``right_orbits``/``left_orbits`` must be the two sides of
-    :func:`xi_orbits` at the same weight.  Exponentially slower than
-    :func:`star_closed_form`; used to cross-check it at tiny ranks.
-    """
-    n = len(z)
-    target = canonical_element(shape(z).conjugate(), n)
-    rc = right_orbits.class_of(element_index(z))
-    lc = left_orbits.class_of(element_index(target))
-    return any(
-        r == rc and l == lc
-        for r, l in zip(right_orbits.class_id, left_orbits.class_id)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,19 @@
 Everything here is deliberately implemented from scratch with different data
 structures and algorithms than the package under test: elements are value
 maps on ``{±1, ..., ±n}``, lengths come from breadth-first search over the
-Cayley graph, order relations come from brute-force word enumeration.  Slow
-and dumb on purpose.
+Cayley graph, suffix relations come from brute-force word enumeration.  Slow
+and dumb on purpose.  :func:`orbit_meets_canonical` is the exception: it is
+the existential definition that a closed form in the library replaces, so it
+is written with the library's own pieces.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import deque
+
+from bncells.group import element_index
+from bncells.tableaux import canonical_element, shape
 
 # Generator letter codes, mirroring the library convention: 0 is the sign
 # change, i >= 1 is the adjacent swap at positions i, i+1.
@@ -96,20 +100,6 @@ def oracle_is_suffix(n: int, y: tuple[int, ...], w: tuple[int, ...]) -> bool:
     return any(word[len(word) - k :] in ys for word in reduced_words(n, w))
 
 
-def oracle_bruhat_leq(n: int, y: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    """Subword criterion against one fixed reduced word of ``w``."""
-    dist = bfs_lengths(n)
-    word = min(reduced_words(n, w))  # any fixed reduced word works
-    reachable = set()
-    for r in range(len(word) + 1):
-        for positions in itertools.combinations(range(len(word)), r):
-            sub = tuple(word[p] for p in positions)
-            el = oracle_eval_word(n, sub)
-            if dist[el] == len(sub):
-                reachable.add(el)
-    return y in reachable
-
-
 def oracle_knuth_closure(
     windows: list[tuple[int, ...]],
     neighbors,
@@ -185,3 +175,20 @@ def oracle_t_mul_gen(tables, weight, h, g, side="left"):
                 add(i, e - c, -k)
     cleaned = {i: {e: k for e, k in p.items() if k} for i, p in out.items()}
     return {i: p for i, p in cleaned.items() if p}
+
+
+def orbit_meets_canonical(z, right_orbits, left_orbits) -> bool:
+    """Does the orbit of ``z`` meet the left orbit of the canonical element
+    whose shape matches ``z``?
+
+    ``right_orbits``/``left_orbits`` must be the two sides of
+    ``vogan.xi_orbits`` at the same weight.  Exponentially slower than
+    ``vogan.star_closed_form``, which it cross-checks at tiny ranks.
+    """
+    target = canonical_element(shape(z).conjugate(), len(z))
+    rc = right_orbits.class_of(element_index(z))
+    lc = left_orbits.class_of(element_index(target))
+    return any(
+        r == rc and l == lc
+        for r, l in zip(right_orbits.class_id, left_orbits.class_id)
+    )

@@ -24,18 +24,17 @@ from bncells.area import (
 )
 from bncells.errors import InvalidInputError
 from bncells.group import (
-    enumerate_group,
     from_word,
+    group_elements,
     inverse,
     is_descent,
-    is_descent_tj,
     length,
     length_t,
     mul,
     right_descents,
 )
 from bncells.hecke import group_tables, left_cells
-from bncells.tableaux import hook_column_bipartition, shape
+from bncells.tableaux import Bipartition, shape
 
 from .test_hecke import cached_kl
 
@@ -51,9 +50,9 @@ class TestMembership:
     def test_window_test_matches_shape_test(self):
         # membership iff both insertion tableaux are single columns
         for n in range(1, 6):
-            for w in enumerate_group(n):
+            for w in group_elements(n):
                 q = length_t(w)
-                expected = shape(w) == hook_column_bipartition(n, q)
+                expected = shape(w) == Bipartition((1,) * (n - q), (1,) * q)
                 assert in_area(w) == expected
 
     def test_region_size(self):
@@ -91,7 +90,7 @@ class TestMembership:
         for n in range(2, 7):
             for w in area_elements(n):
                 for i in range(1, n):
-                    assert is_descent(w, i) != is_descent_tj(w, i)
+                    assert is_descent(w, i) != (w[i - 1] < 0)
 
 
 class TestWords:

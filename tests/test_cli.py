@@ -368,3 +368,21 @@ def test_missing_subcommand_is_usage_error():
         [sys.executable, "-m", "bncells"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+def test_closed_output_pipe_exits_like_sigpipe():
+    # a rank-6 dump is far larger than a pipe buffer, so the writer is still
+    # writing when the reader stops after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bncells", "cells", "--n", "6", "--method", "rxi"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "1,2,3,4,5,6\t-\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr

@@ -14,7 +14,6 @@ from bncells.descents import (
 from bncells.errors import InvalidInputError
 from bncells.group import (
     WeightFunction,
-    enumerate_group,
     from_word,
     group_elements,
     length,
@@ -22,7 +21,7 @@ from bncells.group import (
     right_descents,
 )
 from bncells.hecke import left_cells
-from bncells.partition import GroupPartition
+from bncells.partition import OUTSIDE, GroupPartition
 
 from .conftest import signed_perms
 from .test_hecke import cached_kl
@@ -52,7 +51,7 @@ def test_validation_rejects_bad_payloads():
 
 
 def test_sort_key_is_deterministic():
-    values = {rxi(w, WeightFunction(1, 3)) for w in enumerate_group(3)}
+    values = {rxi(w, WeightFunction(1, 3)) for w in group_elements(3)}
     ordered = sorted(values, key=XiDescentSet.sort_key)
     assert ordered == sorted(ordered, key=XiDescentSet.sort_key)
     assert len({v.to_text() for v in values}) == len(values)
@@ -84,7 +83,7 @@ def test_flipped_weights_never_use_gated_positions(w):
 
 def test_equal_weights_reduce_to_plain_descents():
     weight = WeightFunction(2, 2)
-    for w in enumerate_group(3):
+    for w in group_elements(3):
         ds = rxi(w, weight)
         assert ds == XiDescentSet(right_descents(w))
         assert rdes_enhanced(w, weight) == ds
@@ -93,7 +92,7 @@ def test_equal_weights_reduce_to_plain_descents():
 def test_enhanced_invariant_agrees_with_full_one_at_rank_two():
     for a, b in [(1, 2), (1, 1), (1, 5)]:
         weight = WeightFunction(a, b)
-        for w in enumerate_group(2):
+        for w in group_elements(2):
             assert rdes_enhanced(w, weight) == rxi(w, weight)
 
 
@@ -180,7 +179,7 @@ def test_region_fibers_match_plain_descent_fibers_in_window_regimes(n):
         assert weight.a <= weight.b <= (n - 1) * weight.a
         by_rxi = {}
         by_rdes = {}
-        for w in enumerate_group(n):
+        for w in group_elements(n):
             if not in_area(w):
                 continue
             kx = rxi(w, weight)
@@ -224,6 +223,6 @@ def test_mask_seed_matches_per_element_invariants(n):
 
 def test_partition_is_total_and_label_count_matches():
     part = rxi_partition(3, WeightFunction(1, 3))
-    assert part.is_total()
+    assert OUTSIDE not in part.class_id
     assert part.size == len(group_elements(3))
     assert len(part.labels) == part.num_classes

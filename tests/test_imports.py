@@ -1,8 +1,13 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used, and every library definition has a caller.
 
 No linter ships with the package, so this walks the syntax trees of the
 library and the test modules.  ``__init__.py`` files are exempt because their
 imports are the package's re-exports, and so are ``__future__`` imports.
+
+A top-level function or class of the library is called when another
+definition of the library, a script, the benchmark or the acceptance tests
+load it.  The few that only unit tests call are pinned, so a helper that
+loses its last caller, or a new one written for tests alone, fails here.
 """
 
 import ast
@@ -11,9 +16,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bncells"
 MODULES = sorted(
     path
-    for folder in (ROOT / "src" / "bncells", ROOT / "tests")
+    for folder in (PACKAGE, ROOT / "tests")
     for path in folder.glob("*.py")
     if path.name != "__init__.py"
 )
@@ -48,3 +54,73 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Paper statements and reference paths that unit tests check.
+CALLED_ONLY_BY_UNIT_TESTS = {
+    "area.subcell_split",
+    "area.upsilon",
+    "group.is_suffix",
+    "vogan.left_extend",
+    "vogan.star_closed_form",
+}
+
+
+def library_definitions() -> dict[tuple[str, str], ast.AST]:
+    """``(module, name)`` of every top-level function and class."""
+    return {
+        (path.stem, node.name): node
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def loaded_definitions(source: str, module: str | None, definitions):
+    """``((module, name), line)`` for each load of a library definition.
+
+    A bare name resolves to ``module``'s own definitions or through
+    ``from .m import x`` and ``from bncells.m import x``; an attribute
+    ``anything.x`` counts for every definition named ``x``.
+    """
+    tree = ast.parse(source)
+    bound = {name: (m, name) for m, name in definitions if m == module}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.level or node.module.startswith("bncells.")
+        ):
+            m = node.module.rpartition(".")[2]
+            bound.update({a.asname or a.name: (m, a.name) for a in node.names})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            keys = [bound[node.id]] if node.id in bound else []
+        elif isinstance(node, ast.Attribute):
+            keys = [key for key in definitions if key[1] == node.attr]
+        else:
+            continue
+        yield from ((key, node.lineno) for key in keys if key in definitions)
+
+
+def called_only_by_unit_tests() -> set[str]:
+    definitions = library_definitions()
+    callers = [(path, path.stem) for path in PACKAGE.glob("*.py")] + [
+        (path, None)
+        for path in (
+            *ROOT.glob("scripts/*.py"),
+            *ROOT.glob("perfbench/*.py"),
+            ROOT / "tests" / "test_acceptance.py",
+            ROOT / "tests" / "oracles.py",
+        )
+    ]
+    called = set()
+    for path, module in callers:
+        source = path.read_text(encoding="utf-8")
+        for key, line in loaded_definitions(source, module, definitions):
+            node = definitions[key]
+            if key[0] != module or not node.lineno <= line <= node.end_lineno:
+                called.add(key)
+    return {f"{m}.{name}" for m, name in definitions.keys() - called}
+
+
+def test_only_the_pinned_definitions_lack_a_caller_outside_unit_tests():
+    assert called_only_by_unit_tests() == CALLED_ONLY_BY_UNIT_TESTS

@@ -28,7 +28,7 @@ class TestGroupPartition:
     def test_partial_domain(self):
         p = GroupPartition.from_keys(2, ["x", None, "x", "y"])
         assert list(p.class_id) == [0, OUTSIDE, 0, 1]
-        assert not p.is_total()
+        assert p.in_domain(0) and not p.in_domain(1)
         assert p.num_classes == 2
         assert p.classes() == [[0, 2], [3]]
 
@@ -46,23 +46,6 @@ class TestGroupPartition:
         assert fine.refines(coarse)
         assert not coarse.refines(fine)
         assert coarse.refines(coarse)
-
-    def test_meet(self):
-        p = GroupPartition.from_keys(1, [0, 0, 1, 1])
-        q = GroupPartition.from_keys(1, [0, 1, 0, 1])
-        m = p.meet(q)
-        assert m.num_classes == 4
-        assert m.refines(p) and m.refines(q)
-
-    def test_restrict(self):
-        p = GroupPartition.from_keys(1, [0, 0, 1, 1])
-        r = p.restrict([True, False, True, True])
-        assert list(r.class_id) == [0, OUTSIDE, 1, 1]
-
-    @given(random_partitions(6), random_partitions(6))
-    def test_meet_refines_both(self, p, q):
-        m = p.meet(q)
-        assert m.refines(p) and m.refines(q)
 
     @given(random_partitions(6))
     def test_same_blocks_reflexive(self, p):
