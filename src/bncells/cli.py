@@ -34,6 +34,7 @@ import itertools
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .area import area_decomposition, area_elements, in_area, upsilon_decomposition
 from .descents import rxi, rxi_partition, XiDescentSet
@@ -468,7 +469,13 @@ def _add_common(parser, *, need_n=True, oracle=False) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Building it costs more than a warm request, and parsing reads it without
+    changing it, so every request a process serves shares one.
+    """
     parser = argparse.ArgumentParser(
         prog="bncells",
         description="Cells, orbits, and class refinements for signed permutations.",
@@ -543,8 +550,9 @@ def _glue_window_values(argv: list[str]) -> list[str]:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(_glue_window_values(list(sys.argv[1:] if argv is None else argv)))
+    args = build_parser().parse_args(
+        _glue_window_values(list(sys.argv[1:] if argv is None else argv))
+    )
     try:
         _resolve_rank_defaults(args)
         return args.func(args, out)

@@ -562,6 +562,22 @@ class WeightFunction:
         """
         return tuple(self.slope_exceeds(k - 1) for k in range(2, n + 1))
 
+    def representative(self, n: int) -> "WeightFunction":
+        """The weight standing for this one's gate profile at rank ``n``.
+
+        ``(2, 1)`` when ``a > b``, otherwise ``(1, 1 + p)`` with ``p`` the
+        number of gates ``b > (k-1) a`` passed.  It has the same gate profile
+        and the same truth of ``a > b``, which is all the refinement reads.
+
+        >>> WeightFunction(3, 14).representative(6), WeightFunction(1, 5).representative(6)
+        (WeightFunction(a=1, b=5), WeightFunction(a=1, b=5))
+        >>> WeightFunction(4, 3).representative(6), WeightFunction(2, 2).representative(6)
+        (WeightFunction(a=2, b=1), WeightFunction(a=1, b=1))
+        """
+        if self.a > self.b:
+            return WeightFunction(2, 1)
+        return WeightFunction(1, 1 + sum(self.gate_profile(n)))
+
     def regime(self, n: int) -> str:
         """Classify the slope relative to rank ``n``.
 

@@ -50,10 +50,36 @@ class Move:
         return f"{self.kind}@{self.position}"
 
 
-def _between(x: int, lo: int, hi: int) -> bool:
-    if lo > hi:
-        lo, hi = hi, lo
-    return lo < x < hi
+def _scope(n: int, kinds: Sequence[str], prefix: int | None) -> int:
+    """Check the move kinds and the prefix for rank ``n``; the prefix length."""
+    k = n if prefix is None else prefix
+    if not 0 <= k <= n:
+        raise InvalidInputError(f"prefix {prefix} out of range for rank {n}")
+    bad = set(kinds) - set(MOVE_KINDS)
+    if bad:
+        raise InvalidInputError(f"unknown move kinds {sorted(bad)}")
+    return k
+
+
+def _move_sites(
+    w: Sequence[int], kinds: Sequence[str], k: int
+) -> Iterator[tuple[int, str, int]]:
+    """``(position, kind, generator)`` of each move whose guard holds on ``w``.
+
+    Only moves inside the first ``k`` positions are tried; ``generator`` is
+    the right swap the move makes.  The guards are written here alone.
+    """
+    kind_i, kind_ii = "I" in kinds, "II" in kinds
+    for i in range(1, k - 1):
+        x, y, z = w[i - 1], w[i], w[i + 1]
+        if kind_i and (y < x < z or z < x < y):
+            yield i, "I", i + 1
+        if kind_ii and (x < z < y or y < z < x):
+            yield i, "II", i
+    if "III" in kinds:
+        for i in range(1, k):
+            if (w[i - 1] > 0) != (w[i] > 0):
+                yield i, "III", i
 
 
 def applicable_moves(
@@ -68,24 +94,10 @@ def applicable_moves(
     >>> [m.to_text() for m in applicable_moves((2, 3, 1))]
     ['I@1']
     """
-    k = len(w) if prefix is None else prefix
-    if not 0 <= k <= len(w):
-        raise InvalidInputError(f"prefix {prefix} out of range for rank {len(w)}")
-    bad = set(kinds) - set(MOVE_KINDS)
-    if bad:
-        raise InvalidInputError(f"unknown move kinds {sorted(bad)}")
-    out = []
-    for i in range(1, k - 1):
-        if "I" in kinds and _between(w[i - 1], w[i], w[i + 1]):
-            out.append(Move(position=i, kind="I"))
-        if "II" in kinds and _between(w[i + 1], w[i - 1], w[i]):
-            out.append(Move(position=i, kind="II"))
-    if "III" in kinds:
-        for i in range(1, k):
-            if (w[i - 1] > 0) != (w[i] > 0):
-                out.append(Move(position=i, kind="III"))
-    out.sort()
-    return tuple(out)
+    k = _scope(len(w), kinds, prefix)
+    return tuple(
+        sorted(Move(position=i, kind=kind) for i, kind, _ in _move_sites(w, kinds, k))
+    )
 
 
 def apply_move(w: Sequence[int], move: Move) -> Window:
@@ -95,27 +107,10 @@ def apply_move(w: Sequence[int], move: Move) -> Window:
     (2, -1)
     """
     w = tuple(w)
-    i = move.position
-    if move.kind == "I":
-        if i + 2 > len(w) or not _between(w[i - 1], w[i], w[i + 1]):
-            raise InvalidInputError(f"move {move.to_text()} does not apply to {w}")
-        return mul_gen_right(w, i + 1)
-    if move.kind == "II":
-        if i + 2 > len(w) or not _between(w[i + 1], w[i - 1], w[i]):
-            raise InvalidInputError(f"move {move.to_text()} does not apply to {w}")
-        return mul_gen_right(w, i)
-    if i + 1 > len(w) or (w[i - 1] > 0) == (w[i] > 0):
-        raise InvalidInputError(f"move {move.to_text()} does not apply to {w}")
-    return mul_gen_right(w, i)
-
-
-def move_neighbors(
-    w: Sequence[int],
-    kinds: Sequence[str] = MOVE_KINDS,
-    prefix: int | None = None,
-) -> Iterator[Window]:
-    for move in applicable_moves(w, kinds, prefix):
-        yield apply_move(w, move)
+    for i, _, g in _move_sites(w, (move.kind,), len(w)):
+        if i == move.position:
+            return mul_gen_right(w, g)
+    raise InvalidInputError(f"move {move.to_text()} does not apply to {w}")
 
 
 def knuth_classes(
@@ -123,12 +118,18 @@ def knuth_classes(
     kinds: Sequence[str] = MOVE_KINDS,
     prefix: int | None = None,
 ) -> GroupPartition:
-    """Partition of the rank-``n`` group generated by the given moves."""
+    """Partition of the rank-``n`` group generated by the given moves.
+
+    Each window is joined straight to the window each guarded move sends it
+    to, with no :class:`Move` built.  Nothing is cached: the partition reads
+    every argument, and a warm process asks for it about once.
+    """
+    k = _scope(n, kinds, prefix)
     index = group_index(n)
     uf = UnionFind(len(index))
     for i, w in enumerate(group_elements(n)):
-        for z in move_neighbors(w, kinds, prefix):
-            uf.union(i, index[z])
+        for _, _, g in _move_sites(w, kinds, k):
+            uf.union(i, index[mul_gen_right(w, g)])
     return uf.to_partition(n)
 
 

@@ -124,6 +124,8 @@ class GroupPartition:
     def same_blocks(self, other: "GroupPartition") -> bool:
         """Equality as partitions (canonical ids make this an array compare)."""
         mine, theirs = self.class_id, other.class_id
+        if type(mine) is type(theirs):  # two arrays or two lists compare in C
+            return mine == theirs
         return len(mine) == len(theirs) and all(map(eq, mine, theirs))
 
     def refines(self, other: "GroupPartition") -> bool:

@@ -141,19 +141,29 @@ def build_epsilon(n: int) -> CellularMap:
     return CellularMap("J", n, tuple(images))
 
 
-@lru_cache(maxsize=None)
 def build_psi(n: int, weight: WeightFunction) -> CellularMap:
     """Recording-cycling on the rank-``(n-1)`` parabolic via signed insertion.
 
     Requires ``b > (n-2) a``: below that the one-rank-down cells are no
     longer the signed-insertion fibers and the construction loses its
-    meaning.
+    meaning.  That gate is all the map reads of the weight, so it is checked
+    on every call and the map, which reads ``n`` alone, is cached on ``n``:
+    a process builds it once per rank, whatever weights it serves.
     """
+    _check_psi_gate(n, weight)
+    return _psi(n)
+
+
+def _check_psi_gate(n: int, weight: WeightFunction) -> None:
     if not weight.slope_exceeds(n - 2):
         raise RegimeError(
             f"recording-cycling on the rank-{n - 1} parabolic needs "
             f"b > {n - 2}*a; got (a, b) = ({weight.a}, {weight.b})"
         )
+
+
+@lru_cache(maxsize=None)
+def _psi(n: int) -> CellularMap:
     elements = parabolic_elements("K", n)
     if len(elements) == 1:
         return CellularMap("K", n, (0,))
@@ -168,6 +178,9 @@ def build_psi(n: int, weight: WeightFunction) -> CellularMap:
                 v = rs_generalized_inverse(a_tab, succ[b_tab])
                 images[index[u]] = index[v]
     return CellularMap("K", n, tuple(images))
+
+
+build_psi.cache_info = _psi.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +286,27 @@ def orbits_of_image_tables(
     return GroupPartition(n=n, class_id=ids)
 
 
-@lru_cache(maxsize=None)
 def xi_orbits(
     n: int, weight: WeightFunction, side: str = "right"
 ) -> GroupPartition:
     """Orbits of the group generated by both extended cycling maps.
 
-    Precondition ``b > (n-2) a`` (inherited from the rank-down map).
+    Precondition ``b > (n-2) a`` (inherited from the rank-down map).  Past
+    that gate neither map reads the weight, so the orbits are cached on
+    ``(n, side)`` alone and every weight of a rank shares them.
     """
+    _check_psi_gate(n, weight)
+    return _orbits(n, side)
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int, side: str) -> GroupPartition:
     eps = extended_image_table(build_epsilon(n))
-    psi = extended_image_table(build_psi(n, weight))
+    psi = extended_image_table(_psi(n))
     return orbits_of_image_tables(n, (eps, psi), side=side)
+
+
+xi_orbits.cache_info = _orbits.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +343,34 @@ def _minimal_index_labels(ids: Sequence[int]) -> tuple[str, ...]:
     return tuple(str(first[c]) for c in range(len(first)))
 
 
-@lru_cache(maxsize=None)
 def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
     """Refine the gated-descent fibers until stable under both extended maps.
 
     Each round splits every class by the pair of classes its two images
     currently lie in, until a round splits nothing.  Final classes are
     labeled by their minimal element index.
+
+    The weight is read in two places: the seed :func:`rxi_partition` reads
+    its gate profile and whether ``a > b``, and :func:`build_psi` reads the
+    gate ``b > (n-2) a``, one gate of that profile.  So the caller's gate is
+    checked, then the rounds are cached on ``n`` and
+    :meth:`WeightFunction.representative`, which keeps exactly what is
+    read; the run returned carries the caller's own weight.
     """
+    # only the gate here: a ψ built before the ε table would be alive during
+    # that table's transient index and raise a cold rank-6 peak by 0.4 MB
+    _check_psi_gate(n, weight)
+    rounds, final = _refine(n, weight.representative(n))
+    return VoganRun(n=n, weight=weight, rounds=rounds, final=final)
+
+
+@lru_cache(maxsize=None)
+def _refine(
+    n: int, representative: WeightFunction
+) -> tuple[tuple[GroupPartition, ...], GroupPartition]:
     eps = extended_image_table(build_epsilon(n))
-    psi = extended_image_table(build_psi(n, weight))
-    seed = rxi_partition(n, weight)
+    psi = extended_image_table(_psi(n))
+    seed = rxi_partition(n, representative)
     rounds = [seed]
     cur = seed.class_id
     count = seed.num_classes
@@ -350,7 +390,10 @@ def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
     final = GroupPartition(
         n=n, class_id=cur, labels=_minimal_index_labels(cur)
     )
-    return VoganRun(n=n, weight=weight, rounds=tuple(rounds), final=final)
+    return tuple(rounds), final
+
+
+vogan_classes.cache_info = _refine.cache_info
 
 
 # ---------------------------------------------------------------------------

@@ -386,3 +386,75 @@ def test_closed_output_pipe_exits_like_sigpipe():
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+def in_one_process(argvs):
+    """``[code, stdout]`` of each argv, served in order by one fresh process."""
+    script = (
+        "import io, json, sys\n"
+        "from bncells.cli import main\n"
+        "served = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    served.append([main(argv, out=out), out.getvalue()])\n"
+        "print(json.dumps(served))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def alone(argv):
+    """``[code, stdout]`` of ``argv`` in a process of its own."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "bncells", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return [proc.returncode, proc.stdout]
+
+
+def test_one_parser_serves_every_request_of_a_process():
+    # the window has a negative last entry, so its descent data differ
+    # between --b 2 and the default --b 3: a --b that outlived its request
+    # would show in the second report
+    argvs = [
+        ["element", "--w", "-1,2,-3", "--b", "2"],
+        ["element", "--w", "-1,2,-3"],
+        ["cells", "--n", "3"],
+        ["orbits", "--n", "3", "--side", "left"],
+        ["verify", "--n", "3"],
+        ["table", "--max-n", "3"],
+    ]
+    served = in_one_process(argvs)
+    assert served[0] != served[1]
+    assert served == [alone(argv) for argv in argvs]
+
+
+def test_weights_of_one_regime_served_in_one_process_match_fresh_runs():
+    # at rank 3, (1,2) sits on the gate b = 2a and (2,3) strictly inside it:
+    # one refinement serves both, while verify takes a different path for each
+    argvs = [
+        [command, "--n", "3", "--a", str(a), "--b", str(b), "--format", fmt]
+        for a, b in ((1, 2), (2, 3))
+        for command, fmt in (
+            ("cells", "tsv"),
+            ("cells", "json"),
+            ("orbits", "tsv"),
+            ("orbits", "json"),
+            ("verify", "json"),
+        )
+    ]
+    served = in_one_process(argvs)
+    assert served == [alone(argv) for argv in argvs]
+    for argv, (code, text) in zip(argvs, served):
+        assert code == 0
+        if argv[-1] == "json":
+            payload = json.loads(text)
+            assert [str(payload["a"]), str(payload["b"])] == argv[4:7:2]

@@ -437,6 +437,17 @@ class TestCells:
             left_cells(cached_kl(2, 3, 3))
         )
 
+    def test_weights_of_one_regime_keep_their_own_polynomials(self):
+        # the refinement shares one run across a regime; the oracle must
+        # not, because the regime claim is what it checks
+        low, high = cached_kl(3, 1, 3), cached_kl(3, 1, 4)
+        assert (low.weight, high.weight) == (WeightFunction(1, 3), WeightFunction(1, 4))
+        assert left_cells(low).same_blocks(left_cells(high))
+        pairs = [
+            (list(low.terms(i)), list(high.terms(i))) for i in range(len(low.cw))
+        ]
+        assert any(mine != theirs for mine, theirs in pairs)
+
     def test_rank3_cell_counts(self):
         assert left_cells(cached_kl(3, 1, 3)).num_classes == 20
         assert left_cells(cached_kl(3, 1, 2)).num_classes == 16

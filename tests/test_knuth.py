@@ -15,11 +15,11 @@ from bncells.group import (
     mul_gen_right,
 )
 from bncells.knuth import (
+    MOVE_KINDS,
     Move,
     applicable_moves,
     apply_move,
     knuth_classes,
-    move_neighbors,
     welsh_bridge,
 )
 from bncells.partition import GroupPartition
@@ -27,6 +27,11 @@ from bncells.tableaux import rs_classic, rs_generalized
 
 from .conftest import signed_perms
 from .oracles import oracle_knuth_closure
+
+
+def move_neighbors(w, kinds=MOVE_KINDS, prefix=None):
+    """Reference neighbours: each applicable move, applied with its guard checked."""
+    return [apply_move(w, move) for move in applicable_moves(w, kinds, prefix)]
 
 
 class TestMoves:
@@ -124,18 +129,23 @@ class TestClasses:
             assert part.refines(fibers)
 
     def test_union_find_matches_bfs_closure(self):
-        n = 3
-        part = knuth_classes(n)
-        index = group_index(n)
-        comp = oracle_knuth_closure(
-            group_elements(n), lambda w: list(move_neighbors(w))
-        )
-        pairing = {}
-        for w, cid in comp.items():
-            assert pairing.setdefault(cid, part.class_of(index[w])) == part.class_of(
-                index[w]
-            )
-        assert part.num_classes == len(set(comp.values()))
+        # every set of kinds and every prefix, against a breadth-first search
+        # over the Move objects; both number classes by first appearance
+        all_kinds = [
+            kinds
+            for size in range(len(MOVE_KINDS) + 1)
+            for kinds in itertools.combinations(MOVE_KINDS, size)
+        ]
+        for n in range(2, 6):
+            windows = group_elements(n)
+            for kinds in all_kinds:
+                for prefix in (None, *range(n + 1)):
+                    part = knuth_classes(n, kinds, prefix)
+                    comp = oracle_knuth_closure(
+                        windows, lambda w: move_neighbors(w, kinds, prefix)
+                    )
+                    expected = [comp[w] for w in windows]
+                    assert list(part.class_id) == expected, (n, kinds, prefix)
 
     def test_embedded_positive_classes(self):
         # positive windows only move by kinds I/II and reproduce the classic

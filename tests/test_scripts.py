@@ -54,8 +54,8 @@ TRACE_INPUTS = {
     "session-r6": {"n": 3, "requests": SESSION_REQUESTS},
 }
 
-# ``vogan.cache_misses`` counts ``build_psi`` once per weight: the traced
-# layers call it before ``vogan_classes`` and ``xi_orbits`` do.
+# ``vogan.cache_misses`` counts ψ once per rank, the refinement once per gate
+# profile and the orbits once per side; the hits count every later lookup.
 EXPECTED_COUNTS = {
     "refine-r6": {
         "descents.seed_classes": 18,
@@ -76,7 +76,7 @@ EXPECTED_COUNTS = {
         "vogan.rounds": 1,
         "round_classes": [[18, 20]],
         "vogan.cache_hits": 8,
-        "vogan.cache_misses": 5,
+        "vogan.cache_misses": 4,
         "knuth.classes": 20,
     },
 }

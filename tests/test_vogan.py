@@ -41,6 +41,19 @@ from .test_hecke import cached_kl
 ASYM = {n: WeightFunction(1, n) for n in range(1, 8)}
 
 
+def blocks(partition):
+    return {frozenset(members) for members in partition.classes()}
+
+
+def pair_refinement_blocks(n, weight):
+    """The oracle fixpoint from ``weight``'s own seed and cycling tables."""
+    maps = [
+        extended_image_table(build_epsilon(n)),
+        extended_image_table(build_psi(n, weight)),
+    ]
+    return oracle_pair_refinement(rxi_partition(n, weight).class_id, maps)
+
+
 # -- construction and validation ----------------------------------------------
 
 
@@ -288,15 +301,14 @@ def test_classes_equal_oracle_left_cells(n, a, b):
     assert left_cells(kl).same_blocks(run.final)
 
 
-def test_interval_weights_give_the_boundary_classes():
-    # strictly between the gates the classes coincide with the boundary ones
-    inside = vogan_classes(3, WeightFunction(2, 3))
-    boundary = vogan_classes(3, WeightFunction(1, 2))
-    assert inside.final.same_blocks(boundary.final)
-    inside4 = vogan_classes(4, WeightFunction(2, 5))
-    boundary4 = vogan_classes(4, WeightFunction(1, 3))
-    assert inside4.final.same_blocks(boundary4.final)
-    assert inside4.final.num_classes == 68
+def test_interval_weights_match_the_pair_refinement_oracle():
+    # strictly between two gates, where the run is cached under a weight on
+    # one of them; the oracle starts from the interval weight's own seed and
+    # tables, so a representative with the wrong gate profile shows here
+    for n, weight in ((3, WeightFunction(2, 3)), (4, WeightFunction(2, 5))):
+        final = vogan_classes(n, weight).final
+        assert blocks(final) == pair_refinement_blocks(n, weight)
+    assert vogan_classes(4, WeightFunction(2, 5)).final.num_classes == 68
 
 
 @pytest.mark.parametrize(
@@ -350,22 +362,37 @@ def test_rank_six_dominant_round_counts():
 )
 def test_classes_match_the_pair_refinement_oracle(n, a, b):
     weight = WeightFunction(a, b)
-    maps = [
-        extended_image_table(build_epsilon(n)),
-        extended_image_table(build_psi(n, weight)),
-    ]
-    expected = oracle_pair_refinement(rxi_partition(n, weight).class_id, maps)
     final = vogan_classes(n, weight).final
-    assert {frozenset(members) for members in final.classes()} == expected
+    assert blocks(final) == pair_refinement_blocks(n, weight)
 
 
-def test_psi_is_built_once_per_weight():
-    weight = WeightFunction(3, 11)  # no other test uses it, so nothing is cached
+def test_psi_is_built_once_per_rank():
+    build_psi(4, WeightFunction(1, 3))
     before = build_psi.cache_info().misses
-    build_psi(4, weight)
-    vogan_classes(4, weight)
-    xi_orbits(4, weight)
-    assert build_psi.cache_info().misses == before + 1
+    for weight in (WeightFunction(3, 11), WeightFunction(1, 4), WeightFunction(2, 7)):
+        assert build_psi(4, weight) is build_psi(4, WeightFunction(1, 3))
+        vogan_classes(4, weight)
+        xi_orbits(4, weight)
+    assert build_psi.cache_info().misses == before
+
+
+def test_gate_is_checked_for_each_weight_once_the_map_is_cached():
+    build_psi(4, WeightFunction(1, 3))
+    for call in (build_psi, vogan_classes, xi_orbits):
+        with pytest.raises(RegimeError, match=r"\(a, b\) = \(1, 2\)"):
+            call(4, WeightFunction(1, 2))
+
+
+def test_weights_of_one_regime_share_a_run_but_keep_their_own_weight():
+    # (1,2) is on the gate b = 2a at rank 3 and (3,5) strictly inside it:
+    # same gate profile, one refinement, two weights reported
+    first = vogan_classes(3, WeightFunction(1, 2))
+    second = vogan_classes(3, WeightFunction(3, 5))
+    assert second.rounds is first.rounds and second.final is first.final
+    assert (run_summary(second)["a"], run_summary(second)["b"]) == (3, 5)
+    assert xi_orbits(3, WeightFunction(3, 5)) is xi_orbits(3, WeightFunction(1, 7))
+    flipped = vogan_classes(2, WeightFunction(2, 1))
+    assert not flipped.final.same_blocks(vogan_classes(2, WeightFunction(1, 1)).final)
 
 
 def test_run_validation():
