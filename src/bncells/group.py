@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, RankError
 
@@ -460,6 +460,19 @@ def check_enumeration_rank(n: int) -> None:
         )
 
 
+def _block_relabels(n: int) -> list[tuple[int, dict[int, int]]]:
+    """Each "K"-coset representative's last entry ``k`` and value relabelling.
+
+    One pair per representative, in canonical representative order.  The
+    relabelling maps each positive rank-``(n-1)`` value ``v`` to the value it
+    takes in the representative's window: ``v`` when ``v < |k|``, ``v + 1``
+    otherwise; negative values follow by sign.
+    """
+    return [
+        (k, {v: v + (v >= abs(k)) for v in range(1, n)}) for k in _rep_targets(n)
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
     """All ``2^n n!`` windows in canonical tower order (identity first).
@@ -467,7 +480,9 @@ def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
     The order is defined recursively: an element is keyed by its "K"-coset
     representative (canonical representative order) and then by the canonical
     index of its rank-``(n-1)`` part, so that
-    ``index(w) = rep_rank * order(n-1) + index(part)``.
+    ``index(w) = rep_rank * order(n-1) + index(part)``.  Block by block, each
+    rank-``(n-1)`` window is relabelled by that representative's values and
+    extended by its last entry ``k``.
 
     >>> group_elements(1)
     ((1,), (-1,))
@@ -479,11 +494,36 @@ def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
         return ((1,), (-1,))
     base = group_elements(n - 1)
     out: list[tuple[int, ...]] = []
-    for k in _rep_targets(n):
-        rep = rep_fix_last(n, k)
-        for u in base:
-            out.append(mul(rep, u + (n,)))
+    for k, relabel in _block_relabels(n):
+        # indexed by value: negative values wrap to the end of the list
+        table = [0] * (2 * n - 1)
+        for v, image in relabel.items():
+            table[v], table[-v] = image, -image
+        value = table.__getitem__
+        out.extend((*map(value, u), k) for u in base)
     return tuple(out)
+
+
+def window_texts(n: int) -> Iterator[str]:
+    """The :func:`window_text` of every element, in canonical order.
+
+    Built from the rank-``(n-1)`` texts one block at a time: each is
+    translated digit by digit through the block's relabelling and extended by
+    ``",k"``.  Digit translation needs single-digit values, so ``n <= 9``
+    (the enumeration cap is lower).  Only the rank-``(n-1)`` texts are held.
+
+    >>> list(window_texts(2))
+    ['1,2', '-1,2', '2,1', '-2,1', '2,-1', '-2,-1', '1,-2', '-1,-2']
+    """
+    check_enumeration_rank(n)
+    if n == 1:
+        yield from ("1", "-1")
+        return
+    base = list(window_texts(n - 1))
+    for k, relabel in _block_relabels(n):
+        digits = str.maketrans({str(v): str(image) for v, image in relabel.items()})
+        suffix = f",{k}"
+        yield from [text.translate(digits) + suffix for text in base]
 
 
 @functools.lru_cache(maxsize=None)

@@ -38,19 +38,10 @@ from .group import (
     inverse,
     inverse_index_table,
     mul,
-    window_text,
+    window_texts,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
-from .tableaux import (
-    bipartitions,
-    partitions,
-    rs_classic,
-    rs_classic_inverse,
-    rs_generalized,
-    rs_generalized_inverse,
-    standard_bitableaux,
-    standard_tableaux,
-)
+from .tableaux import _insert, rs_classic, rs_generalized
 
 # ---------------------------------------------------------------------------
 # parabolic index spaces
@@ -120,6 +111,61 @@ class CellularMap:
 # ---------------------------------------------------------------------------
 
 
+def _recording_cycles(elements: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Index map stepping each element's recording bitableau to the next one.
+
+    One forward signed insertion per element gives the key ``(A, B, index)``:
+    ``A`` packs the insertion rows as bytes, each row ending in 0, with one
+    more 0 between the plus and minus tableaux; ``B`` is the recording
+    row-reading word, the plus and minus words joined by 0.  After one sort
+    a run of equal ``A`` is the set of elements sharing an insertion
+    bitableau, in increasing order of the recording word, which is the
+    order ``tableaux.standard_bitableaux`` lists; each run is one cycle.  On
+    all-positive windows the minus tableaux stay empty and this is the
+    classic insertion.  Entries are stored as bytes, so the rank is at most
+    255.
+    """
+    keys = []
+    for index, w in enumerate(elements):
+        plus: list[list[int]] = []
+        minus: list[list[int]] = []
+        plus_rec: list[list[int]] = []
+        minus_rec: list[list[int]] = []
+        for position, x in enumerate(w, start=1):
+            if x > 0:
+                r, _ = _insert(plus, x)
+                rows = plus_rec
+            else:
+                r, _ = _insert(minus, -x)
+                rows = minus_rec
+            if r == len(rows):
+                rows.append([position])
+            else:
+                rows[r].append(position)
+        a_key: list[int] = []
+        for row in plus:
+            a_key += row
+            a_key.append(0)
+        a_key.append(0)
+        for row in minus:
+            a_key += row
+            a_key.append(0)
+        b_key: list[int] = []
+        for row in plus_rec:
+            b_key += row
+        b_key.append(0)
+        for row in minus_rec:
+            b_key += row
+        keys.append((bytes(a_key), bytes(b_key), index))
+    keys.sort()
+    images = [0] * len(keys)
+    for _, run in itertools.groupby(keys, key=lambda key: key[0]):
+        cycle = [index for _, _, index in run]
+        for index, image in zip(cycle, cycle[1:] + cycle[:1]):
+            images[index] = image
+    return tuple(images)
+
+
 @lru_cache(maxsize=None)
 def build_epsilon(n: int) -> CellularMap:
     """Recording-cycling on the all-positive parabolic via classic insertion.
@@ -128,17 +174,7 @@ def build_epsilon(n: int) -> CellularMap:
     ``(P, next(Q))`` where ``next`` steps cyclically through the standard
     tableaux of the shape in increasing order of their row reading words.
     """
-    index = _parabolic_index("J", n)
-    images = [0] * len(index)
-    for lam in partitions(n):
-        tabs = standard_tableaux(lam)
-        succ = {tabs[i]: tabs[(i + 1) % len(tabs)] for i in range(len(tabs))}
-        for p in tabs:
-            for q in tabs:
-                u = rs_classic_inverse(p, q)
-                v = rs_classic_inverse(p, succ[q])
-                images[index[u]] = index[v]
-    return CellularMap("J", n, tuple(images))
+    return CellularMap("J", n, _recording_cycles(parabolic_elements("J", n)))
 
 
 def build_psi(n: int, weight: WeightFunction) -> CellularMap:
@@ -164,20 +200,7 @@ def _check_psi_gate(n: int, weight: WeightFunction) -> None:
 
 @lru_cache(maxsize=None)
 def _psi(n: int) -> CellularMap:
-    elements = parabolic_elements("K", n)
-    if len(elements) == 1:
-        return CellularMap("K", n, (0,))
-    index = _parabolic_index("K", n)
-    images = [0] * len(elements)
-    for shp in bipartitions(n - 1):
-        bitabs = standard_bitableaux(shp)
-        succ = {bitabs[i]: bitabs[(i + 1) % len(bitabs)] for i in range(len(bitabs))}
-        for a_tab in bitabs:
-            for b_tab in bitabs:
-                u = rs_generalized_inverse(a_tab, b_tab)
-                v = rs_generalized_inverse(a_tab, succ[b_tab])
-                images[index[u]] = index[v]
-    return CellularMap("K", n, tuple(images))
+    return CellularMap("K", n, _recording_cycles(parabolic_elements("K", n)))
 
 
 build_psi.cache_info = _psi.cache_info
@@ -503,10 +526,12 @@ def classes_to_tsv(partition: GroupPartition) -> Iterator[str]:
     """One ``window<TAB>label`` line per in-domain element, in canonical order.
 
     The lines are yielded one at a time, so a dump never holds them all.
+    Classes without labels are named by their ids.
     """
-    for i, w in enumerate(group_elements(partition.n)):
-        if partition.in_domain(i):
-            yield f"{window_text(w)}\t{partition.label_of(partition.class_of(i))}"
+    labels = partition.labels or [str(c) for c in range(partition.num_classes)]
+    for text, cid in zip(window_texts(partition.n), partition.class_id):
+        if cid != OUTSIDE:
+            yield f"{text}\t{labels[cid]}"
 
 
 def run_summary(run: VoganRun) -> dict:
@@ -517,6 +542,7 @@ def run_summary(run: VoganRun) -> dict:
         "b": run.weight.b,
         "num_classes": run.final.num_classes,
         "round_count": run.round_count,
+        "round_classes": [r.num_classes for r in run.rounds],
     }
 
 

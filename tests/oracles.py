@@ -15,7 +15,17 @@ import functools
 from collections import deque
 
 from bncells.group import element_index
-from bncells.tableaux import canonical_element, shape
+from bncells.tableaux import (
+    bipartitions,
+    canonical_element,
+    partitions,
+    rs_classic_inverse,
+    rs_generalized_inverse,
+    shape,
+    standard_bitableaux,
+    standard_tableaux,
+)
+from bncells.vogan import parabolic_elements
 
 # Generator letter codes, mirroring the library convention: 0 is the sign
 # change, i >= 1 is the adjacent swap at positions i, i+1.
@@ -175,6 +185,33 @@ def oracle_t_mul_gen(tables, weight, h, g, side="left"):
                 add(i, e - c, -k)
     cleaned = {i: {e: k for e, k in p.items() if k} for i, p in out.items()}
     return {i: p for i, p in cleaned.items() if p}
+
+
+def oracle_cycling_map(subset_id: str, n: int) -> tuple[int, ...]:
+    """The "J" (``ε``) or "K" (``ψ``) cycling map by inverse insertion.
+
+    For each shape, every pair of an insertion (bi)tableau and the successor
+    of a recording (bi)tableau, in the listed order of the standard
+    (bi)tableaux of that shape, is sent back through the inverse
+    correspondence.  Returns the map over the parabolic's own index space.
+    """
+    elements = parabolic_elements(subset_id, n)
+    if len(elements) == 1:
+        return (0,)
+    index = {u: i for i, u in enumerate(elements)}
+    if subset_id == "J":
+        inverse = rs_classic_inverse
+        families = [standard_tableaux(lam) for lam in partitions(n)]
+    else:
+        inverse = rs_generalized_inverse
+        families = [standard_bitableaux(shp) for shp in bipartitions(n - 1)]
+    images = [0] * len(elements)
+    for tabs in families:
+        succ = {tabs[i]: tabs[(i + 1) % len(tabs)] for i in range(len(tabs))}
+        for p in tabs:
+            for q in tabs:
+                images[index[tuple(inverse(p, q))]] = index[tuple(inverse(p, succ[q]))]
+    return tuple(images)
 
 
 def orbit_meets_canonical(z, right_orbits, left_orbits) -> bool:

@@ -96,6 +96,7 @@ def test_verify_boundary_weight_rank_three():
     assert code == 0
     payload = json.loads(text)
     assert payload["num_classes"] == 16
+    assert payload["round_classes"] == [12, 16]
     assert payload["regime"] == "intermediate"
     assert all(check["ok"] for check in payload["checks"])
     names = {check["check"] for check in payload["checks"]}

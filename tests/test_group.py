@@ -33,6 +33,8 @@ from bncells.group import (
     rep_fix_last,
     right_descents,
     suffixes,
+    window_text,
+    window_texts,
     word_to_text,
 )
 
@@ -347,6 +349,27 @@ class TestEnumeration:
             group_elements(8)
         with pytest.raises(RankError):
             group_elements(0)
+        with pytest.raises(RankError):
+            next(window_texts(8))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_blocks_match_coset_products(self, n):
+        # each block multiplies its representative into the rank-(n-1) windows
+        def by_products(n):
+            if n == 1:
+                return ((1,), (-1,))
+            base = by_products(n - 1)
+            targets = (*range(n, 0, -1), *range(-1, -n - 1, -1))
+            return tuple(
+                mul(rep_fix_last(n, k), u + (n,)) for k in targets for u in base
+            )
+
+        assert group_elements(n) == by_products(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_texts_render_every_element(self, n):
+        expected = [window_text(w) for w in group_elements(n)]
+        assert list(window_texts(n)) == expected
 
     def test_group_order(self):
         for n in range(1, 8):

@@ -2,8 +2,11 @@
 
 ``perfbench/child.py trace`` calls the library layer by layer and reads the
 counters of its caches, so a change to those calls or counters shows here
-before it breaks the benchmark.  The two scripts under ``scripts/`` get a
-smoke run each, and the rank-5 gate of ``verify_small_ranks.py`` is checked.
+before it breaks the benchmark.  ``verify_small_ranks.py`` and
+``area_atlas.py`` get a smoke run each, the rank-5 gate of
+``verify_small_ranks.py`` is checked, and the README performance table must
+be the one ``bench_record.py`` builds from the newest BENCH file (no
+benchmark runs here).
 """
 
 import importlib.util
@@ -112,11 +115,16 @@ def test_script_runs(argv):
     assert done.stdout
 
 
-def test_verify_script_gates_rank_five_before_any_basis(monkeypatch, capsys):
-    path = ROOT / "scripts" / "verify_small_ranks.py"
-    spec = importlib.util.spec_from_file_location("verify_small_ranks", path)
+def load_script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_verify_script_gates_rank_five_before_any_basis(monkeypatch, capsys):
+    script = load_script("verify_small_ranks")
     built = []
     monkeypatch.setattr(script, "kl_basis", lambda *args, **kwargs: built.append(args))
     with pytest.raises(SystemExit) as exit_info:
@@ -124,3 +132,9 @@ def test_verify_script_gates_rank_five_before_any_basis(monkeypatch, capsys):
     assert exit_info.value.code == 2
     assert "--allow-heavy" in capsys.readouterr().err
     assert built == []
+
+
+def test_readme_table_is_built_from_the_newest_bench_file():
+    script = load_script("bench_record")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert script.readme_table(readme) == script.render_table(script.newest_bench())

@@ -14,9 +14,11 @@ from bncells.group import (
     group_order,
     inverse_index_table,
     length,
+    window_text,
 )
+from bncells.cli import _area_partition
 from bncells.hecke import left_cells, right_cells
-from bncells.partition import GroupPartition
+from bncells.partition import OUTSIDE, GroupPartition
 from bncells.tableaux import count_standard_bitableaux, rs_generalized
 from bncells.vogan import (
     CellularMap,
@@ -35,7 +37,11 @@ from bncells.vogan import (
     xi_orbits,
 )
 
-from .oracles import orbit_meets_canonical, oracle_pair_refinement
+from .oracles import (
+    orbit_meets_canonical,
+    oracle_cycling_map,
+    oracle_pair_refinement,
+)
 from .test_hecke import cached_kl
 
 ASYM = {n: WeightFunction(1, n) for n in range(1, 8)}
@@ -74,6 +80,12 @@ def test_parabolic_index_spaces():
     assert parabolic_elements("K", 1) == ((),)
     with pytest.raises(InvalidInputError):
         parabolic_elements("Q", 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cycling_maps_match_inverse_insertion(n):
+    assert build_epsilon(n).mapping == oracle_cycling_map("J", n)
+    assert build_psi(n, ASYM[n]).mapping == oracle_cycling_map("K", n)
 
 
 def test_epsilon_is_identity_on_single_tableau_shapes():
@@ -442,6 +454,27 @@ def test_tsv_lines_are_frozen_at_rank_two():
     assert len(lines) == 8
 
 
+def per_element_tsv(partition):
+    """The dump rendered element by element, as the reference."""
+    return [
+        f"{window_text(w)}\t{partition.label_of(partition.class_of(i))}"
+        for i, w in enumerate(group_elements(partition.n))
+        if partition.in_domain(i)
+    ]
+
+
+@pytest.mark.parametrize("n", (3, 6))
+def test_tsv_matches_per_element_rendering(n):
+    labelled = vogan_classes(n, ASYM[n]).final
+    unlabelled = xi_orbits(n, ASYM[n])
+    partial = _area_partition(n)
+    assert labelled.labels is not None and unlabelled.labels is None
+    assert OUTSIDE in partial.class_id
+    for partition in (labelled, unlabelled, partial):
+        expected = "\n".join(per_element_tsv(partition)) + "\n"
+        assert "\n".join(classes_to_tsv(partition)) + "\n" == expected
+
+
 def test_tsv_falls_back_to_class_ids_without_labels():
     part = xi_orbits(2, ASYM[2])
     lines = list(classes_to_tsv(part))
@@ -457,4 +490,17 @@ def test_run_summary_payload():
         "b": 2,
         "num_classes": 16,
         "round_count": run.round_count,
+        "round_classes": [12, 16],
     }
+
+
+# class counts per refinement round, seed first
+ROUND_CLASSES = {(4, WeightFunction(1, 4)): [54, 76]}
+
+
+@pytest.mark.parametrize("key", ROUND_CLASSES, ids=str)
+def test_run_summary_counts_classes_per_round(key):
+    n, weight = key
+    counts = run_summary(vogan_classes(n, weight))["round_classes"]
+    assert counts == ROUND_CLASSES[key]
+    assert counts[0] == rxi_partition(n, weight).num_classes
