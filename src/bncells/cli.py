@@ -177,13 +177,13 @@ def _cells_as_sets(partition: GroupPartition) -> set[frozenset]:
 def _class_diff(oracle: GroupPartition, classes: GroupPartition) -> str:
     """First oracle cell that is split or merged by the class partition."""
     elements = group_elements(oracle.n)
+    sizes = classes.class_sizes()
     for members in oracle.classes():
         hit = {classes.class_of(i) for i in members}
         if len(hit) != 1:
             windows = ", ".join(window_text(elements[i]) for i in sorted(members))
             return f"oracle cell {{{windows}}} meets {len(hit)} classes"
-        cid = next(iter(hit))
-        size = classes.class_sizes()[cid]
+        size = sizes[hit.pop()]
         if size != len(members):
             windows = ", ".join(window_text(elements[i]) for i in sorted(members))
             return (

@@ -17,13 +17,18 @@ fibers start the class refinement in :mod:`bncells.vogan`.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidInputError
-from .group import WeightFunction, group_elements, right_descents
+from .errors import InvalidInputError, RankError
+from .group import WeightFunction, right_descents, window_bytes
 from .partition import GroupPartition
+
+# Width of the lane each element's descent mask is computed in; the masks
+# are read back as ``array("H")``, so it is 16.
+LANE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -150,24 +155,55 @@ def rxi_partition(n: int, weight: WeightFunction) -> GroupPartition:
     for the gated sign position ``k`` and bit ``2n`` for ``ts1t``.  Class ids
     number the masks in order of first appearance.  Labels are the rendered
     invariants, each rendered once per fiber from its mask.
+
+    The masks of all elements are computed at once.  Each column of
+    :func:`~bncells.group.window_bytes` is widened into one int, a
+    ``LANE_BITS``-bit lane per element, and each bit of the mask is one
+    lane-wise comparison: ``((x | H) - y) & H``, with ``H`` the top bit of
+    every lane, keeps the top bit of a lane exactly where ``x >= y``.  The
+    mask must fit below that top bit, so ranks with ``2n + 1 >=
+    LANE_BITS`` are refused.
     """
-    gated = [k - 1 for k in range(2, n + 1) if weight.slope_exceeds(k - 1)]
-    flipped = weight.a > weight.b
-    swaps = range(1, n)
-    seen: dict[int, int] = {}
-    ids = array("i")
-    for w in group_elements(n):
-        mask = 1 if w[0] < 0 else 0
-        for i in swaps:
-            if w[i] < w[i - 1]:
-                mask |= 1 << i
-        for p in gated:
-            if w[p] < 0:
-                mask |= 1 << (n + p)
-        if flipped and ts1t_descent(w):
-            mask |= 1 << (2 * n)
-        ids.append(seen.setdefault(mask, len(seen)))
-    labels = tuple(_from_mask(n, mask).to_text() for mask in seen)
+    if 2 * n + 1 >= LANE_BITS:
+        raise RankError(
+            f"the descent masks of rank {n} need {2 * n + 1} bits; a "
+            f"{LANE_BITS}-bit lane holds {LANE_BITS - 1}"
+        )
+    buf = window_bytes(n)
+    total = len(buf) // n
+    width = LANE_BITS // 8
+
+    def every_lane(value: int) -> int:
+        return int.from_bytes(value.to_bytes(width, "little") * total, "little")
+
+    top = LANE_BITS - 1
+    high = every_lane(1 << top)
+
+    def at_least(x: int, y: int, bit: int) -> int:
+        return (((x | high) - y) & high) >> (top - bit)
+
+    wide = bytearray(width * total)
+    columns = []
+    for i in range(n):
+        wide[::width] = buf[i::n]
+        columns.append(int.from_bytes(wide, "little"))
+    # a byte holds v + n, so v < 0 exactly when n - 1 >= byte
+    negative = every_lane(n - 1)
+    mask = at_least(negative, columns[0], 0)
+    for i in range(1, n):
+        mask |= at_least(columns[i - 1], columns[i], i)
+    for k in range(2, n + 1):
+        if weight.slope_exceeds(k - 1):
+            mask |= at_least(negative, columns[k - 1], n + k - 1)
+    if weight.a > weight.b and n >= 2:
+        # w(1) + w(2) < 0 exactly when 2n - 1 >= the sum of the two bytes
+        mask |= at_least(every_lane(2 * n - 1), columns[0] + columns[1], 2 * n)
+    masks = array("H", mask.to_bytes(width * total, "little"))
+    if sys.byteorder == "big":
+        masks.byteswap()
+    first = {m: i for i, m in enumerate(dict.fromkeys(masks))}
+    ids = array("i", map(first.__getitem__, masks))
+    labels = tuple(_from_mask(n, m).to_text() for m in first)
     return GroupPartition(n=n, class_id=ids, labels=labels)
 
 

@@ -504,6 +504,37 @@ def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def window_bytes(n: int) -> bytes:
+    """Every window in canonical order, ``n`` bytes per element.
+
+    Value ``v`` is stored as the byte ``v + n``, which keeps order, so byte
+    comparisons are value comparisons.  Column ``i`` of the windows is
+    ``window_bytes(n)[i::n]``.  Built from rank ``n - 1`` one block at a
+    time: the block's bytes are translated through its relabelling and
+    spread into place by strided slice assignment.
+
+    >>> list(window_bytes(1)), list(window_bytes(2)[:4])
+    ([2, 0], [3, 4, 1, 4])
+    """
+    check_enumeration_rank(n)
+    if n == 1:
+        return bytes((2, 0))
+    base = window_bytes(n - 1)
+    span = len(base) // (n - 1) * n
+    out = bytearray(span * 2 * n)
+    for block, (k, relabel) in enumerate(_block_relabels(n)):
+        table = bytearray(range(256))
+        for v, image in relabel.items():
+            table[n - 1 + v], table[n - 1 - v] = n + image, n - image
+        part = base.translate(table)
+        start = block * span
+        for i in range(n - 1):
+            out[start + i : start + span : n] = part[i :: n - 1]
+        out[start + n - 1 : start + span : n] = bytes((n + k,)) * (span // n)
+    return bytes(out)
+
+
 def window_texts(n: int) -> Iterator[str]:
     """The :func:`window_text` of every element, in canonical order.
 

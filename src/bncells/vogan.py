@@ -23,6 +23,8 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
+from operator import add
 from typing import Iterator, Sequence
 
 from .area import in_area_reduced
@@ -31,6 +33,7 @@ from .errors import FalsificationError, InvalidInputError, RegimeError
 from .group import (
     SignedPerm,
     WeightFunction,
+    _rep_targets,
     coset_decompose,
     fix_last_projection,
     group_elements,
@@ -233,6 +236,52 @@ def left_extend(cmap: CellularMap, w: Sequence[int]) -> SignedPerm:
     return SignedPerm(out)
 
 
+def _j_coordinates(n: int) -> tuple[array, array]:
+    """Each element's "J"-coset and pattern, in canonical order.
+
+    An element ``w = r * u`` is coded by the mask of its negated values
+    (bit ``v - 1`` for ``-v``), which names the coset ``r``, and by the rank
+    of its pattern ``u`` among the all-positive windows in canonical order.
+    Both follow from rank ``n - 1`` block by block: appending the last entry
+    ``k`` relabels the mask and places ``k`` among the other values, and
+    both depend only on the previous mask, so each block reads two lookup
+    tables of ``2^(n-1)`` entries.
+    """
+    masks, patterns = array("i", [0, 1]), array("i", [0, 0])
+    for m in range(2, n + 1):
+        size = factorial(m - 1)
+        next_masks, next_patterns = array("i"), array("i")
+        for k in _rep_targets(m):
+            low = (1 << (abs(k) - 1)) - 1
+            mask_of, offset_of = [], []
+            for prev in range(1 << (m - 1)):
+                mask = (prev & low) | (prev & ~low) << 1
+                if k > 0:
+                    # below k: every negative entry and the positive v < k
+                    below = prev.bit_count() + k - 1 - (prev & low).bit_count()
+                else:
+                    mask |= 1 << (-k - 1)
+                    below = (prev >> (-k - 1)).bit_count()
+                mask_of.append(mask)
+                offset_of.append((m - 1 - below) * size)
+            next_masks.extend(map(mask_of.__getitem__, masks))
+            next_patterns.extend(map(add, map(offset_of.__getitem__, masks), patterns))
+        masks, patterns = next_masks, next_patterns
+    return masks, patterns
+
+
+def _patterns_in_canonical_order(n: int) -> list[tuple[int, ...]]:
+    """The all-positive windows, in the order they take in the enumeration."""
+    perms: list[tuple[int, ...]] = [()]
+    for m in range(1, n + 1):
+        perms = [
+            tuple(v + (v >= k) for v in u) + (k,)
+            for k in range(m, 0, -1)
+            for u in perms
+        ]
+    return perms
+
+
 @lru_cache(maxsize=None)
 def extended_image_table(cmap: CellularMap) -> array:
     """Index-to-index table of the left extension over the whole group.
@@ -240,32 +289,38 @@ def extended_image_table(cmap: CellularMap) -> array:
     For "K" the canonical enumeration is block-structured along the coset
     representatives, so the table is pure index arithmetic.  For "J" every
     element is ``r * u`` with ``r`` an increasing window (one per set of
-    negated values) and ``u`` a pattern, a permutation of window positions;
-    the table is filled one coset ``r`` at a time by
-    ``index(r * u) -> index(r * map(u))``, reading the map's image of each
-    of the ``n!`` patterns directly.  Each element then costs one window
-    build and one index lookup.
+    negated values) and ``u`` a pattern, and maps to ``r * map(u)``.  Each
+    element gets the coordinate ``mask * n! + pattern`` from
+    :func:`_j_coordinates`; the map is carried once from the parabolic's
+    lexicographic order onto pattern ranks, and the image of an element is
+    the element at its coordinate with the pattern moved.
     """
     n = cmap.n
     total = group_order(n)
-    out = array("i", bytes(4 * total))
     mapping = cmap.mapping
     if cmap.subset_id == "K":
+        out = array("i", bytes(4 * total))
         m = cmap.parabolic_size
         for base in range(0, total, m):
             for j in range(m):
                 out[base + j] = base + mapping[j]
         return out
-    # A lookup of its own rather than the cached ``group_index``: at rank 7
-    # it holds about 45 MB, released as soon as the table is built.
-    index = {w: i for i, w in enumerate(group_elements(n))}
-    positions = [[v - 1 for v in u] for u in parabolic_elements("J", n)]
-    for negated in range(1 << n):
-        rep = sorted(-v if negated >> (v - 1) & 1 else v for v in range(1, n + 1))
-        coset = [index[tuple(map(rep.__getitem__, u))] for u in positions]
-        for j, image in zip(coset, mapping):
-            out[j] = coset[image]
-    return out
+    size = factorial(n)
+    perms = _patterns_in_canonical_order(n)
+    rank_of_lex = sorted(range(size), key=perms.__getitem__)
+    # how far each pattern rank moves under the map
+    shift = [0] * size
+    for j, image in enumerate(mapping):
+        shift[rank_of_lex[j]] = rank_of_lex[image] - rank_of_lex[j]
+    masks, patterns = _j_coordinates(n)
+    coords = array("i", map(add, map(size.__mul__, masks), patterns))
+    del masks
+    where = array("i", bytes(4 * total))
+    for i, c in enumerate(coords):
+        where[c] = i
+    return array(
+        "i", map(where.__getitem__, map(add, coords, map(shift.__getitem__, patterns)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +435,6 @@ def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
     :meth:`WeightFunction.representative`, which keeps exactly what is
     read; the run returned carries the caller's own weight.
     """
-    # only the gate here: a ψ built before the ε table would be alive during
-    # that table's transient index and raise a cold rank-6 peak by 0.4 MB
     _check_psi_gate(n, weight)
     rounds, final = _refine(n, weight.representative(n))
     return VoganRun(n=n, weight=weight, rounds=rounds, final=final)

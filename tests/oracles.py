@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 
-from bncells.group import element_index
+from bncells.group import element_index, group_elements
 from bncells.tableaux import (
     bipartitions,
     canonical_element,
@@ -25,7 +25,7 @@ from bncells.tableaux import (
     standard_bitableaux,
     standard_tableaux,
 )
-from bncells.vogan import parabolic_elements
+from bncells.vogan import build_epsilon, parabolic_elements
 
 # Generator letter codes, mirroring the library convention: 0 is the sign
 # change, i >= 1 is the adjacent swap at positions i, i+1.
@@ -212,6 +212,26 @@ def oracle_cycling_map(subset_id: str, n: int) -> tuple[int, ...]:
             for q in tabs:
                 images[index[tuple(inverse(p, q))]] = index[tuple(inverse(p, succ[q]))]
     return tuple(images)
+
+
+def oracle_j_table(n: int) -> list[int]:
+    """The left extension of ``ε`` over the whole group, through windows.
+
+    Every element is ``r * u`` with ``r`` the increasing window of one set of
+    negated values and ``u`` a pattern of window positions; each coset ``r``
+    is walked in the parabolic's own order and looked up window by window in
+    a window->index dict.
+    """
+    mapping = build_epsilon(n).mapping
+    index = {w: i for i, w in enumerate(group_elements(n))}
+    positions = [[v - 1 for v in u] for u in parabolic_elements("J", n)]
+    out = [0] * len(index)
+    for negated in range(1 << n):
+        rep = sorted(-v if negated >> (v - 1) & 1 else v for v in range(1, n + 1))
+        coset = [index[tuple(map(rep.__getitem__, u))] for u in positions]
+        for j, image in zip(coset, mapping):
+            out[j] = coset[image]
+    return out
 
 
 def orbit_meets_canonical(z, right_orbits, left_orbits) -> bool:

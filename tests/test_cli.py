@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from bncells.cli import main
-from bncells.group import parse_window
-from bncells.partition import GroupPartition
+from bncells.cli import _class_diff, main
+from bncells.group import WeightFunction, parse_window
+from bncells.partition import GroupPartition, canonical_ids
 from bncells.tableaux import rs_generalized
+from bncells.vogan import vogan_classes
 
 
 def run_cli(*argv):
@@ -192,6 +193,25 @@ def test_verify_reports_falsification(monkeypatch):
     code, text = run_cli("verify", "--n", "2", "--a", "1", "--b", "2")
     assert code == 1
     assert "FAIL" in text
+
+
+def test_class_diff_names_a_cell_that_meets_two_classes():
+    classes = vogan_classes(3, WeightFunction(1, 3)).final
+    ids = list(classes.class_id)
+    # move -2,1,3 (the second member of class 1) into the identity's class
+    ids[ids.index(1, ids.index(1) + 1)] = 0
+    oracle = GroupPartition(n=3, class_id=canonical_ids(ids))
+    assert _class_diff(oracle, classes) == "oracle cell {1,2,3, -2,1,3} meets 2 classes"
+
+
+def test_class_diff_names_a_cell_inside_a_larger_class():
+    oracle = vogan_classes(3, WeightFunction(1, 3)).final
+    merged = [1 if c == 2 else c for c in oracle.class_id]
+    classes = GroupPartition(n=3, class_id=canonical_ids(merged))
+    assert _class_diff(oracle, classes) == (
+        "oracle cell {-1,2,3, -2,1,3, -3,1,2} sits inside a strictly larger "
+        "class of size 5"
+    )
 
 
 # -- cells ------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from bncells.group import (
     right_descents,
     suffixes,
     window_text,
+    window_bytes,
     window_texts,
     word_to_text,
 )
@@ -365,6 +366,17 @@ class TestEnumeration:
             )
 
         assert group_elements(n) == by_products(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_bytes_store_every_window_shifted_by_n(self, n):
+        assert window_bytes(n) == bytes(v + n for w in group_elements(n) for v in w)
+
+    @pytest.mark.parametrize("n", [0, 8])
+    def test_window_bytes_check_the_rank_before_building(self, n):
+        window_bytes.cache_clear()
+        with pytest.raises(RankError):
+            window_bytes(n)
+        assert window_bytes.cache_info().currsize == 0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_window_texts_render_every_element(self, n):

@@ -40,6 +40,7 @@ from bncells.vogan import (
 from .oracles import (
     orbit_meets_canonical,
     oracle_cycling_map,
+    oracle_j_table,
     oracle_pair_refinement,
 )
 from .test_hecke import cached_kl
@@ -198,6 +199,11 @@ def test_extended_table_matches_elementwise_extension(n):
         table = extended_image_table(cmap)
         for i, w in enumerate(group_elements(n)):
             assert table[i] == element_index(left_extend(cmap, w))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_j_table_matches_the_window_lookup(n):
+    assert list(extended_image_table(build_epsilon(n))) == oracle_j_table(n)
 
 
 # -- orbits ---------------------------------------------------------------------
