@@ -324,8 +324,9 @@ def _area_partition(n: int) -> GroupPartition:
         label = window_text(min(cell, key=lambda w: (length(w), w)))
         for w in cell:
             lookup[w] = label
-    keys = [lookup.get(w) for w in group_elements(n)]
-    return GroupPartition.from_keys(n, keys, label_fn=str)
+    return GroupPartition.from_keys(
+        n, map(lookup.get, group_elements(n)), label_fn=str
+    )
 
 
 def _partition_for(args) -> tuple[GroupPartition, dict]:

@@ -538,10 +538,12 @@ def window_bytes(n: int) -> bytes:
 def window_texts(n: int) -> Iterator[str]:
     """The :func:`window_text` of every element, in canonical order.
 
-    Built from the rank-``(n-1)`` texts one block at a time: each is
-    translated digit by digit through the block's relabelling and extended by
+    Built from the rank-``(n-1)`` texts, held as one ``bytes`` buffer of
+    newline-ended lines, one block at a time: the buffer is translated digit
+    by digit through the block's relabelling and each line is extended by
     ``",k"``.  Digit translation needs single-digit values, so ``n <= 9``
-    (the enumeration cap is lower).  Only the rank-``(n-1)`` texts are held.
+    (the enumeration cap is lower).  Only the rank-``(n-1)`` buffer and one
+    block of texts are held, never the rank-``n`` texts.
 
     >>> list(window_texts(2))
     ['1,2', '-1,2', '2,1', '-2,1', '2,-1', '-2,-1', '1,-2', '-1,-2']
@@ -550,11 +552,13 @@ def window_texts(n: int) -> Iterator[str]:
     if n == 1:
         yield from ("1", "-1")
         return
-    base = list(window_texts(n - 1))
+    base = ("\n".join(window_texts(n - 1)) + "\n").encode()
     for k, relabel in _block_relabels(n):
-        digits = str.maketrans({str(v): str(image) for v, image in relabel.items()})
-        suffix = f",{k}"
-        yield from [text.translate(digits) + suffix for text in base]
+        digits = bytearray(range(256))
+        for v, image in relabel.items():
+            digits[ord(str(v))] = ord(str(image))
+        block = base.translate(digits).replace(b"\n", f",{k}\n".encode())
+        yield from block[:-1].decode().split("\n")
 
 
 @functools.lru_cache(maxsize=None)

@@ -571,11 +571,9 @@ def left_cells(kl: KLBasis) -> GroupPartition:
 
 
 def right_cells(kl: KLBasis) -> GroupPartition:
-    left = left_cells(kl)
+    left = left_cells(kl).class_id
     inv = kl.tables.inverse
-    return GroupPartition(
-        kl.n, canonical_ids([left.class_id[inv[i]] for i in range(kl.tables.order)])
-    )
+    return GroupPartition(kl.n, canonical_ids(map(left.__getitem__, inv)))
 
 
 def two_sided_cells(kl: KLBasis) -> GroupPartition:

@@ -11,7 +11,8 @@ elements outside its domain with ``-1``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from operator import eq
 from typing import Hashable, Iterable, Sequence
 
@@ -20,18 +21,17 @@ from .errors import InvalidInputError
 OUTSIDE = -1
 
 
+def _canonical(keys: list[Hashable]) -> tuple[array, dict[Hashable, int]]:
+    """Dense ids by first appearance, and each distinct non-``None`` key's id."""
+    first = dict.fromkeys(keys)
+    first.pop(None, None)
+    first = dict(zip(first, range(len(first))))
+    return array("i", map(first.get, keys, repeat(OUTSIDE))), first
+
+
 def canonical_ids(keys: Iterable[Hashable]) -> array:
     """Dense ids in order of first appearance; ``None`` keys map to ``-1``."""
-    ids = array("i")
-    seen: dict[Hashable, int] = {}
-    for key in keys:
-        if key is None:
-            ids.append(OUTSIDE)
-            continue
-        if key not in seen:
-            seen[key] = len(seen)
-        ids.append(seen[key])
-    return ids
+    return _canonical(list(keys))[0]
 
 
 @dataclass(frozen=True)
@@ -40,25 +40,25 @@ class GroupPartition:
 
     ``n`` records the rank context of the enumeration the indices refer to;
     ``labels`` optionally names each class (indexed by class id).
+    ``num_classes`` is counted once, in the pass that checks the ids.
     """
 
     n: int
     class_id: Sequence[int]
     labels: tuple[str, ...] | None = None
+    num_classes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        next_expected = 0
-        for cid in self.class_id:
-            if cid == OUTSIDE:
-                continue
-            if cid > next_expected:
-                raise InvalidInputError(
-                    "class ids must be dense in order of first appearance"
-                )
-            if cid == next_expected:
-                next_expected += 1
-        if self.labels is not None and len(self.labels) != next_expected:
+        first = dict.fromkeys(self.class_id)
+        first.pop(OUTSIDE, None)
+        count = len(first)
+        if list(first) != list(range(count)):
+            raise InvalidInputError(
+                "class ids must be dense in order of first appearance"
+            )
+        if self.labels is not None and len(self.labels) != count:
             raise InvalidInputError("label registry size must match class count")
+        object.__setattr__(self, "num_classes", count)
 
     @classmethod
     def from_keys(
@@ -72,15 +72,8 @@ class GroupPartition:
         ``label_fn`` maps a key to the class label; by default labels are
         omitted.
         """
-        keys = list(keys)
-        ids = canonical_ids(keys)
-        labels = None
-        if label_fn is not None:
-            labels_by_id: dict[int, str] = {}
-            for key, cid in zip(keys, ids):
-                if cid != OUTSIDE and cid not in labels_by_id:
-                    labels_by_id[cid] = label_fn(key)
-            labels = tuple(labels_by_id[i] for i in range(len(labels_by_id)))
+        ids, first = _canonical(list(keys))
+        labels = None if label_fn is None else tuple(map(label_fn, first))
         return cls(n=n, class_id=ids, labels=labels)
 
     # -- inspection -----------------------------------------------------------
@@ -88,10 +81,6 @@ class GroupPartition:
     @property
     def size(self) -> int:
         return len(self.class_id)
-
-    @property
-    def num_classes(self) -> int:
-        return max((cid for cid in self.class_id if cid != OUTSIDE), default=-1) + 1
 
     def class_of(self, index: int) -> int:
         return self.class_id[index]
@@ -175,5 +164,5 @@ class UnionFind:
         self.weight[rx] += self.weight[ry]
 
     def to_partition(self, n: int, labels=None) -> GroupPartition:
-        roots = [self.find(x) for x in range(len(self.parent))]
+        roots = map(self.find, range(len(self.parent)))
         return GroupPartition(n=n, class_id=canonical_ids(roots), labels=labels)

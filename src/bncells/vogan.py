@@ -360,7 +360,7 @@ def orbits_of_image_tables(
         count += 1
     if side == "left":
         inv = inverse_index_table(n)
-        ids = canonical_ids([ids[inv[i]] for i in range(total)])
+        ids = canonical_ids(map(ids.__getitem__, inv))
     return GroupPartition(n=n, class_id=ids)
 
 
@@ -414,11 +414,9 @@ class VoganRun:
 
 
 def _minimal_index_labels(ids: Sequence[int]) -> tuple[str, ...]:
-    first: dict[int, int] = {}
-    for i, cid in enumerate(ids):
-        if cid not in first:
-            first[cid] = i
-    return tuple(str(first[c]) for c in range(len(first)))
+    # read backwards, each class's entry is overwritten last by its least index
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return tuple(map(str, map(first.__getitem__, range(len(first)))))
 
 
 def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
@@ -578,13 +576,17 @@ def star_closed_form(z: Sequence[int]) -> bool:
 def classes_to_tsv(partition: GroupPartition) -> Iterator[str]:
     """One ``window<TAB>label`` line per in-domain element, in canonical order.
 
-    The lines are yielded one at a time, so a dump never holds them all.
+    The lines are made one at a time, so a dump never holds them all.
     Classes without labels are named by their ids.
     """
-    labels = partition.labels or [str(c) for c in range(partition.num_classes)]
-    for text, cid in zip(window_texts(partition.n), partition.class_id):
-        if cid != OUTSIDE:
-            yield f"{text}\t{labels[cid]}"
+    labels = partition.labels or map(str, range(partition.num_classes))
+    tails = ["\t" + label for label in labels]
+    ids = partition.class_id
+    lines = map(add, window_texts(partition.n), map(tails.__getitem__, ids))
+    if OUTSIDE not in ids:
+        return lines
+    tails.append("")  # read at index OUTSIDE, then dropped
+    return itertools.compress(lines, map(OUTSIDE.__ne__, ids))
 
 
 def run_summary(run: VoganRun) -> dict:

@@ -6,7 +6,9 @@ maps on ``{±1, ..., ±n}``, lengths come from breadth-first search over the
 Cayley graph, suffix relations come from brute-force word enumeration.  Slow
 and dumb on purpose.  :func:`orbit_meets_canonical` is the exception: it is
 the existential definition that a closed form in the library replaces, so it
-is written with the library's own pieces.
+is written with the library's own pieces.  The ``reference_*`` functions are
+the per-element loops that builtins replaced in the library (id density,
+canonical ids, minimal-index labels, window texts), kept to compare with.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from __future__ import annotations
 import functools
 from collections import deque
 
-from bncells.group import element_index, group_elements
+from bncells.group import (
+    _block_relabels,
+    check_enumeration_rank,
+    element_index,
+    group_elements,
+)
+from bncells.partition import OUTSIDE
 from bncells.tableaux import (
     bipartitions,
     canonical_element,
@@ -249,3 +257,60 @@ def orbit_meets_canonical(z, right_orbits, left_orbits) -> bool:
         r == rc and l == lc
         for r, l in zip(right_orbits.class_id, left_orbits.class_id)
     )
+
+
+# ---------------------------------------------------------------------------
+# per-element references
+# ---------------------------------------------------------------------------
+
+
+def reference_class_count(class_id) -> int | None:
+    """Class count of ids dense in order of first appearance, else ``None``.
+
+    ``OUTSIDE`` entries are skipped; any other negative id is not dense.
+    """
+    next_expected = 0
+    for cid in class_id:
+        if cid == OUTSIDE:
+            continue
+        if cid < 0 or cid > next_expected:
+            return None
+        if cid == next_expected:
+            next_expected += 1
+    return next_expected
+
+
+def reference_canonical_ids(keys) -> list[int]:
+    """Dense ids in order of first appearance; ``None`` keys map to ``OUTSIDE``."""
+    ids = []
+    seen = {}
+    for key in keys:
+        if key is None:
+            ids.append(OUTSIDE)
+            continue
+        if key not in seen:
+            seen[key] = len(seen)
+        ids.append(seen[key])
+    return ids
+
+
+def reference_minimal_index_labels(ids) -> tuple[str, ...]:
+    """Each class named by the least index of its elements, in id order."""
+    first = {}
+    for i, cid in enumerate(ids):
+        if cid not in first:
+            first[cid] = i
+    return tuple(str(first[c]) for c in range(len(first)))
+
+
+def reference_window_texts(n: int):
+    """Window texts built from rank ``n - 1`` by ``str.translate`` per element."""
+    check_enumeration_rank(n)
+    if n == 1:
+        yield from ("1", "-1")
+        return
+    base = list(reference_window_texts(n - 1))
+    for k, relabel in _block_relabels(n):
+        digits = str.maketrans({str(v): str(image) for v, image in relabel.items()})
+        suffix = f",{k}"
+        yield from [text.translate(digits) + suffix for text in base]

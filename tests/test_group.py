@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bncells import group
 from bncells.errors import InvalidInputError, RankError
 from bncells.group import (
     T_LETTER,
@@ -44,6 +45,7 @@ from .oracles import (
     bfs_lengths,
     oracle_eval_word,
     oracle_is_suffix,
+    reference_window_texts,
 )
 
 
@@ -382,6 +384,17 @@ class TestEnumeration:
     def test_window_texts_render_every_element(self, n):
         expected = [window_text(w) for w in group_elements(n)]
         assert list(window_texts(n)) == expected
+        assert list(reference_window_texts(n)) == expected
+
+    def test_window_texts_check_the_rank_before_building(self, monkeypatch):
+        def no_blocks(n):
+            raise AssertionError("blocks built before the rank check")
+
+        monkeypatch.setattr(group, "_block_relabels", no_blocks)
+        with pytest.raises(RankError):
+            next(window_texts(8))
+        with pytest.raises(AssertionError):
+            next(window_texts(2))
 
     def test_group_order(self):
         for n in range(1, 8):

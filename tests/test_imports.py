@@ -1,8 +1,10 @@
-"""Every imported name is used, and every library definition has a caller.
+"""Every imported name is used, the library imports only the standard library,
+and every library definition has a caller.
 
 No linter ships with the package, so this walks the syntax trees of the
-library and the test modules.  ``__init__.py`` files are exempt because their
-imports are the package's re-exports, and so are ``__future__`` imports.
+library and the test modules.  ``__init__.py`` files are exempt from the
+unused-import check because their imports are the package's re-exports, and
+so are ``__future__`` imports.
 
 A top-level function or class of the library is called when another
 definition of the library, a script, the benchmark or the acceptance tests
@@ -11,6 +13,8 @@ loses its last caller, or a new one written for tests alone, fails here.
 """
 
 import ast
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -54,6 +58,36 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Absolute imports in ``source`` of modules outside the standard library."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.append(node.module)
+    return sorted(
+        m for m in modules if m.split(".")[0] not in sys.stdlib_module_names
+    )
+
+
+def test_dependency_guard_sees_a_third_party_import():
+    assert non_stdlib_imports("import numpy\n") == ["numpy"]
+    assert non_stdlib_imports("from numpy.linalg import det\n") == ["numpy.linalg"]
+    assert non_stdlib_imports("import os.path\nfrom . import group\n") == []
+    assert non_stdlib_imports("from bncells import group\n") == ["bncells"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_runtime_dependencies_declared():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == []
 
 
 # Paper statements and reference paths that unit tests check.

@@ -1,9 +1,19 @@
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bncells.errors import InvalidInputError
 from bncells.partition import OUTSIDE, GroupPartition, UnionFind, canonical_ids
+
+from .oracles import reference_canonical_ids, reference_class_count
+
+# keys of mixed types, ``None`` (outside the domain) among them
+KEYS = st.lists(
+    st.one_of(st.none(), st.integers(-2, 4), st.sampled_from(["a", "b", ""])),
+    max_size=30,
+)
 
 
 def random_partitions(size):
@@ -39,6 +49,35 @@ class TestGroupPartition:
             GroupPartition(n=1, class_id=[0, 2])
         with pytest.raises(InvalidInputError):
             GroupPartition(n=1, class_id=[0, 1], labels=("only-one",))
+        with pytest.raises(InvalidInputError):
+            GroupPartition(n=1, class_id=[0, -2])
+
+    @given(st.lists(st.integers(-3, 5), max_size=20))
+    def test_density_check_matches_the_per_element_loop(self, ids):
+        count = reference_class_count(ids)
+        for class_id in (ids, array("i", ids)):
+            if count is None:
+                with pytest.raises(InvalidInputError):
+                    GroupPartition(n=1, class_id=class_id)
+            else:
+                assert GroupPartition(n=1, class_id=class_id).num_classes == count
+
+    @given(KEYS)
+    def test_from_keys_matches_the_per_element_loop(self, keys):
+        ids = reference_canonical_ids(keys)
+        first = {}
+        for key, cid in zip(keys, ids):
+            first.setdefault(cid, key)
+        first.pop(OUTSIDE, None)
+        p = GroupPartition.from_keys(0, keys, label_fn=repr)
+        assert list(p.class_id) == ids
+        assert p.labels == tuple(repr(first[c]) for c in range(len(first)))
+        assert p.num_classes == len(first)
+
+    def test_empty_partition_has_no_classes(self):
+        assert GroupPartition(n=0, class_id=array("i")).num_classes == 0
+        assert GroupPartition.from_keys(0, []).num_classes == 0
+        assert GroupPartition(n=0, class_id=[OUTSIDE] * 3).num_classes == 0
 
     def test_refines(self):
         fine = GroupPartition.from_keys(1, [0, 1, 2, 3])
@@ -76,3 +115,7 @@ class TestUnionFind:
 
     def test_canonical_ids_none(self):
         assert list(canonical_ids(["a", None, "a"])) == [0, -1, 0]
+
+    @given(KEYS)
+    def test_canonical_ids_match_the_per_element_loop(self, keys):
+        assert list(canonical_ids(iter(keys))) == reference_canonical_ids(keys)

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bncells.area import area_elements, in_area, in_area_reduced
 from bncells.descents import rxi_partition
@@ -18,11 +20,12 @@ from bncells.group import (
 )
 from bncells.cli import _area_partition
 from bncells.hecke import left_cells, right_cells
-from bncells.partition import OUTSIDE, GroupPartition
+from bncells.partition import OUTSIDE, GroupPartition, canonical_ids
 from bncells.tableaux import count_standard_bitableaux, rs_generalized
 from bncells.vogan import (
     CellularMap,
     VoganRun,
+    _minimal_index_labels,
     build_epsilon,
     build_psi,
     classes_to_tsv,
@@ -42,6 +45,7 @@ from .oracles import (
     oracle_cycling_map,
     oracle_j_table,
     oracle_pair_refinement,
+    reference_minimal_index_labels,
 )
 from .test_hecke import cached_kl
 
@@ -479,6 +483,27 @@ def test_tsv_matches_per_element_rendering(n):
     for partition in (labelled, unlabelled, partial):
         expected = "\n".join(per_element_tsv(partition)) + "\n"
         assert "\n".join(classes_to_tsv(partition)) + "\n" == expected
+
+
+@given(st.lists(st.integers(0, 6), max_size=30))
+def test_minimal_index_labels_match_the_per_element_loop(keys):
+    ids = canonical_ids(keys)
+    assert _minimal_index_labels(ids) == reference_minimal_index_labels(ids)
+
+
+def test_tsv_skips_outside_elements_at_both_ends():
+    ids = [OUTSIDE, 0, 1, 0, OUTSIDE, 1, 2, OUTSIDE]
+    partition = GroupPartition(n=2, class_id=ids)
+    lines = list(classes_to_tsv(partition))
+    assert lines == per_element_tsv(partition)
+    assert lines == ["-1,2\t0", "2,1\t1", "-2,1\t0", "-2,-1\t1", "1,-2\t2"]
+
+
+def test_tsv_of_a_partition_with_no_domain_is_empty():
+    partition = GroupPartition(n=2, class_id=[OUTSIDE] * 8, labels=())
+    assert partition.num_classes == 0
+    assert list(classes_to_tsv(partition)) == []
+    assert list(classes_to_tsv(GroupPartition(n=2, class_id=[OUTSIDE] * 8))) == []
 
 
 def test_tsv_falls_back_to_class_ids_without_labels():
