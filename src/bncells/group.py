@@ -28,6 +28,8 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -567,6 +569,11 @@ def group_index(n: int) -> dict[tuple[int, ...], int]:
     return {w: i for i, w in enumerate(group_elements(n))}
 
 
+def _rep_rank(n: int, k: int) -> int:
+    """Position of the last entry ``k`` in canonical representative order."""
+    return n - k if k > 0 else n - 1 - k
+
+
 def element_index(w: Sequence[int]) -> int:
     """Canonical index of ``w`` by pure index arithmetic (no table needed)."""
     n = len(w)
@@ -575,13 +582,58 @@ def element_index(w: Sequence[int]) -> int:
     order = group_order(n)
     cur = tuple(w)
     while n > 1:
-        k = cur[-1]
-        r = n - k if k > 0 else n - 1 - k
         order //= 2 * n
-        idx += r * order
+        idx += _rep_rank(n, cur[-1]) * order
         cur = fix_last_projection(cur)
         n -= 1
     return idx + (0 if cur[0] == 1 else 1)
+
+
+@functools.lru_cache(maxsize=None)
+def right_generator_tables(n: int) -> tuple[array, ...]:
+    """Table ``g`` maps ``index(w)`` to ``index(w * g)``, for ``g = 0..n-1``.
+
+    Built by index arithmetic alone.  An index has the digits
+    ``index(w) = rank(k) * order(n-1) + index(part)``, ``k`` the last entry
+    of ``w`` and ``part`` its rank-``(n-1)`` part.  A generator ``g <= n-2``
+    keeps ``k`` and acts on the part, so its table is the rank-``(n-1)``
+    table repeated once per block, offset by the block.  ``s_{n-1}``
+    exchanges the last two entries: it changes only ``k`` and the part's
+    last entry, and keeps the low ``order(n-2)`` digits, so its table is one
+    run of consecutive indices for each of the ``4n(n-1)`` pairs of those
+    two digits.  The tables are cached and shared, so callers must not
+    change them.
+
+    >>> [list(t) for t in right_generator_tables(2)]
+    [[1, 0, 3, 2, 5, 4, 7, 6], [2, 4, 0, 6, 1, 7, 3, 5]]
+    """
+    check_enumeration_rank(n)
+    if n == 1:
+        return (array("i", (1, 0)),)
+    size, low = group_order(n - 1), group_order(n - 2)
+    width, order = array("i").itemsize, sys.byteorder
+    # with one int lane per index, block b adds b * size to every lane of the
+    # repeated table; each sum fits its lane, so nothing carries over
+    offsets = b"".join(
+        block.to_bytes(width, order) * size for block in range(0, 2 * n * size, size)
+    )
+    shift = int.from_bytes(offsets, order)
+    tables = []
+    for base in right_generator_tables(n - 1):
+        lanes = int.from_bytes(base.tobytes() * (2 * n), order) + shift
+        tables.append(array("i", lanes.to_bytes(len(offsets), order)))
+    top = array("i")
+    for k in _rep_targets(n):
+        for y in _rep_targets(n - 1):
+            # the part's last entry y is the window entry one step further
+            # from zero when |y| >= |k|; after the swap k is the last entry
+            # of the new part, one step nearer zero when |k| > |entry|
+            entry = y + (1 if y > 0 else -1) if abs(y) >= abs(k) else y
+            below = k - (1 if k > 0 else -1) if abs(k) > abs(entry) else k
+            start = (_rep_rank(n, entry) * 2 * (n - 1) + _rep_rank(n - 1, below)) * low
+            top.extend(range(start, start + low))
+    tables.append(top)
+    return tuple(tables)
 
 
 @functools.lru_cache(maxsize=None)

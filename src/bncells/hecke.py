@@ -48,7 +48,7 @@ from .group import (
     inverse_index_table,
     length,
     mul_gen_left,
-    mul_gen_right,
+    right_generator_tables,
 )
 from .partition import GroupPartition, canonical_ids
 
@@ -80,10 +80,7 @@ class GroupTables:
             array("i", (index[mul_gen_left(g, w)] for w in elements))
             for g in range(n)
         )
-        self.rmul = tuple(
-            array("i", (index[mul_gen_right(w, g)] for w in elements))
-            for g in range(n)
-        )
+        self.rmul = right_generator_tables(n)
         self.inverse = inverse_index_table(n)
 
     def is_left_descent(self, g: int, i: int) -> bool:

@@ -19,14 +19,17 @@ moves that stay off the final position for kind III.
 
 from __future__ import annotations
 
-from collections import deque
+import sys
+from array import array
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import FalsificationError, InvalidInputError
-from .group import group_elements, group_index, mul_gen_right
-from .partition import GroupPartition, UnionFind
+from .group import group_order, mul_gen_right, right_generator_tables, window_bytes
+from .partition import GroupPartition
 from .area import in_area
+from .vogan import orbits_of_image_tables
 
 Window = tuple[int, ...]
 
@@ -67,7 +70,8 @@ def _move_sites(
     """``(position, kind, generator)`` of each move whose guard holds on ``w``.
 
     Only moves inside the first ``k`` positions are tried; ``generator`` is
-    the right swap the move makes.  The guards are written here alone.
+    the right swap the move makes.  :func:`_guard_masks` evaluates the same
+    guards for every window of a rank at once.
     """
     kind_i, kind_ii = "I" in kinds, "II" in kinds
     for i in range(1, k - 1):
@@ -113,6 +117,40 @@ def apply_move(w: Sequence[int], move: Move) -> Window:
     raise InvalidInputError(f"move {move.to_text()} does not apply to {w}")
 
 
+def _guard_masks(n: int, kinds: Sequence[str], k: int) -> dict[int, bytes]:
+    """One byte per element for each generator a move uses: 1 where it moves.
+
+    The guards of all elements are computed at once on the columns of
+    :func:`~bncells.group.window_bytes`, read as ints with an 8-bit lane per
+    element.  ``((x | H) - y) & H``, with ``H`` the top bit of every lane,
+    keeps that bit where ``x >= y``, which is ``x > y`` since the values of a
+    window are distinct.  A betweenness guard is the XNOR of two such
+    comparisons and the sign guard the XOR of two negativity bits.  The
+    guards of moves that swap by the same generator are joined by OR.
+    """
+    buf = window_bytes(n)
+    total = len(buf) // n
+    high = int.from_bytes(b"\x80" * total, "little")
+    # a byte holds v + n, so v < 0 exactly when n > byte
+    sign = int.from_bytes(bytes((n,)) * total, "little")
+
+    def above(x: int, y: int) -> int:
+        return ((x | high) - y) & high
+
+    columns = [int.from_bytes(buf[i::n], "little") for i in range(n)]
+    guards: defaultdict[int, int] = defaultdict(int)
+    for i in range(1, k - 1):
+        x, y, z = columns[i - 1 : i + 2]
+        if "I" in kinds:  # x between y and z
+            guards[i + 1] |= above(x, y) ^ above(z, x) ^ high
+        if "II" in kinds:  # z between x and y
+            guards[i] |= above(z, x) ^ above(y, z) ^ high
+    if "III" in kinds:
+        for i in range(1, k):
+            guards[i] |= above(sign, columns[i - 1]) ^ above(sign, columns[i])
+    return {g: (guard >> 7).to_bytes(total, "little") for g, guard in guards.items()}
+
+
 def knuth_classes(
     n: int,
     kinds: Sequence[str] = MOVE_KINDS,
@@ -120,17 +158,33 @@ def knuth_classes(
 ) -> GroupPartition:
     """Partition of the rank-``n`` group generated by the given moves.
 
-    Each window is joined straight to the window each guarded move sends it
-    to, with no :class:`Move` built.  Nothing is cached: the partition reads
-    every argument, and a warm process asks for it about once.
+    Every move is a guarded right swap, and each guard holds on ``w``
+    exactly when it holds on the swapped window.  So a generator's table
+    from :func:`~bncells.group.right_generator_tables`, with each element
+    where none of its guards holds sent to itself, is still a permutation,
+    and the classes are the orbits of these restricted tables, labelled by
+    :func:`~bncells.vogan.orbits_of_image_tables`.  The guards come as one
+    byte mask per generator from :func:`_guard_masks`; on ints with one
+    table entry per lane, the mask picks the table's entry or the element's
+    own index, lane by lane.  Nothing is cached: the partition reads every
+    argument, and a warm process asks for it about once.
     """
     k = _scope(n, kinds, prefix)
-    index = group_index(n)
-    uf = UnionFind(len(index))
-    for i, w in enumerate(group_elements(n)):
-        for _, _, g in _move_sites(w, kinds, k):
-            uf.union(i, index[mul_gen_right(w, g)])
-    return uf.to_partition(n)
+    masks = _guard_masks(n, kinds, k)
+    tables = right_generator_tables(n)
+    total, order = group_order(n), sys.byteorder
+    width = tables[0].itemsize
+    fixed = int.from_bytes(array("i", range(total)), order)
+    lanes = bytearray(width * total)
+    low = 0 if order == "little" else width - 1  # the byte of a lane that holds 0 or 1
+    steps = []
+    for g, mask in masks.items():
+        lanes[low::width] = mask
+        chosen = int.from_bytes(lanes, order) * ((1 << 8 * width) - 1)
+        moved = int.from_bytes(tables[g], order)
+        step = fixed ^ ((moved ^ fixed) & chosen)
+        steps.append(array("i", step.to_bytes(len(lanes), order)))
+    return orbits_of_image_tables(n, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Labeled partitions of an indexed element set, plus a small union-find.
+"""Labeled partitions of an indexed element set.
 
 A :class:`GroupPartition` assigns a dense class id to every element index of
 a canonical enumeration.  Ids are canonical: class ``0`` is the class of the
@@ -136,33 +136,3 @@ class GroupPartition:
             else:
                 image[mine] = theirs
         return True
-
-
-class UnionFind:
-    """Union-find over ``0..size-1`` with path halving and union by size."""
-
-    __slots__ = ("parent", "weight")
-
-    def __init__(self, size: int):
-        self.parent = array("l", range(size))
-        self.weight = array("l", [1]) * size
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.weight[rx] < self.weight[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.weight[rx] += self.weight[ry]
-
-    def to_partition(self, n: int, labels=None) -> GroupPartition:
-        roots = map(self.find, range(len(self.parent)))
-        return GroupPartition(n=n, class_id=canonical_ids(roots), labels=labels)

@@ -33,6 +33,7 @@ from bncells.group import (
     parse_window,
     rep_fix_last,
     right_descents,
+    right_generator_tables,
     suffixes,
     window_text,
     window_bytes,
@@ -347,6 +348,17 @@ class TestEnumeration:
                 assert inv[inv[i]] == i
                 assert inv[i] == index[inverse(w)]
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_right_generator_tables_match_window_products(self, n):
+        index = group_index(n)
+        tables = right_generator_tables(n)
+        assert len(tables) == n
+        for g, table in enumerate(tables):
+            expected = [index[mul_gen_right(w, g)] for w in group_elements(n)]
+            assert list(table) == expected
+            # a fixed-point-free involution
+            assert all(table[j] == i != j for i, j in enumerate(table))
+
     def test_rank_cap(self):
         with pytest.raises(RankError):
             group_elements(8)
@@ -354,6 +366,8 @@ class TestEnumeration:
             group_elements(0)
         with pytest.raises(RankError):
             next(window_texts(8))
+        with pytest.raises(RankError):
+            right_generator_tables(8)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_blocks_match_coset_products(self, n):

@@ -6,24 +6,29 @@ import pytest
 from hypothesis import given
 
 from bncells.area import in_area
-from bncells.errors import InvalidInputError
+from bncells.errors import InvalidInputError, RankError
 from bncells.group import (
+    MAX_ENUMERATION_RANK,
     fix_last_projection,
     group_elements,
     group_index,
     length_t,
     mul_gen_right,
+    right_generator_tables,
+    window_bytes,
 )
 from bncells.knuth import (
     MOVE_KINDS,
     Move,
+    _guard_masks,
+    _move_sites,
     applicable_moves,
     apply_move,
     knuth_classes,
     welsh_bridge,
 )
 from bncells.partition import GroupPartition
-from bncells.tableaux import rs_classic, rs_generalized
+from bncells.tableaux import count_standard_bitableaux, rs_classic, rs_generalized
 
 from .conftest import signed_perms
 from .oracles import oracle_knuth_closure
@@ -92,7 +97,7 @@ class TestMoves:
 
 class TestClasses:
     def test_full_classes_are_insertion_fibers(self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             part = knuth_classes(n)
             fibers = GroupPartition.from_keys(
                 n, (rs_generalized(w)[0] for w in group_elements(n))
@@ -146,6 +151,40 @@ class TestClasses:
                     )
                     expected = [comp[w] for w in windows]
                     assert list(part.class_id) == expected, (n, kinds, prefix)
+
+    def test_guard_masks_match_the_per_window_guards(self):
+        # a generator's mask is 1 exactly where some listed move swaps by it
+        subsets = [
+            kinds
+            for size in range(len(MOVE_KINDS) + 1)
+            for kinds in itertools.combinations(MOVE_KINDS, size)
+        ]
+        for n, kinds in itertools.product(range(1, 6), subsets):
+            windows = group_elements(n)
+            for k in range(n + 1):
+                expected = {}
+                for i, w in enumerate(windows):
+                    for _, _, g in _move_sites(w, kinds, k):
+                        expected.setdefault(g, set()).add(i)
+                masks = _guard_masks(n, kinds, k)
+                assert all(set(m) <= {0, 1} for m in masks.values())
+                got = {g: {i for i, bit in enumerate(m) if bit} for g, m in masks.items()}
+                assert {g: s for g, s in got.items() if s} == expected, (n, kinds, k)
+
+    def test_classes_build_no_window_tuples(self):
+        group_elements.cache_clear()
+        group_index.cache_clear()
+        assert knuth_classes(5).num_classes == count_standard_bitableaux(5)
+        assert group_elements.cache_info().currsize == 0
+        assert group_index.cache_info().currsize == 0
+
+    def test_rank_is_checked_before_any_buffer(self):
+        window_bytes.cache_clear()
+        right_generator_tables.cache_clear()
+        with pytest.raises(RankError):
+            knuth_classes(MAX_ENUMERATION_RANK + 1)
+        assert window_bytes.cache_info().currsize == 0
+        assert right_generator_tables.cache_info().currsize == 0
 
     def test_embedded_positive_classes(self):
         # positive windows only move by kinds I/II and reproduce the classic

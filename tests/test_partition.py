@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bncells.errors import InvalidInputError
-from bncells.partition import OUTSIDE, GroupPartition, UnionFind, canonical_ids
+from bncells.partition import OUTSIDE, GroupPartition, canonical_ids
 
 from .oracles import reference_canonical_ids, reference_class_count
 
@@ -91,28 +91,7 @@ class TestGroupPartition:
         assert p.same_blocks(GroupPartition.from_keys(0, list(p.class_id)))
 
 
-class TestUnionFind:
-    def test_components(self):
-        uf = UnionFind(6)
-        uf.union(0, 3)
-        uf.union(3, 5)
-        uf.union(1, 2)
-        p = uf.to_partition(n=0)
-        assert p.classes() == [[0, 3, 5], [1, 2], [4]]
-
-    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20))
-    def test_matches_naive_closure(self, pairs):
-        uf = UnionFind(10)
-        naive = {i: {i} for i in range(10)}
-        for x, y in pairs:
-            uf.union(x, y)
-            merged = naive[x] | naive[y]
-            for z in merged:
-                naive[z] = merged
-        for x in range(10):
-            for y in range(10):
-                assert (uf.find(x) == uf.find(y)) == (y in naive[x])
-
+class TestCanonicalIds:
     def test_canonical_ids_none(self):
         assert list(canonical_ids(["a", None, "a"])) == [0, -1, 0]
 
