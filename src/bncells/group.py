@@ -563,12 +563,6 @@ def window_texts(n: int) -> Iterator[str]:
         yield from block[:-1].decode().split("\n")
 
 
-@functools.lru_cache(maxsize=None)
-def group_index(n: int) -> dict[tuple[int, ...], int]:
-    """Window -> canonical index lookup table for rank ``n``."""
-    return {w: i for i, w in enumerate(group_elements(n))}
-
-
 def _rep_rank(n: int, k: int) -> int:
     """Position of the last entry ``k`` in canonical representative order."""
     return n - k if k > 0 else n - 1 - k
@@ -593,15 +587,13 @@ def element_index(w: Sequence[int]) -> int:
 def right_generator_tables(n: int) -> tuple[array, ...]:
     """Table ``g`` maps ``index(w)`` to ``index(w * g)``, for ``g = 0..n-1``.
 
-    Built by index arithmetic alone.  An index has the digits
-    ``index(w) = rank(k) * order(n-1) + index(part)``, ``k`` the last entry
-    of ``w`` and ``part`` its rank-``(n-1)`` part.  A generator ``g <= n-2``
-    keeps ``k`` and acts on the part, so its table is the rank-``(n-1)``
-    table repeated once per block, offset by the block.  ``s_{n-1}``
-    exchanges the last two entries: it changes only ``k`` and the part's
-    last entry, and keeps the low ``order(n-2)`` digits, so its table is one
-    run of consecutive indices for each of the ``4n(n-1)`` pairs of those
-    two digits.  The tables are cached and shared, so callers must not
+    Built by index arithmetic alone, on the digits
+    ``index(w) = rank(k) * order(n-1) + index(part)`` of the last entry
+    ``k`` and the rank-``(n-1)`` part.  A generator ``g <= n-2`` keeps ``k``:
+    its table is the rank-``(n-1)`` table repeated once per block, offset by
+    the block.  ``s_{n-1}`` changes only ``k`` and the part's last entry, so
+    its table is one run of ``order(n-2)`` consecutive indices per pair of
+    those two digits.  The tables are cached and shared, so callers must not
     change them.
 
     >>> [list(t) for t in right_generator_tables(2)]
@@ -637,10 +629,26 @@ def right_generator_tables(n: int) -> tuple[array, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def inverse_index_table(n: int) -> tuple[int, ...]:
-    """Table mapping each element index to the index of its inverse."""
-    index = group_index(n)
-    return tuple(index[inverse(w)] for w in group_elements(n))
+def inverse_index_table(n: int) -> array:
+    """Table mapping ``index(w)`` to ``index(w^-1)``, built from rank ``n - 1``.
+
+    Block ``b`` holds ``r_b * p`` (``p`` fixing ``n``), whose inverses are
+    ``p^-1 * r_b^-1``.  Block 0 is the rank-``(n-1)`` table.  Left-multiplying
+    ``r_{b-1}`` by ``s_{n-1}, ..., s_1, t, s_1, ..., s_{n-1}`` in turn gives
+    ``r_b``, so block ``b`` is block ``b - 1`` through that generator's right
+    table.  The table is cached and shared, so callers must not change it.
+
+    >>> list(inverse_index_table(2))
+    [0, 1, 2, 4, 3, 5, 6, 7]
+    """
+    check_enumeration_rank(n)
+    tables = right_generator_tables(n)
+    block = inverse_index_table(n - 1) if n > 1 else array("i", (0,))
+    out = array("i", block)
+    for g in (*range(n - 1, 0, -1), T_LETTER, *range(1, n)):
+        block = array("i", map(tables[g].__getitem__, block))
+        out.extend(block)
+    return out
 
 
 # ---------------------------------------------------------------------------

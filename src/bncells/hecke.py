@@ -43,11 +43,9 @@ from .group import (
     T_LETTER,
     WeightFunction,
     group_elements,
-    group_index,
     group_order,
     inverse_index_table,
     length,
-    mul_gen_left,
     right_generator_tables,
 )
 from .partition import GroupPartition, canonical_ids
@@ -66,22 +64,22 @@ HARD_MAX_RANK = 5
 
 
 class GroupTables:
-    """Index-level multiplication, length, and descent tables for one rank."""
+    """Index-level multiplication, length, and descent tables for one rank.
+
+    ``lmul[g]`` is ``inverse ∘ rmul[g] ∘ inverse``, as ``g w = (w^-1 g)^-1``.
+    """
 
     def __init__(self, n: int) -> None:
-        elements = group_elements(n)
-        index = group_index(n)
+        self.elements = elements = group_elements(n)
         self.n = n
         self.order = len(elements)
-        self.elements = elements
-        self.index = index
         self.length = array("i", (length(w) for w in elements))
-        self.lmul = tuple(
-            array("i", (index[mul_gen_left(g, w)] for w in elements))
-            for g in range(n)
-        )
         self.rmul = right_generator_tables(n)
-        self.inverse = inverse_index_table(n)
+        self.inverse = inv = inverse_index_table(n)
+        self.lmul = tuple(
+            array("i", map(inv.__getitem__, map(table.__getitem__, inv)))
+            for table in self.rmul
+        )
 
     def is_left_descent(self, g: int, i: int) -> bool:
         return self.length[self.lmul[g][i]] < self.length[i]

@@ -68,11 +68,6 @@ def parabolic_elements(subset_id: str, n: int) -> tuple[tuple[int, ...], ...]:
     raise InvalidInputError(f"unsupported parabolic subset id {subset_id!r}")
 
 
-@lru_cache(maxsize=None)
-def _parabolic_index(subset_id: str, n: int) -> dict[tuple[int, ...], int]:
-    return {u: i for i, u in enumerate(parabolic_elements(subset_id, n))}
-
-
 @dataclass(frozen=True)
 class CellularMap:
     """A permutation of a parabolic subgroup that cycles recording fibers.
@@ -105,8 +100,8 @@ class CellularMap:
 
     def apply(self, u: Sequence[int]) -> tuple[int, ...]:
         """Image of a parabolic element given in the parabolic's own windows."""
-        idx = _parabolic_index(self.subset_id, self.n)[tuple(u)]
-        return parabolic_elements(self.subset_id, self.n)[self.mapping[idx]]
+        elements = parabolic_elements(self.subset_id, self.n)
+        return elements[self.mapping[elements.index(tuple(u))]]
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +354,7 @@ def orbits_of_image_tables(
                     stack.append(j)
         count += 1
     if side == "left":
-        inv = inverse_index_table(n)
-        ids = canonical_ids(map(ids.__getitem__, inv))
+        ids = canonical_ids(map(ids.__getitem__, inverse_index_table(n)))
     return GroupPartition(n=n, class_id=ids)
 
 

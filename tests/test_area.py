@@ -24,6 +24,7 @@ from bncells.area import (
 )
 from bncells.errors import InvalidInputError
 from bncells.group import (
+    element_index,
     from_word,
     group_elements,
     inverse,
@@ -33,7 +34,7 @@ from bncells.group import (
     mul,
     right_descents,
 )
-from bncells.hecke import group_tables, left_cells
+from bncells.hecke import left_cells
 from bncells.tableaux import Bipartition, shape
 
 from .test_hecke import cached_kl
@@ -252,10 +253,9 @@ class TestSubcells:
             for a, b in [(1, 1), (1, n), (2, 1)]:
                 kl = cached_kl(n, a, b)
                 part = left_cells(kl)
-                idx = group_tables(n).index
                 for cell in area_decomposition(n):
                     for half in subcell_split(cell):
-                        ids = {part.class_of(idx[w]) for w in half}
+                        ids = {part.class_of(element_index(w)) for w in half}
                         assert len(ids) <= 1
 
     def test_rejects_non_cell_input(self):

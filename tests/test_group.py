@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bncells import group
 from bncells.errors import InvalidInputError, RankError
 from bncells.group import (
+    MAX_ENUMERATION_RANK,
     T_LETTER,
     SignedPerm,
     WeightFunction,
@@ -17,7 +18,6 @@ from bncells.group import (
     fix_last_projection,
     from_word,
     group_elements,
-    group_index,
     group_order,
     inverse,
     inverse_index_table,
@@ -334,27 +334,34 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_index_arithmetic_matches_table(self, n):
-        index = group_index(n)
         for i, w in enumerate(group_elements(n)):
-            assert index[w] == i
             assert element_index(w) == i
 
     def test_inverse_table_is_involution(self):
-        for n in (2, 3, 4):
+        for n in range(1, 7):
             inv = inverse_index_table(n)
-            els = group_elements(n)
-            index = group_index(n)
-            for i, w in enumerate(els):
-                assert inv[inv[i]] == i
-                assert inv[i] == index[inverse(w)]
+            assert list(inv) == [element_index(inverse(w)) for w in group_elements(n)]
+            assert all(inv[j] == i for i, j in enumerate(inv))
+
+    def test_inverse_table_builds_no_window_tuples(self):
+        group_elements.cache_clear()
+        inverse_index_table.cache_clear()
+        assert len(inverse_index_table(5)) == group_order(5)
+        assert group_elements.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", [0, MAX_ENUMERATION_RANK + 1])
+    def test_inverse_table_checks_the_rank_before_building(self, n):
+        right_generator_tables.cache_clear()
+        with pytest.raises(RankError):
+            inverse_index_table(n)
+        assert right_generator_tables.cache_info().currsize == 0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_right_generator_tables_match_window_products(self, n):
-        index = group_index(n)
         tables = right_generator_tables(n)
         assert len(tables) == n
         for g, table in enumerate(tables):
-            expected = [index[mul_gen_right(w, g)] for w in group_elements(n)]
+            expected = [element_index(mul_gen_right(w, g)) for w in group_elements(n)]
             assert list(table) == expected
             # a fixed-point-free involution
             assert all(table[j] == i != j for i, j in enumerate(table))

@@ -16,9 +16,10 @@ from bncells.errors import BudgetError, FalsificationError, InvalidInputError
 from bncells.group import (
     WeightFunction,
     canonical_word,
+    element_index,
     group_elements,
-    group_index,
     inverse,
+    mul_gen_left,
     right_descents,
 )
 from bncells.hecke import (
@@ -97,9 +98,8 @@ class TestGenerators:
     def test_generator_elements(self):
         # C_g = T_g + v^-weight(g) T_e
         kl = cached_kl(2, 1, 2)
-        idx = group_index(2)
-        i_t = idx[(-1, 2)]
-        i_s = idx[(2, 1)]
+        i_t = element_index((-1, 2))
+        i_s = element_index((2, 1))
         assert element(kl, i_t) == {i_t: {0: 1}, 0: {-2: 1}}
         assert element(kl, i_s) == {i_s: {0: 1}, 0: {-1: 1}}
 
@@ -107,17 +107,15 @@ class TestGenerators:
         # T_g^2 = T_e + (v^c - v^-c) T_g
         tables = group_tables(2)
         weight = WeightFunction(1, 3)
-        idx = group_index(2)
         for g, c in [(0, 3), (1, 1)]:
-            sq = t_mul_gen(tables, weight, t_basis(idx[(-1, 2) if g == 0 else (2, 1)]), g)
-            i_g = idx[(-1, 2) if g == 0 else (2, 1)]
+            i_g = element_index((-1, 2) if g == 0 else (2, 1))
+            sq = t_mul_gen(tables, weight, t_basis(i_g), g)
             assert sq == {0: {0: 1}, i_g: {c: 1, -c: -1}}
 
     def test_word_products_match_group(self):
         # folding generator multiplications reproduces T_w on both sides
         tables = group_tables(3)
         weight = WeightFunction(2, 3)
-        idx = group_index(3)
         for w in group_elements(3):
             word = canonical_word(w)
             right = t_basis(0)
@@ -126,8 +124,16 @@ class TestGenerators:
             left = t_basis(0)
             for g in reversed(word):
                 left = t_mul_gen(tables, weight, left, g, side="left")
-            assert right == {idx[w]: {0: 1}}
-            assert left == {idx[w]: {0: 1}}
+            assert right == {element_index(w): {0: 1}}
+            assert left == {element_index(w): {0: 1}}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_left_tables_match_window_products(self, n):
+        lmul = group_tables(n).lmul
+        assert len(lmul) == n
+        for g, table in enumerate(lmul):
+            expected = [element_index(mul_gen_left(g, w)) for w in group_elements(n)]
+            assert list(table) == expected
 
     def test_left_right_multiplications_commute(self):
         tables = group_tables(3)
@@ -182,20 +188,19 @@ class TestBasisInvariants:
         # the T_w -> T_{w^-1} anti-automorphism preserves the canonical basis
         for n in (2, 3):
             kl = cached_kl(n, 1, n)
-            index, elements = kl.tables.index, kl.tables.elements
+            elements = kl.tables.elements
             for w in group_elements(n):
                 mirrored = {
-                    index[inverse(elements[y])]: poly
-                    for y, poly in kl.terms(index[w])
+                    element_index(inverse(elements[y])): poly
+                    for y, poly in kl.terms(element_index(w))
                 }
-                assert mirrored == dict(kl.terms(index[inverse(w)]))
+                assert mirrored == dict(kl.terms(element_index(inverse(w))))
 
     def test_frozen_polynomials(self):
         kl = cached_kl(2, 1, 2)
-        index = kl.tables.index
 
         def p(y, w):
-            return dict(dict(kl.terms(index[w])).get(index[y], ()))
+            return dict(dict(kl.terms(element_index(w))).get(element_index(y), ()))
 
         assert p((1, 2), (1, 2)) == {0: 1}
         assert p((1, 2), (-1, 2)) == {-2: 1}
@@ -470,8 +475,7 @@ class TestCells:
     def test_identity_and_longest_are_singletons(self, n, a, b):
         kl = cached_kl(n, a, b)
         part = left_cells(kl)
-        idx = group_index(n)
-        w0 = idx[tuple(range(-1, -n - 1, -1))]
+        w0 = element_index(tuple(range(-1, -n - 1, -1)))
         sizes = dict(zip(range(part.num_classes), map(len, part.classes())))
         assert sizes[part.class_of(0)] == 1
         assert sizes[part.class_of(w0)] == 1

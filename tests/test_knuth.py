@@ -9,9 +9,9 @@ from bncells.area import in_area
 from bncells.errors import InvalidInputError, RankError
 from bncells.group import (
     MAX_ENUMERATION_RANK,
+    element_index,
     fix_last_projection,
     group_elements,
-    group_index,
     length_t,
     mul_gen_right,
     right_generator_tables,
@@ -173,10 +173,8 @@ class TestClasses:
 
     def test_classes_build_no_window_tuples(self):
         group_elements.cache_clear()
-        group_index.cache_clear()
         assert knuth_classes(5).num_classes == count_standard_bitableaux(5)
         assert group_elements.cache_info().currsize == 0
-        assert group_index.cache_info().currsize == 0
 
     def test_rank_is_checked_before_any_buffer(self):
         window_bytes.cache_clear()
@@ -191,10 +189,11 @@ class TestClasses:
         # insertion-tableau fibers of the symmetric group
         n = 3
         part = knuth_classes(n)
-        index = group_index(n)
         by_tableau = {}
         for u in itertools.permutations(range(1, n + 1)):
-            by_tableau.setdefault(rs_classic(u)[0], set()).add(part.class_of(index[u]))
+            by_tableau.setdefault(rs_classic(u)[0], set()).add(
+                part.class_of(element_index(u))
+            )
         for ids in by_tableau.values():
             assert len(ids) == 1
         assert len(by_tableau) == 4  # tableau count for rank 3
