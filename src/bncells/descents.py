@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidInputError, RankError
-from .group import WeightFunction, right_descents, window_bytes
+from .group import WeightFunction, lanes_at_least, right_descents, window_bytes
 from .partition import GroupPartition
 
 # Width of the lane each element's descent mask is computed in; the masks
@@ -159,10 +159,9 @@ def rxi_partition(n: int, weight: WeightFunction) -> GroupPartition:
     The masks of all elements are computed at once.  Each column of
     :func:`~bncells.group.window_bytes` is widened into one int, a
     ``LANE_BITS``-bit lane per element, and each bit of the mask is one
-    lane-wise comparison: ``((x | H) - y) & H``, with ``H`` the top bit of
-    every lane, keeps the top bit of a lane exactly where ``x >= y``.  The
-    mask must fit below that top bit, so ranks with ``2n + 1 >=
-    LANE_BITS`` are refused.
+    lane-wise comparison, :func:`~bncells.group.lanes_at_least`, which
+    keeps the top bit of a lane exactly where ``x >= y``.  The mask must fit
+    below that top bit, so ranks with ``2n + 1 >= LANE_BITS`` are refused.
     """
     if 2 * n + 1 >= LANE_BITS:
         raise RankError(
@@ -180,7 +179,7 @@ def rxi_partition(n: int, weight: WeightFunction) -> GroupPartition:
     high = every_lane(1 << top)
 
     def at_least(x: int, y: int, bit: int) -> int:
-        return (((x | high) - y) & high) >> (top - bit)
+        return lanes_at_least(x, y, high) >> (top - bit)
 
     wide = bytearray(width * total)
     columns = []

@@ -462,59 +462,21 @@ def check_enumeration_rank(n: int) -> None:
         )
 
 
-def _block_relabels(n: int) -> list[tuple[int, dict[int, int]]]:
-    """Each "K"-coset representative's last entry ``k`` and value relabelling.
-
-    One pair per representative, in canonical representative order.  The
-    relabelling maps each positive rank-``(n-1)`` value ``v`` to the value it
-    takes in the representative's window: ``v`` when ``v < |k|``, ``v + 1``
-    otherwise; negative values follow by sign.
-    """
-    return [
-        (k, {v: v + (v >= abs(k)) for v in range(1, n)}) for k in _rep_targets(n)
-    ]
-
-
-@functools.lru_cache(maxsize=None)
-def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
-    """All ``2^n n!`` windows in canonical tower order (identity first).
-
-    The order is defined recursively: an element is keyed by its "K"-coset
-    representative (canonical representative order) and then by the canonical
-    index of its rank-``(n-1)`` part, so that
-    ``index(w) = rep_rank * order(n-1) + index(part)``.  Block by block, each
-    rank-``(n-1)`` window is relabelled by that representative's values and
-    extended by its last entry ``k``.
-
-    >>> group_elements(1)
-    ((1,), (-1,))
-    >>> len(group_elements(3))
-    48
-    """
-    check_enumeration_rank(n)
-    if n == 1:
-        return ((1,), (-1,))
-    base = group_elements(n - 1)
-    out: list[tuple[int, ...]] = []
-    for k, relabel in _block_relabels(n):
-        # indexed by value: negative values wrap to the end of the list
-        table = [0] * (2 * n - 1)
-        for v, image in relabel.items():
-            table[v], table[-v] = image, -image
-        value = table.__getitem__
-        out.extend((*map(value, u), k) for u in base)
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def window_bytes(n: int) -> bytes:
     """Every window in canonical order, ``n`` bytes per element.
 
-    Value ``v`` is stored as the byte ``v + n``, which keeps order, so byte
-    comparisons are value comparisons.  Column ``i`` of the windows is
-    ``window_bytes(n)[i::n]``.  Built from rank ``n - 1`` one block at a
-    time: the block's bytes are translated through its relabelling and
-    spread into place by strided slice assignment.
+    The one construction of the canonical order: every other view of the
+    enumerated group is read off this buffer.  Value ``v`` is stored as the
+    byte ``v + n``, which keeps order, so byte comparisons are value
+    comparisons.  Column ``i`` of the windows is ``window_bytes(n)[i::n]``.
+
+    An element is keyed by its "K"-coset representative (canonical
+    representative order), then by the index of its rank-``(n-1)`` part:
+    ``index(w) = rep_rank * order(n-1) + index(part)``.  So each block is
+    the rank-``(n-1)`` buffer translated through the representative's
+    relabelling (``v`` moves one step from zero when ``|v| >= |k|``),
+    spread into place by strided slice assignment and extended by ``k``.
 
     >>> list(window_bytes(1)), list(window_bytes(2)[:4])
     ([2, 0], [3, 4, 1, 4])
@@ -525,9 +487,10 @@ def window_bytes(n: int) -> bytes:
     base = window_bytes(n - 1)
     span = len(base) // (n - 1) * n
     out = bytearray(span * 2 * n)
-    for block, (k, relabel) in enumerate(_block_relabels(n)):
+    for block, k in enumerate(_rep_targets(n)):
         table = bytearray(range(256))
-        for v, image in relabel.items():
+        for v in range(1, n):
+            image = v + (v >= abs(k))
             table[n - 1 + v], table[n - 1 - v] = n + image, n - image
         part = base.translate(table)
         start = block * span
@@ -537,30 +500,64 @@ def window_bytes(n: int) -> bytes:
     return bytes(out)
 
 
+def lanes_at_least(x: int, y: int, high: int) -> int:
+    """The top bit of each lane where ``x >= y``, for every lane at once.
+
+    ``x`` and ``y`` pack one value per lane below the lane's top bit, which
+    ``high`` sets in every lane; ``(x | high) - y`` borrows that bit exactly
+    where ``x < y``, and never from the next lane.  A column of
+    :func:`window_bytes` fits 8-bit lanes, as its bytes are at most ``2n``.
+
+    >>> lanes_at_least(0x0503, 0x0305, 0x8080) == 0x8000
+    True
+    """
+    return ((x | high) - y) & high
+
+
+@functools.lru_cache(maxsize=None)
+def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
+    """All ``2^n n!`` windows in canonical order (identity first).
+
+    Decoded from :func:`window_bytes`.  The values come from one shared
+    tuple, so each value is one int object however often it occurs.
+
+    >>> group_elements(1)
+    ((1,), (-1,))
+    >>> len(group_elements(3))
+    48
+    """
+    buf = window_bytes(n)
+    values = tuple(range(-n, n + 1))
+    # through a list: a tuple grown from the iterator took 1.8 times as long
+    return tuple(list(zip(*[map(values.__getitem__, buf)] * n)))
+
+
 def window_texts(n: int) -> Iterator[str]:
     """The :func:`window_text` of every element, in canonical order.
 
-    Built from the rank-``(n-1)`` texts, held as one ``bytes`` buffer of
-    newline-ended lines, one block at a time: the buffer is translated digit
-    by digit through the block's relabelling and each line is extended by
-    ``",k"``.  Digit translation needs single-digit values, so ``n <= 9``
-    (the enumeration cap is lower).  Only the rank-``(n-1)`` buffer and one
-    block of texts are held, never the rank-``n`` texts.
+    Rendered from :func:`window_bytes` one "K"-coset block at a time, so
+    only one block of texts is held.  Each value becomes three bytes (its
+    sign or a filler, its digit, a comma or newline), placed by strided
+    slice assignment of two ``bytes.translate``; the filler is then deleted.
+    Single digits need ``n <= 9`` (the enumeration cap is lower).
 
     >>> list(window_texts(2))
     ['1,2', '-1,2', '2,1', '-2,1', '2,-1', '-2,-1', '1,-2', '-1,-2']
     """
     check_enumeration_rank(n)
-    if n == 1:
-        yield from ("1", "-1")
-        return
-    base = ("\n".join(window_texts(n - 1)) + "\n").encode()
-    for k, relabel in _block_relabels(n):
-        digits = bytearray(range(256))
-        for v, image in relabel.items():
-            digits[ord(str(v))] = ord(str(image))
-        block = base.translate(digits).replace(b"\n", f",{k}\n".encode())
-        yield from block[:-1].decode().split("\n")
+    buf = window_bytes(n)
+    signs, digits = bytearray(256), bytearray(256)  # byte 0 is the filler
+    for v in range(1, n + 1):
+        signs[n - v] = ord("-")
+        digits[n - v] = digits[n + v] = ord(str(v))
+    span = len(buf) // (2 * n)
+    lines = bytearray(3 * span)
+    lines[2::3] = (b"," * (n - 1) + b"\n") * (span // n)
+    for start in range(0, len(buf), span):
+        block = buf[start : start + span]
+        lines[0::3] = block.translate(signs)
+        lines[1::3] = block.translate(digits)
+        yield from lines.translate(None, b"\0")[:-1].decode().split("\n")
 
 
 def _rep_rank(n: int, k: int) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import FalsificationError, InvalidInputError
-from .group import group_order, mul_gen_right, right_generator_tables, window_bytes
+from .group import lanes_at_least, mul_gen_right, right_generator_tables, window_bytes
 from .partition import GroupPartition
 from .area import in_area
 from .vogan import orbits_of_image_tables
@@ -122,11 +122,11 @@ def _guard_masks(n: int, kinds: Sequence[str], k: int) -> dict[int, bytes]:
 
     The guards of all elements are computed at once on the columns of
     :func:`~bncells.group.window_bytes`, read as ints with an 8-bit lane per
-    element.  ``((x | H) - y) & H``, with ``H`` the top bit of every lane,
-    keeps that bit where ``x >= y``, which is ``x > y`` since the values of a
-    window are distinct.  A betweenness guard is the XNOR of two such
-    comparisons and the sign guard the XOR of two negativity bits.  The
-    guards of moves that swap by the same generator are joined by OR.
+    element.  :func:`~bncells.group.lanes_at_least` keeps the top bit of a
+    lane where ``x >= y``, which is ``x > y`` since the values of a window
+    are distinct.  A betweenness guard is the XNOR of two such comparisons
+    and the sign guard the XOR of two negativity bits.  The guards of moves
+    that swap by the same generator are joined by OR.
     """
     buf = window_bytes(n)
     total = len(buf) // n
@@ -135,7 +135,7 @@ def _guard_masks(n: int, kinds: Sequence[str], k: int) -> dict[int, bytes]:
     sign = int.from_bytes(bytes((n,)) * total, "little")
 
     def above(x: int, y: int) -> int:
-        return ((x | high) - y) & high
+        return lanes_at_least(x, y, high)
 
     columns = [int.from_bytes(buf[i::n], "little") for i in range(n)]
     guards: defaultdict[int, int] = defaultdict(int)
@@ -172,7 +172,7 @@ def knuth_classes(
     k = _scope(n, kinds, prefix)
     masks = _guard_masks(n, kinds, k)
     tables = right_generator_tables(n)
-    total, order = group_order(n), sys.byteorder
+    total, order = len(tables[0]), sys.byteorder
     width = tables[0].itemsize
     fixed = int.from_bytes(array("i", range(total)), order)
     lanes = bytearray(width * total)

@@ -20,6 +20,7 @@ module.
 from __future__ import annotations
 
 import itertools
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,14 +34,15 @@ from .errors import FalsificationError, InvalidInputError, RegimeError
 from .group import (
     SignedPerm,
     WeightFunction,
-    _rep_targets,
     coset_decompose,
     fix_last_projection,
     group_elements,
     group_order,
     inverse,
     inverse_index_table,
+    lanes_at_least,
     mul,
+    window_bytes,
     window_texts,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
@@ -231,50 +233,44 @@ def left_extend(cmap: CellularMap, w: Sequence[int]) -> SignedPerm:
     return SignedPerm(out)
 
 
-def _j_coordinates(n: int) -> tuple[array, array]:
-    """Each element's "J"-coset and pattern, in canonical order.
+def _negated_masks(windows: bytes, n: int) -> bytes:
+    """The "J"-coset of each window: bit ``v - 1`` set for each value ``-v``.
 
-    An element ``w = r * u`` is coded by the mask of its negated values
-    (bit ``v - 1`` for ``-v``), which names the coset ``r``, and by the rank
-    of its pattern ``u`` among the all-positive windows in canonical order.
-    Both follow from rank ``n - 1`` block by block: appending the last entry
-    ``k`` relabels the mask and places ``k`` among the other values, and
-    both depend only on the previous mask, so each block reads two lookup
-    tables of ``2^(n-1)`` entries.
+    ``windows`` stores ``v`` as the byte ``v + n``, as ``window_bytes``
+    does.  Each column is translated to the bit of its negated value, and
+    the columns are summed with one 8-bit lane per window.
     """
-    masks, patterns = array("i", [0, 1]), array("i", [0, 0])
-    for m in range(2, n + 1):
-        size = factorial(m - 1)
-        next_masks, next_patterns = array("i"), array("i")
-        for k in _rep_targets(m):
-            low = (1 << (abs(k) - 1)) - 1
-            mask_of, offset_of = [], []
-            for prev in range(1 << (m - 1)):
-                mask = (prev & low) | (prev & ~low) << 1
-                if k > 0:
-                    # below k: every negative entry and the positive v < k
-                    below = prev.bit_count() + k - 1 - (prev & low).bit_count()
-                else:
-                    mask |= 1 << (-k - 1)
-                    below = (prev >> (-k - 1)).bit_count()
-                mask_of.append(mask)
-                offset_of.append((m - 1 - below) * size)
-            next_masks.extend(map(mask_of.__getitem__, masks))
-            next_patterns.extend(map(add, map(offset_of.__getitem__, masks), patterns))
-        masks, patterns = next_masks, next_patterns
-    return masks, patterns
+    bits = bytearray(256)
+    for v in range(1, n + 1):
+        bits[n - v] = 1 << (v - 1)
+    columns = (windows[i::n].translate(bits) for i in range(n))
+    masks = sum(int.from_bytes(c, "little") for c in columns)
+    return masks.to_bytes(len(windows) // n, "little")
 
 
-def _patterns_in_canonical_order(n: int) -> list[tuple[int, ...]]:
-    """The all-positive windows, in the order they take in the enumeration."""
-    perms: list[tuple[int, ...]] = [()]
-    for m in range(1, n + 1):
-        perms = [
-            tuple(v + (v >= k) for v in u) + (k,)
-            for k in range(m, 0, -1)
-            for u in perms
-        ]
-    return perms
+def _pattern_ranks(windows: bytes, n: int) -> array:
+    """Each window's pattern rank among the all-positive windows in canonical order.
+
+    ``windows`` is stored as for :func:`_negated_masks`.  ``w = r * u``
+    with ``r`` increasing compares like its pattern ``u``, and canonical
+    order keys by the last entry first, so the rank is the sum of
+    ``m! * #{j < m : w(j) > w(m)}`` over positions ``m`` from 0.  Counts
+    are summed lane-wise comparisons of columns in 8-bit lanes, weighted in
+    16-bit lanes and read back as ``array("H")``.
+    """
+    total = len(windows) // n
+    high = int.from_bytes(b"\x80" * total, "little")
+    lanes = [int.from_bytes(windows[i::n], "little") for i in range(n)]
+    wide = bytearray(2 * total)
+    ranks = 0
+    for m in range(1, n):
+        count = sum(lanes_at_least(lanes[j], lanes[m], high) >> 7 for j in range(m))
+        wide[::2] = count.to_bytes(total, "little")
+        ranks += factorial(m) * int.from_bytes(wide, "little")
+    out = array("H", ranks.to_bytes(2 * total, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -286,9 +282,10 @@ def extended_image_table(cmap: CellularMap) -> array:
     element is ``r * u`` with ``r`` an increasing window (one per set of
     negated values) and ``u`` a pattern, and maps to ``r * map(u)``.  Each
     element gets the coordinate ``mask * n! + pattern`` from
-    :func:`_j_coordinates`; the map is carried once from the parabolic's
-    lexicographic order onto pattern ranks, and the image of an element is
-    the element at its coordinate with the pattern moved.
+    :func:`_negated_masks` and :func:`_pattern_ranks`; the map is carried
+    once from the parabolic's lexicographic order onto pattern ranks, and
+    the image of an element is the element at its coordinate with the
+    pattern moved.
     """
     n = cmap.n
     total = group_order(n)
@@ -301,15 +298,15 @@ def extended_image_table(cmap: CellularMap) -> array:
                 out[base + j] = base + mapping[j]
         return out
     size = factorial(n)
-    perms = _patterns_in_canonical_order(n)
-    rank_of_lex = sorted(range(size), key=perms.__getitem__)
+    lex = bytes(v + n for u in parabolic_elements("J", n) for v in u)
+    rank_of_lex = _pattern_ranks(lex, n)
     # how far each pattern rank moves under the map
     shift = [0] * size
     for j, image in enumerate(mapping):
         shift[rank_of_lex[j]] = rank_of_lex[image] - rank_of_lex[j]
-    masks, patterns = _j_coordinates(n)
-    coords = array("i", map(add, map(size.__mul__, masks), patterns))
-    del masks
+    buf = window_bytes(n)
+    patterns = _pattern_ranks(buf, n)
+    coords = array("i", map(add, map(size.__mul__, _negated_masks(buf, n)), patterns))
     where = array("i", bytes(4 * total))
     for i, c in enumerate(coords):
         where[c] = i

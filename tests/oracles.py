@@ -9,6 +9,9 @@ the existential definition that a closed form in the library replaces, so it
 is written with the library's own pieces.  The ``reference_*`` functions are
 the per-element loops that builtins replaced in the library (id density,
 canonical ids, minimal-index labels, window texts), kept to compare with.
+:func:`coset_product_elements` is the canonical order by its definition,
+one window product per element, which the library's enumeration buffer must
+reproduce.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ import functools
 from collections import deque
 
 from bncells.group import (
-    _block_relabels,
     check_enumeration_rank,
     element_index,
     group_elements,
+    mul,
+    rep_fix_last,
+    window_text,
 )
 from bncells.partition import OUTSIDE
 from bncells.tableaux import (
@@ -303,14 +308,22 @@ def reference_minimal_index_labels(ids) -> tuple[str, ...]:
     return tuple(str(first[c]) for c in range(len(first)))
 
 
-def reference_window_texts(n: int):
-    """Window texts built from rank ``n - 1`` by ``str.translate`` per element."""
+@functools.lru_cache(maxsize=None)
+def coset_product_elements(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every window in canonical order, built from the order's definition.
+
+    Block by block, in canonical representative order, the "K"-coset
+    representative is multiplied into each rank-``(n-1)`` window extended by
+    ``n``.
+    """
     check_enumeration_rank(n)
     if n == 1:
-        yield from ("1", "-1")
-        return
-    base = list(reference_window_texts(n - 1))
-    for k, relabel in _block_relabels(n):
-        digits = str.maketrans({str(v): str(image) for v, image in relabel.items()})
-        suffix = f",{k}"
-        yield from [text.translate(digits) + suffix for text in base]
+        return ((1,), (-1,))
+    base = coset_product_elements(n - 1)
+    targets = (*range(n, 0, -1), *range(-1, -n - 1, -1))
+    return tuple(mul(rep_fix_last(n, k), u + (n,)) for k in targets for u in base)
+
+
+def reference_window_texts(n: int):
+    """The text of each window of :func:`coset_product_elements`, one at a time."""
+    return map(window_text, coset_product_elements(n))

@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,10 @@ from bncells.group import WeightFunction, parse_window
 from bncells.partition import GroupPartition, canonical_ids
 from bncells.tableaux import rs_generalized
 from bncells.vogan import vogan_classes
+
+
+# sha256 and class counts of the benchmark's rank-6 dumps, read, never written
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures.json"
 
 
 def run_cli(*argv):
@@ -368,6 +374,28 @@ def test_area_tsv_labels_cells_by_minimal_element():
     lines = dict(line.split("\t") for line in text.splitlines())
     assert lines["2,1"] == "2,1"
     assert lines["-1,2"] == lines["-2,1"]
+
+
+# -- frozen rank-6 dumps ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("cells n=6 dominant", ("cells", "--method", "vogan", "--b", "6")),
+        ("cells n=6 intermediate", ("cells", "--method", "vogan", "--b", "5")),
+        ("orbits-left n=6 dominant", ("orbits", "--side", "left", "--b", "6")),
+        ("orbits-right n=6 dominant", ("orbits", "--side", "right", "--b", "6")),
+        ("area n=6", ("area",)),
+    ],
+)
+def test_rank_six_dumps_match_the_benchmark_fixtures(key, argv):
+    expected = json.loads(FIXTURES.read_text(encoding="utf-8"))["dumps"][key]
+    code, text = run_cli(*argv, "--n", "6")
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected["sha256"]
+    labels = {line.rsplit("\t", 1)[-1] for line in text.splitlines()}
+    assert len(labels) == expected["classes"]
 
 
 # -- process-level behavior ---------------------------------------------------------

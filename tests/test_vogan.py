@@ -1,6 +1,8 @@
 """Tests for the cell-cycling maps, their orbits, and the class refinement."""
 
 import itertools
+import math
+from array import array
 
 import pytest
 from hypothesis import given
@@ -10,11 +12,14 @@ from bncells.area import area_elements, in_area, in_area_reduced
 from bncells.descents import rxi_partition
 from bncells.errors import InvalidInputError, RegimeError
 from bncells.group import (
+    MAX_ENUMERATION_RANK,
     WeightFunction,
     element_index,
     group_elements,
+    group_order,
     inverse,
     length,
+    window_bytes,
     window_text,
 )
 from bncells.cli import _area_partition
@@ -25,6 +30,8 @@ from bncells.vogan import (
     CellularMap,
     VoganRun,
     _minimal_index_labels,
+    _negated_masks,
+    _pattern_ranks,
     build_epsilon,
     build_psi,
     classes_to_tsv,
@@ -40,6 +47,7 @@ from bncells.vogan import (
 )
 
 from .oracles import (
+    coset_product_elements,
     orbit_meets_canonical,
     oracle_cycling_map,
     oracle_j_table,
@@ -207,6 +215,34 @@ def test_extended_table_matches_elementwise_extension(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_j_table_matches_the_window_lookup(n):
     assert list(extended_image_table(build_epsilon(n))) == oracle_j_table(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_j_coordinates_rank_patterns_by_the_reference_enumeration(n):
+    reference = coset_product_elements(n)
+    position = {u: p for p, u in enumerate(w for w in reference if min(w) > 0)}
+    # each lexicographic permutation's rank is its position among the
+    # all-positive windows of the enumeration
+    lex = parabolic_elements("J", n)
+    ranks = _pattern_ranks(bytes(v + n for u in lex for v in u), n)
+    assert list(ranks) == [position[u] for u in lex]
+    # every element: the mask of its negated values and its pattern's rank
+    buf = window_bytes(n)
+    assert list(_negated_masks(buf, n)) == [
+        sum(1 << (-x - 1) for x in w if x < 0) for w in reference
+    ]
+    patterns = [tuple(sorted(w).index(x) + 1 for x in w) for w in reference]
+    assert list(_pattern_ranks(buf, n)) == [position[u] for u in patterns]
+
+
+def test_a_lane_holds_the_j_coordinates_of_every_enumerable_rank():
+    # the negated-value mask is summed in one byte lane, the pattern rank is
+    # read back as array("H") and the coordinate mask * n! + pattern is an
+    # array("i") entry; raising the rank cap past any of them must fail here
+    n = MAX_ENUMERATION_RANK
+    assert (1 << n) - 1 < 1 << 8
+    assert math.factorial(n) <= 1 << 8 * array("H").itemsize
+    assert group_order(n) <= 1 << (8 * array("i").itemsize - 1)
 
 
 # -- orbits ---------------------------------------------------------------------
