@@ -52,7 +52,7 @@ from .group import (
 )
 from .hecke import check_oracle_budget, kl_basis, left_cells
 from .partition import GroupPartition
-from .tableaux import count_standard_bitableaux, rs_generalized, shape
+from .tableaux import count_standard_bitableaux, recording_fibers, rs_generalized
 from .vogan import classes_to_tsv, run_summary, vogan_classes, xi_orbits
 
 METHODS = ("oracle-kl", "vogan", "rs-asymptotic", "rxi", "orbits", "area")
@@ -340,11 +340,7 @@ def _partition_for(args) -> tuple[GroupPartition, dict]:
         part = run.final
         extra = {"round_count": run.round_count}
     elif args.method == "rs-asymptotic":
-        part = GroupPartition.from_keys(
-            n,
-            [rs_generalized(w)[1] for w in group_elements(n)],
-            label_fn=lambda b: b.to_text(),
-        )
+        part = recording_fibers(n)
     elif args.method == "rxi":
         part = rxi_partition(n, weight)
     elif args.method == "orbits":
@@ -427,7 +423,7 @@ def cmd_element(args, out) -> int:
         "rxi": rxi(w, weight).to_text(),
         "insertion": a_tab.to_text(),
         "recording": b_tab.to_text(),
-        "shape": shape(w).to_text(),
+        "shape": a_tab.shape.to_text(),
         "in_area": in_area(w),
     }
     if not args.quick:

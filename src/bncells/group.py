@@ -514,22 +514,25 @@ def lanes_at_least(x: int, y: int, high: int) -> int:
     return ((x | high) - y) & high
 
 
+def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
+    """Every window in canonical order, decoded one at a time from
+    :func:`window_bytes`; each value is one shared int object."""
+    buf = window_bytes(n)
+    values = tuple(range(-n, n + 1))
+    return zip(*[map(values.__getitem__, buf)] * n)
+
+
 @functools.lru_cache(maxsize=None)
 def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
-    """All ``2^n n!`` windows in canonical order (identity first).
-
-    Decoded from :func:`window_bytes`.  The values come from one shared
-    tuple, so each value is one int object however often it occurs.
+    """All ``2^n n!`` windows in canonical order (identity first), kept.
 
     >>> group_elements(1)
     ((1,), (-1,))
     >>> len(group_elements(3))
     48
     """
-    buf = window_bytes(n)
-    values = tuple(range(-n, n + 1))
     # through a list: a tuple grown from the iterator took 1.8 times as long
-    return tuple(list(zip(*[map(values.__getitem__, buf)] * n)))
+    return tuple(list(iter_windows(n)))
 
 
 def window_texts(n: int) -> Iterator[str]:
@@ -580,6 +583,28 @@ def element_index(w: Sequence[int]) -> int:
     return idx + (0 if cur[0] == 1 else 1)
 
 
+def repeat_by_block(bases: Sequence[array], blocks: int) -> list[array]:
+    """Each base repeated ``blocks`` times, copy ``b`` offset by ``b * size``.
+
+    This extends tables of ``size`` rank-``(n-1)`` parts over the ``2n``
+    "K"-coset blocks.  The offsets are added to the repeated bytes as one big
+    int, one lane per entry; each sum fits its lane, so nothing carries over.
+
+    >>> [list(t) for t in repeat_by_block([array("i", (1, 0))], 3)]
+    [[1, 0, 3, 2, 5, 4]]
+    """
+    size, width, order = len(bases[0]), array("i").itemsize, sys.byteorder
+    offsets = b"".join(
+        o.to_bytes(width, order) * size for o in range(0, blocks * size, size)
+    )
+    shift = int.from_bytes(offsets, order)
+    tables = []
+    for base in bases:
+        lanes = int.from_bytes(base.tobytes() * blocks, order) + shift
+        tables.append(array("i", lanes.to_bytes(len(offsets), order)))
+    return tables
+
+
 @functools.lru_cache(maxsize=None)
 def right_generator_tables(n: int) -> tuple[array, ...]:
     """Table ``g`` maps ``index(w)`` to ``index(w * g)``, for ``g = 0..n-1``.
@@ -588,10 +613,10 @@ def right_generator_tables(n: int) -> tuple[array, ...]:
     ``index(w) = rank(k) * order(n-1) + index(part)`` of the last entry
     ``k`` and the rank-``(n-1)`` part.  A generator ``g <= n-2`` keeps ``k``:
     its table is the rank-``(n-1)`` table repeated once per block, offset by
-    the block.  ``s_{n-1}`` changes only ``k`` and the part's last entry, so
-    its table is one run of ``order(n-2)`` consecutive indices per pair of
-    those two digits.  The tables are cached and shared, so callers must not
-    change them.
+    the block (:func:`repeat_by_block`).  ``s_{n-1}`` changes only ``k`` and
+    the part's last entry, so its table is one run of ``order(n-2)``
+    consecutive indices per pair of those two digits.  The tables are cached
+    and shared, so callers must not change them.
 
     >>> [list(t) for t in right_generator_tables(2)]
     [[1, 0, 3, 2, 5, 4, 7, 6], [2, 4, 0, 6, 1, 7, 3, 5]]
@@ -599,18 +624,8 @@ def right_generator_tables(n: int) -> tuple[array, ...]:
     check_enumeration_rank(n)
     if n == 1:
         return (array("i", (1, 0)),)
-    size, low = group_order(n - 1), group_order(n - 2)
-    width, order = array("i").itemsize, sys.byteorder
-    # with one int lane per index, block b adds b * size to every lane of the
-    # repeated table; each sum fits its lane, so nothing carries over
-    offsets = b"".join(
-        block.to_bytes(width, order) * size for block in range(0, 2 * n * size, size)
-    )
-    shift = int.from_bytes(offsets, order)
-    tables = []
-    for base in right_generator_tables(n - 1):
-        lanes = int.from_bytes(base.tobytes() * (2 * n), order) + shift
-        tables.append(array("i", lanes.to_bytes(len(offsets), order)))
+    low = group_order(n - 2)
+    tables = repeat_by_block(right_generator_tables(n - 1), 2 * n)
     top = array("i")
     for k in _rep_targets(n):
         for y in _rep_targets(n - 1):

@@ -1,6 +1,6 @@
-"""Robinson-Schensted insertion: classic for permutations, signed for windows.
+"""Signed Robinson-Schensted insertion of windows, and the tableaux it makes.
 
-The signed correspondence sends a window to a pair of *bitableaux* — pairs of
+The correspondence sends a window to a pair of *bitableaux* — pairs of
 standard Young tableaux whose entry sets partition ``{1, ..., n}``:
 
 - the insertion pair ``A = (plus | minus)`` row-inserts the positive window
@@ -9,7 +9,9 @@ standard Young tableaux whose entry sets partition ``{1, ..., n}``:
 - the recording pair ``B`` stores the window *positions* at which the
   corresponding boxes were created.
 
-Both maps are bijections (inverse provided), and ``B(w) = A(w^{-1})``.
+Both maps are bijections (inverse provided), and ``B(w) = A(w^{-1})``.  On
+an all-positive window the minus tableaux are empty and this is classic
+Robinson-Schensted.  One loop, :func:`insertion_rows`, does every insertion.
 
 Text formats: rows of a tableau are ``";"``-separated with space-separated
 entries; the two tableaux of a bitableau are joined by ``" | "``; an empty
@@ -24,15 +26,17 @@ tableau renders as ``"-"``.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FalsificationError, InvalidInputError
-from .group import SignedPerm, longest_parabolic, mul
+from .group import SignedPerm, iter_windows, longest_parabolic, mul
+from .partition import GroupPartition
 
 Partition = tuple[int, ...]
 
@@ -320,18 +324,18 @@ def standard_bitableaux(shape: Bipartition) -> list[Bitableau]:
 # ---------------------------------------------------------------------------
 
 
-def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
-    """Row-insert ``x``; return the (row, col) of the newly created box."""
+def _insert(rows: list[list[int]], x: int) -> int:
+    """Row-insert ``x``; return the row of the newly created box."""
     r = 0
     while True:
         if r == len(rows):
             rows.append([x])
-            return r, 0
+            return r
         row = rows[r]
-        c = bisect.bisect_left(row, x)
+        c = bisect_left(row, x)
         if c == len(row):
             row.append(x)
-            return r, c
+            return r
         x, row[c] = row[c], x
         r += 1
 
@@ -343,7 +347,7 @@ def _reverse_insert(rows: list[list[int]], r: int) -> int:
         del rows[r]
     for rr in range(r - 1, -1, -1):
         row = rows[rr]
-        c = bisect.bisect_left(row, x) - 1
+        c = bisect_left(row, x) - 1
         x, row[c] = row[c], x
     return x
 
@@ -352,27 +356,51 @@ def _freeze(rows: list[list[int]]) -> StandardTableau:
     return StandardTableau(tuple(tuple(r) for r in rows))
 
 
-def rs_classic(u: Sequence[int]) -> tuple[StandardTableau, StandardTableau]:
-    """Classic Robinson-Schensted: insertion and recording tableaux.
+def insertion_rows(w: Iterable[int]) -> tuple[list[list[int]], ...]:
+    """Row lists ``(plus, minus, plus_rec, minus_rec)`` of one signed insertion.
 
-    >>> P, Q = rs_classic((3, 1, 2))
-    >>> P.to_text(), Q.to_text()
-    ('1 2;3', '1 3;2')
+    Every insertion of the package is this loop.
+
+    >>> insertion_rows((3, -1, 2))
+    ([[2], [3]], [[1]], [[1], [3]], [[2]])
     """
-    if any(x <= 0 for x in u):
-        raise InvalidInputError("classic insertion expects a positive permutation")
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for i, x in enumerate(u, start=1):
-        r, _ = _insert(p_rows, x)
-        if r == len(q_rows):
-            q_rows.append([])
-        q_rows[r].append(i)
-    return _freeze(p_rows), _freeze(q_rows)
+    plus, minus, plus_rec, minus_rec = [], [], [], []
+    for position, x in enumerate(w, start=1):
+        if x > 0:
+            r = _insert(plus, x)
+            rows = plus_rec
+        else:
+            r = _insert(minus, -x)
+            rows = minus_rec
+        if r == len(rows):
+            rows.append([position])
+        else:
+            rows[r].append(position)
+    return plus, minus, plus_rec, minus_rec
+
+
+def pack_rows(plus: list[list[int]], minus: list[list[int]]) -> bytes:
+    """Two row lists as bytes: each row ends in 0, one more 0 ends ``plus``.
+
+    The zeros mark where rows end (``1 2 3`` and ``1 2;3`` read alike), and
+    line up within one shape, where keys sort as row reading words.
+
+    >>> pack_rows([[1, 3], [2]], [[4]])
+    b'\\x01\\x03\\x00\\x02\\x00\\x00\\x04\\x00'
+    """
+    key: list[int] = []
+    for row in plus:
+        key += row
+        key.append(0)
+    key.append(0)
+    for row in minus:
+        key += row
+        key.append(0)
+    return bytes(key)
 
 
 def rs_classic_inverse(P: StandardTableau, Q: StandardTableau) -> tuple[int, ...]:
-    """Inverse of :func:`rs_classic`; requires equal shapes."""
+    """The ``u`` with ``rs_generalized(u) == ((P | -), (Q | -))``; equal shapes."""
     if P.shape != Q.shape:
         raise InvalidInputError("insertion/recording shapes differ")
     p_rows = [list(r) for r in P.rows]
@@ -385,26 +413,39 @@ def rs_classic_inverse(P: StandardTableau, Q: StandardTableau) -> tuple[int, ...
 
 
 def rs_generalized(w: Sequence[int]) -> tuple[Bitableau, Bitableau]:
-    """Signed-permutation insertion (see module docstring for the convention)."""
-    pp: list[list[int]] = []
-    pm: list[list[int]] = []
-    qp: list[list[int]] = []
-    qm: list[list[int]] = []
-    for i, x in enumerate(w, start=1):
-        if x > 0:
-            r, _ = _insert(pp, x)
-            if r == len(qp):
-                qp.append([])
-            qp[r].append(i)
-        else:
-            r, _ = _insert(pm, -x)
-            if r == len(qm):
-                qm.append([])
-            qm[r].append(i)
+    """Signed-permutation insertion (see module docstring for the convention).
+
+    >>> [b.to_text() for b in rs_generalized((3, 1, 2))]  # classic RS
+    ['1 2;3 | -', '1 3;2 | -']
+    """
+    plus, minus, plus_rec, minus_rec = insertion_rows(w)
     return (
-        Bitableau(_freeze(pp), _freeze(pm)),
-        Bitableau(_freeze(qp), _freeze(qm)),
+        Bitableau(_freeze(plus), _freeze(minus)),
+        Bitableau(_freeze(plus_rec), _freeze(minus_rec)),
     )
+
+
+def recording_fibers(n: int) -> GroupPartition:
+    """Recording-bitableau fibers of the rank-``n`` group, labelled by their text.
+
+    Windows are decoded one at a time and keyed by their packed recording
+    rows.  For ``b > (n-1) a`` these are the left cells (Bonnafé-Iancu,
+    Represent. Theory 7, 2003).
+
+    >>> recording_fibers(2).labels
+    ('1 2 | -', '2 | 1', '1;2 | -', '1 | 2', '- | 1;2', '- | 1 2')
+    """
+    ids = array("i")
+    labels: list[str] = []
+    seen: dict[bytes, int] = {}
+    for w in iter_windows(n):
+        _, _, plus_rec, minus_rec = insertion_rows(w)
+        key = pack_rows(plus_rec, minus_rec)
+        if key not in seen:
+            seen[key] = len(labels)
+            labels.append(Bitableau(_freeze(plus_rec), _freeze(minus_rec)).to_text())
+        ids.append(seen[key])
+    return GroupPartition(n=n, class_id=ids, labels=tuple(labels))
 
 
 def rs_generalized_inverse(A: Bitableau, B: Bitableau) -> SignedPerm:

@@ -2,8 +2,8 @@
 
 Two parabolic subsets carry a canonical "cycle the recording tableau" map:
 
-- ``"J"`` (the swap generators): insertion on the all-positive window via the
-  classic row bumping; the map keeps the insertion tableau and steps the
+- ``"J"`` (the swap generators): insertion of the all-positive window, which
+  is classic row bumping; the map keeps the insertion tableau and steps the
   recording tableau through the standard tableaux of its shape, cyclically,
   in increasing order of their row reading words.
 - ``"K"`` (everything but the last swap): same construction one rank down
@@ -42,11 +42,12 @@ from .group import (
     inverse_index_table,
     lanes_at_least,
     mul,
+    repeat_by_block,
     window_bytes,
     window_texts,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
-from .tableaux import _insert, rs_classic, rs_generalized
+from .tableaux import insertion_rows, pack_rows, rs_generalized
 
 # ---------------------------------------------------------------------------
 # parabolic index spaces
@@ -114,49 +115,15 @@ class CellularMap:
 def _recording_cycles(elements: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Index map stepping each element's recording bitableau to the next one.
 
-    One forward signed insertion per element gives the key ``(A, B, index)``:
-    ``A`` packs the insertion rows as bytes, each row ending in 0, with one
-    more 0 between the plus and minus tableaux; ``B`` is the recording
-    row-reading word, the plus and minus words joined by 0.  After one sort
-    a run of equal ``A`` is the set of elements sharing an insertion
-    bitableau, in increasing order of the recording word, which is the
-    order ``tableaux.standard_bitableaux`` lists; each run is one cycle.  On
-    all-positive windows the minus tableaux stay empty and this is the
-    classic insertion.  Entries are stored as bytes, so the rank is at most
-    255.
+    One forward signed insertion per element gives the key ``(A, B, index)``
+    of its packed insertion and recording rows.  After one sort each run of
+    equal ``A`` is one cycle; its recording rows share ``A``'s shape, so they
+    come in the order of their reading words, as ``standard_bitableaux`` lists.
     """
     keys = []
     for index, w in enumerate(elements):
-        plus: list[list[int]] = []
-        minus: list[list[int]] = []
-        plus_rec: list[list[int]] = []
-        minus_rec: list[list[int]] = []
-        for position, x in enumerate(w, start=1):
-            if x > 0:
-                r, _ = _insert(plus, x)
-                rows = plus_rec
-            else:
-                r, _ = _insert(minus, -x)
-                rows = minus_rec
-            if r == len(rows):
-                rows.append([position])
-            else:
-                rows[r].append(position)
-        a_key: list[int] = []
-        for row in plus:
-            a_key += row
-            a_key.append(0)
-        a_key.append(0)
-        for row in minus:
-            a_key += row
-            a_key.append(0)
-        b_key: list[int] = []
-        for row in plus_rec:
-            b_key += row
-        b_key.append(0)
-        for row in minus_rec:
-            b_key += row
-        keys.append((bytes(a_key), bytes(b_key), index))
+        plus, minus, plus_rec, minus_rec = insertion_rows(w)
+        keys.append((pack_rows(plus, minus), pack_rows(plus_rec, minus_rec), index))
     keys.sort()
     images = [0] * len(keys)
     for _, run in itertools.groupby(keys, key=lambda key: key[0]):
@@ -168,7 +135,7 @@ def _recording_cycles(elements: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def build_epsilon(n: int) -> CellularMap:
-    """Recording-cycling on the all-positive parabolic via classic insertion.
+    """Recording-cycling on the all-positive parabolic (classic insertion).
 
     For ``u`` with insertion pair ``(P, Q)`` the image has pair
     ``(P, next(Q))`` where ``next`` steps cyclically through the standard
@@ -291,12 +258,7 @@ def extended_image_table(cmap: CellularMap) -> array:
     total = group_order(n)
     mapping = cmap.mapping
     if cmap.subset_id == "K":
-        out = array("i", bytes(4 * total))
-        m = cmap.parabolic_size
-        for base in range(0, total, m):
-            for j in range(m):
-                out[base + j] = base + mapping[j]
-        return out
+        return repeat_by_block([array("i", mapping)], 2 * n)[0]
     size = factorial(n)
     lex = bytes(v + n for u in parabolic_elements("J", n) for v in u)
     rank_of_lex = _pattern_ranks(lex, n)
@@ -466,24 +428,6 @@ vogan_classes.cache_info = _refine.cache_info
 # ---------------------------------------------------------------------------
 
 
-def _insertion_keys(cmap: CellularMap):
-    """Default (right-fiber, left-fiber) keys: insertion and recording sides."""
-    elements = parabolic_elements(cmap.subset_id, cmap.n)
-    right_keys = []
-    left_keys = []
-    if cmap.subset_id == "J":
-        for u in elements:
-            p, q = rs_classic(u)
-            right_keys.append(p)
-            left_keys.append(q)
-    else:
-        for u in elements:
-            a_tab, b_tab = rs_generalized(u)
-            right_keys.append(a_tab)
-            left_keys.append(b_tab)
-    return right_keys, left_keys
-
-
 def verify_admissible(
     cmap: CellularMap,
     right_keys: Sequence | None = None,
@@ -502,7 +446,8 @@ def verify_admissible(
     if (right_keys is None) != (left_keys is None):
         raise InvalidInputError("pass both oracle key sequences or neither")
     if right_keys is None:
-        right_keys, left_keys = _insertion_keys(cmap)
+        elements = parabolic_elements(cmap.subset_id, cmap.n)
+        right_keys, left_keys = zip(*map(rs_generalized, elements))
     if len(right_keys) != size or len(left_keys) != size:
         raise InvalidInputError("oracle key sequences must cover the parabolic")
     violations = []

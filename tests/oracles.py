@@ -8,7 +8,8 @@ and dumb on purpose.  :func:`orbit_meets_canonical` is the exception: it is
 the existential definition that a closed form in the library replaces, so it
 is written with the library's own pieces.  The ``reference_*`` functions are
 the per-element loops that builtins replaced in the library (id density,
-canonical ids, minimal-index labels, window texts), kept to compare with.
+canonical ids, minimal-index labels, window texts, recording fibers), kept
+to compare with.
 :func:`coset_product_elements` is the canonical order by its definition,
 one window product per element, which the library's enumeration buffer must
 reproduce.
@@ -27,12 +28,14 @@ from bncells.group import (
     rep_fix_last,
     window_text,
 )
-from bncells.partition import OUTSIDE
+from bncells.partition import OUTSIDE, GroupPartition
 from bncells.tableaux import (
+    Bitableau,
     bipartitions,
     canonical_element,
     partitions,
     rs_classic_inverse,
+    rs_generalized,
     rs_generalized_inverse,
     shape,
     standard_bitableaux,
@@ -327,3 +330,12 @@ def coset_product_elements(n: int) -> tuple[tuple[int, ...], ...]:
 def reference_window_texts(n: int):
     """The text of each window of :func:`coset_product_elements`, one at a time."""
     return map(window_text, coset_product_elements(n))
+
+
+def reference_recording_fibers(n: int) -> GroupPartition:
+    """Recording-bitableau fibers, one frozen insertion pair per window."""
+    return GroupPartition.from_keys(
+        n,
+        [rs_generalized(w)[1] for w in group_elements(n)],
+        label_fn=Bitableau.to_text,
+    )

@@ -38,6 +38,7 @@ from bncells.vogan import (
     xi_orbits,
 )
 
+from .oracles import reference_recording_fibers
 from .test_hecke import cached_kl, cells_as_windows
 
 # Frozen expected values (fixtures, independent of the library's formulas).
@@ -66,12 +67,6 @@ def dominant_weight(n: int) -> WeightFunction:
 
 def boundary_weight(n: int) -> WeightFunction:
     return WeightFunction(1, n - 1)
-
-
-def recording_fibers(n: int) -> GroupPartition:
-    return GroupPartition.from_keys(
-        n, [rs_generalized(w)[1] for w in group_elements(n)]
-    )
 
 
 def insertion_fibers(n: int) -> GroupPartition:
@@ -142,7 +137,7 @@ def test_criterion_4_cells_match_tableau_fibers():
     ok = True
     for n in range(2, ORACLE_MAX_RANK + 1):
         kl = cached_kl(n, 1, n)
-        ok &= left_cells(kl).same_blocks(recording_fibers(n))
+        ok &= left_cells(kl).same_blocks(reference_recording_fibers(n))
         ok &= right_cells(kl).same_blocks(insertion_fibers(n))
         ok &= two_sided_cells(kl).same_blocks(shape_fibers(n))
     report(

@@ -247,6 +247,15 @@ def test_cells_insertion_method_labels_by_recording_side():
     assert "1,2\t1 2 | -" in text
 
 
+def test_rank_six_recording_fibers_dump_is_frozen():
+    # sha256 of the rank-6 dump as one frozen insertion pair per window made it
+    code, text = run_cli("cells", "--n", "6", "--method", "rs-asymptotic")
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "947f658749c40863f4314916d151a3c0740e0e586366b1272cfb334949f6b764"
+    )
+
+
 def test_cells_descent_method_labels_by_invariant():
     code, text = run_cli(
         "cells", "--n", "2", "--method", "rxi", "--a", "1", "--b", "2"

@@ -28,7 +28,7 @@ from bncells.knuth import (
     welsh_bridge,
 )
 from bncells.partition import GroupPartition
-from bncells.tableaux import count_standard_bitableaux, rs_classic, rs_generalized
+from bncells.tableaux import count_standard_bitableaux, rs_generalized
 
 from .conftest import signed_perms
 from .oracles import oracle_knuth_closure
@@ -114,7 +114,7 @@ class TestClasses:
 
             def key(w):
                 d = coset_decompose(w, "J")
-                return (d.rep, rs_classic(d.part)[0])
+                return (d.rep, rs_generalized(d.part)[0])
 
             fibers = GroupPartition.from_keys(
                 n, (key(w) for w in group_elements(n))
@@ -133,7 +133,7 @@ class TestClasses:
             )
             assert part.refines(fibers)
 
-    def test_union_find_matches_bfs_closure(self):
+    def test_knuth_classes_match_bfs_closure(self):
         # every set of kinds and every prefix, against a breadth-first search
         # over the Move objects; both number classes by first appearance
         all_kinds = [
@@ -191,7 +191,7 @@ class TestClasses:
         part = knuth_classes(n)
         by_tableau = {}
         for u in itertools.permutations(range(1, n + 1)):
-            by_tableau.setdefault(rs_classic(u)[0], set()).add(
+            by_tableau.setdefault(rs_generalized(u)[0], set()).add(
                 part.class_of(element_index(u))
             )
         for ids in by_tableau.values():

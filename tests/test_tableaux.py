@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 
 from bncells.errors import InvalidInputError
-from bncells.group import SignedPerm, group_elements, group_order, inverse
+from bncells.group import (
+    SignedPerm,
+    element_index,
+    group_elements,
+    group_order,
+    inverse,
+)
 from bncells.tableaux import (
     Bipartition,
     Bitableau,
@@ -18,7 +24,7 @@ from bncells.tableaux import (
     count_standard_bitableaux_of_shape,
     count_standard_tableaux,
     partitions,
-    rs_classic,
+    recording_fibers,
     rs_classic_inverse,
     rs_generalized,
     rs_generalized_inverse,
@@ -27,7 +33,10 @@ from bncells.tableaux import (
     standard_tableaux,
 )
 
+from bncells.vogan import classes_to_tsv
+
 from .conftest import signed_perms
+from .oracles import reference_recording_fibers
 
 
 def all_positive_perms(n):
@@ -130,44 +139,43 @@ class TestStandardTableaux:
 
 
 class TestClassicInsertion:
+    # on an all-positive window the signed insertion is the classic one, with
+    # empty minus tableaux
     def test_identity_word(self):
-        P, Q = rs_classic((1, 2, 3))
-        assert P.to_text() == "1 2 3"
-        assert P == Q
+        A, B = rs_generalized((1, 2, 3))
+        assert A.to_text() == "1 2 3 | -"
+        assert A == B
 
     def test_reversal_word(self):
-        P, Q = rs_classic((3, 2, 1))
-        assert P.to_text() == "1;2;3"
-        assert P == Q
+        A, B = rs_generalized((3, 2, 1))
+        assert A.to_text() == "1;2;3 | -"
+        assert A == B
 
     def test_frozen_example(self):
-        P, Q = rs_classic((3, 1, 2))
-        assert (P.to_text(), Q.to_text()) == ("1 2;3", "1 3;2")
+        A, B = rs_generalized((3, 1, 2))
+        assert (A.to_text(), B.to_text()) == ("1 2;3 | -", "1 3;2 | -")
 
     def test_roundtrip_exhaustive(self):
         for n in range(1, 5):
             seen = set()
             for u in all_positive_perms(n):
-                P, Q = rs_classic(u)
-                assert P.shape == Q.shape
-                assert rs_classic_inverse(P, Q) == u
-                seen.add((P, Q))
+                A, B = rs_generalized(u)
+                assert A.minus.size == B.minus.size == 0
+                assert A.shape == B.shape
+                assert rs_classic_inverse(A.plus, B.plus) == u
+                seen.add((A, B))
             assert len(seen) == math.factorial(n)
 
     def test_inverse_swaps_tableaux(self):
         for u in all_positive_perms(4):
             inv = tuple(u.index(j) + 1 for j in range(1, 5))
-            P, Q = rs_classic(u)
-            Pi, Qi = rs_classic(inv)
-            assert (Pi, Qi) == (Q, P)
-
-    def test_rejects_signed_input(self):
-        with pytest.raises(InvalidInputError):
-            rs_classic((-1, 2))
+            A, B = rs_generalized(u)
+            Ai, Bi = rs_generalized(inv)
+            assert (Ai, Bi) == (B, A)
 
     def test_shape_mismatch_rejected(self):
-        P, _ = rs_classic((1, 2))
-        Q, _ = rs_classic((2, 1))
+        P = rs_generalized((1, 2))[0].plus
+        Q = rs_generalized((2, 1))[0].plus
         with pytest.raises(InvalidInputError):
             rs_classic_inverse(P, Q)
 
@@ -232,6 +240,35 @@ class TestGeneralizedInsertion:
         assert rs_generalized_inverse(A, B) == w
         # swapping the roles produces the inverse element
         assert rs_generalized_inverse(B, A) == inverse(w)
+
+
+class TestRecordingFibers:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_the_per_element_reference(self, n):
+        got = recording_fibers(n)
+        expected = reference_recording_fibers(n)
+        assert list(got.class_id) == list(expected.class_id)
+        assert got.labels == expected.labels
+        assert list(classes_to_tsv(got)) == list(classes_to_tsv(expected))
+
+    def test_keys_mark_where_rows_end(self):
+        # both recording words read 1 2 3; the tableaux are 1 2 3 and 1 2;3
+        part = recording_fibers(3)
+        one_row, two_rows = (
+            part.class_of(element_index(w)) for w in ((1, 2, 3), (2, 3, 1))
+        )
+        assert one_row != two_rows
+        assert part.label_of(one_row) == "1 2 3 | -"
+        assert part.label_of(two_rows) == "1 2;3 | -"
+
+    def test_label_with_an_empty_plus_side(self):
+        part = recording_fibers(2)
+        assert part.label_of(part.class_of(element_index((-1, -2)))) == "- | 1 2"
+
+    def test_fibers_build_no_window_tuples(self):
+        group_elements.cache_clear()
+        assert recording_fibers(5).num_classes == count_standard_bitableaux(5)
+        assert group_elements.cache_info().currsize == 0
 
 
 class TestCanonicalElement:

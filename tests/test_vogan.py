@@ -25,7 +25,7 @@ from bncells.group import (
 from bncells.cli import _area_partition
 from bncells.hecke import left_cells, right_cells
 from bncells.partition import OUTSIDE, GroupPartition, canonical_ids
-from bncells.tableaux import count_standard_bitableaux, rs_generalized
+from bncells.tableaux import count_standard_bitableaux, recording_fibers, rs_generalized
 from bncells.vogan import (
     CellularMap,
     VoganRun,
@@ -406,6 +406,15 @@ def test_rounds_refine_monotonically_and_reach_a_fixpoint(n):
             assert later.num_classes > earlier.num_classes
         assert run.final.same_blocks(run.rounds[-1])
         assert run.round_count == len(run.rounds) - 1
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_dominant_classes_are_the_recording_fibers(n):
+    # for b > (n-1) a the left cells are the recording-bitableau fibers
+    # (Bonnafe-Iancu, Represent. Theory 7, 2003); the oracle checks the
+    # classes against the cells only up to rank 4
+    run = vogan_classes(n, ASYM[n])
+    assert run.final.same_blocks(recording_fibers(n))
 
 
 def test_rank_six_dominant_round_counts():
