@@ -29,6 +29,7 @@ into the two pieces that stay inside single left cells at every weight.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,13 +39,14 @@ from .group import (
     SignedPerm,
     canonical_word,
     from_word,
-    group_elements,
     inverse,
+    lanes_at_least,
     length,
     length_t,
     mul,
     right_descents,
     suffixes,
+    window_bytes,
 )
 
 Window = tuple[int, ...]
@@ -95,10 +97,48 @@ def in_area_reduced(w: Sequence[int]) -> bool:
     return in_area(w) and w not in extreme_windows(len(w))
 
 
+def _region_flags(n: int) -> bytes:
+    """One byte per element in canonical order: 1 in the region, else 0.
+
+    In the region the absolute values of each sign decrease in window order
+    (positives decrease, negatives increase).  The columns of
+    :func:`~bncells.group.window_bytes` are walked left to right as ints
+    with one 8-bit lane per element, keeping per lane the absolute value of
+    the last positive and of the last negative entry so far; an entry at
+    least as large as the last one of its sign puts its window outside.
+    """
+    buf = window_bytes(n)
+    total = len(buf) // n
+    # value v is the byte v + n: its absolute value, and 0xFF where v > 0
+    absolute = bytes(abs(b - n) for b in range(256))
+    positive = bytes(0xFF if b > n else 0 for b in range(256))
+    ones = int.from_bytes(b"\x01" * total, "little")
+    high = ones << 7
+    last_positive = last_negative = (n + 1) * ones
+    outside = 0
+    for i in range(n):
+        column = buf[i::n]
+        values = int.from_bytes(column.translate(absolute), "little")
+        take = int.from_bytes(column.translate(positive), "little")
+        outside |= lanes_at_least(values, last_positive, high) & take
+        outside |= lanes_at_least(values, last_negative, high) & ~take
+        last_positive ^= (last_positive ^ values) & take
+        last_negative ^= (last_negative ^ values) & ~take
+    return ((high ^ outside) >> 7).to_bytes(total, "little")
+
+
 @functools.lru_cache(maxsize=None)
 def area_elements(n: int) -> tuple[Window, ...]:
-    """Region members in group enumeration order; count is ``sum C(n,q)^2``."""
-    out = tuple(w for w in group_elements(n) if in_area(w))
+    """Region members in group enumeration order; count is ``sum C(n,q)^2``.
+
+    Membership of every element is decided at once on the enumeration
+    buffer's columns (:func:`_region_flags`), and only the members are
+    decoded to windows.  The count is checked against the closed form.
+    """
+    buf = window_bytes(n)
+    values = tuple(range(-n, n + 1))
+    members = itertools.compress(range(0, len(buf), n), _region_flags(n))
+    out = tuple(tuple(map(values.__getitem__, buf[k : k + n])) for k in members)
     expected = sum(math.comb(n, q) ** 2 for q in range(n + 1))
     if len(out) != expected:
         raise FalsificationError(

@@ -44,6 +44,7 @@ from .group import (
     check_enumeration_rank,
     element_index,
     group_elements,
+    group_order,
     length,
     length_t,
     parse_window,
@@ -319,14 +320,12 @@ def cmd_verify(args, out) -> int:
 
 
 def _area_partition(n: int) -> GroupPartition:
-    lookup = {}
+    keys = [None] * group_order(n)
     for cell in area_decomposition(n):
         label = window_text(min(cell, key=lambda w: (length(w), w)))
         for w in cell:
-            lookup[w] = label
-    return GroupPartition.from_keys(
-        n, map(lookup.get, group_elements(n)), label_fn=str
-    )
+            keys[element_index(w)] = label
+    return GroupPartition.from_keys(n, keys, label_fn=str)
 
 
 def _partition_for(args) -> tuple[GroupPartition, dict]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .area import in_area_reduced
 from .descents import rxi_partition
@@ -40,6 +40,7 @@ from .group import (
     group_order,
     inverse,
     inverse_index_table,
+    iter_windows,
     lanes_at_least,
     mul,
     repeat_by_block,
@@ -60,7 +61,10 @@ def parabolic_elements(subset_id: str, n: int) -> tuple[tuple[int, ...], ...]:
 
     Subset "J" is enumerated as all-positive windows in lexicographic order;
     subset "K" reuses the canonical rank-``(n-1)`` enumeration (at ``n = 1``
-    the parabolic is trivial).
+    the parabolic is trivial).  The "K" tuples are kept, so only the
+    element-wise helpers (:meth:`CellularMap.apply`, :func:`left_extend`,
+    :func:`verify_admissible`) read them; :func:`build_psi` walks the
+    rank-``(n-1)`` windows one at a time instead.
     """
     if subset_id == "J":
         return tuple(itertools.permutations(range(1, n + 1)))
@@ -76,7 +80,8 @@ class CellularMap:
     """A permutation of a parabolic subgroup that cycles recording fibers.
 
     ``mapping`` is stored over the parabolic's own index space (see
-    :func:`parabolic_elements`).
+    :func:`parabolic_elements`), whose size is ``n!`` for "J" and the
+    rank-``(n-1)`` group order for "K".
     """
 
     subset_id: str
@@ -88,7 +93,10 @@ class CellularMap:
             raise InvalidInputError(
                 f"unsupported parabolic subset id {self.subset_id!r}"
             )
-        expected = len(parabolic_elements(self.subset_id, self.n))
+        if self.subset_id == "J":
+            expected = factorial(self.n)
+        else:
+            expected = group_order(self.n - 1)  # 1 at n = 1: the empty product
         if len(self.mapping) != expected:
             raise InvalidInputError(
                 f"mapping covers {len(self.mapping)} elements, parabolic has "
@@ -112,7 +120,7 @@ class CellularMap:
 # ---------------------------------------------------------------------------
 
 
-def _recording_cycles(elements: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _recording_cycles(elements: Iterable[Sequence[int]]) -> tuple[int, ...]:
     """Index map stepping each element's recording bitableau to the next one.
 
     One forward signed insertion per element gives the key ``(A, B, index)``
@@ -167,7 +175,9 @@ def _check_psi_gate(n: int, weight: WeightFunction) -> None:
 
 @lru_cache(maxsize=None)
 def _psi(n: int) -> CellularMap:
-    return CellularMap("K", n, _recording_cycles(parabolic_elements("K", n)))
+    # decoded one window at a time, so no tuple enumeration is kept
+    elements = iter_windows(n - 1) if n > 1 else [()]
+    return CellularMap("K", n, _recording_cycles(elements))
 
 
 build_psi.cache_info = _psi.cache_info

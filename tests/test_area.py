@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bncells import area
 from bncells.area import (
     area_decomposition,
     area_elements,
@@ -22,7 +23,7 @@ from bncells.area import (
     upsilon,
     upsilon_decomposition,
 )
-from bncells.errors import InvalidInputError
+from bncells.errors import FalsificationError, InvalidInputError
 from bncells.group import (
     element_index,
     from_word,
@@ -37,6 +38,7 @@ from bncells.group import (
 from bncells.hecke import left_cells
 from bncells.tableaux import Bipartition, shape
 
+from .oracles import coset_product_elements
 from .test_hecke import cached_kl
 
 
@@ -61,6 +63,19 @@ class TestMembership:
             assert len(area_elements(n)) == sum(
                 math.comb(n, q) ** 2 for q in range(n + 1)
             )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_region_filter_matches_the_window_test(self, n):
+        # the lane filter against the per-window test over the reference order
+        expected = tuple(w for w in coset_product_elements(n) if in_area(w))
+        assert area_elements(n) == expected
+
+    def test_count_check_fails_when_the_filter_drops_a_member(self, monkeypatch):
+        flags = bytearray(area._region_flags(4))
+        flags[flags.rindex(1)] = 0
+        monkeypatch.setattr(area, "_region_flags", lambda n: bytes(flags))
+        with pytest.raises(FalsificationError, match="region size 69 differs"):
+            area_elements.__wrapped__(4)
 
     def test_reduced_region_removes_the_two_extremes(self):
         for n in range(1, 6):

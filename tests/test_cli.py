@@ -516,3 +516,34 @@ def test_weights_of_one_regime_served_in_one_process_match_fresh_runs():
         if argv[-1] == "json":
             payload = json.loads(text)
             assert [str(payload["a"]), str(payload["b"])] == argv[4:7:2]
+
+
+def test_served_requests_build_no_window_tuples():
+    # a fresh process starts with every cache empty, so each request builds
+    # what it reads; only the oracle and verify may enumerate window tuples
+    argvs = [
+        ["area", "--n", "5"],
+        ["area", "--n", "5", "--format", "json"],
+        *(["cells", "--n", "5", "--method", m] for m in ("area", "vogan", "rs-asymptotic", "rxi")),
+        ["orbits", "--n", "5", "--side", "left"],
+        ["orbits", "--n", "5", "--side", "right"],
+        ["element", "--w", "-3,1,5,-2,4"],
+        ["element", "--w", "2,-5,-1,4,3", "--quick"],
+    ]
+    script = (
+        "import io, json, sys\n"
+        "from bncells.cli import main\n"
+        "from bncells.group import group_elements\n"
+        "codes = [main(argv, out=io.StringIO()) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, group_elements.cache_info().currsize]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, cached = json.loads(proc.stdout)
+    assert codes == [0] * len(argvs)
+    assert cached == 0

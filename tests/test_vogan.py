@@ -32,6 +32,7 @@ from bncells.vogan import (
     _minimal_index_labels,
     _negated_masks,
     _pattern_ranks,
+    _psi,
     build_epsilon,
     build_psi,
     classes_to_tsv,
@@ -82,6 +83,18 @@ def test_cellular_map_rejects_bad_payloads():
         CellularMap("J", 2, (0, 0))
     with pytest.raises(InvalidInputError):
         CellularMap("J", 2, (0,))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("subset_id", ["J", "K"])
+def test_cellular_map_checks_the_size_of_its_parabolic(subset_id, n):
+    # the "K" parabolic at rank 1 is trivial: one element
+    size = len(parabolic_elements(subset_id, n))
+    assert CellularMap(subset_id, n, tuple(range(size))).parabolic_size == size
+    not_onto = (size,) + tuple(range(1, size))
+    for mapping in (tuple(range(size + 1)), tuple(range(size - 1)), not_onto):
+        with pytest.raises(InvalidInputError):
+            CellularMap(subset_id, n, mapping)
 
 
 def test_parabolic_index_spaces():
@@ -440,6 +453,14 @@ def test_psi_is_built_once_per_rank():
         vogan_classes(4, weight)
         xi_orbits(4, weight)
     assert build_psi.cache_info().misses == before
+
+
+def test_psi_builds_no_window_tuples():
+    group_elements.cache_clear()
+    _psi.cache_clear()
+    for n in range(1, 7):
+        assert build_psi(n, ASYM[n]).parabolic_size == group_order(n - 1)
+    assert group_elements.cache_info().currsize == 0
 
 
 def test_gate_is_checked_for_each_weight_once_the_map_is_cached():
