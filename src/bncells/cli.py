@@ -546,9 +546,15 @@ def _glue_window_values(argv: list[str]) -> list[str]:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(
+    parser = build_parser()
+    args = parser.parse_args(
         _glue_window_values(list(sys.argv[1:] if argv is None else argv))
     )
+    if args.command == "cells" and args.allow_heavy and args.method != "oracle-kl":
+        parser.error(
+            f"cells --method {args.method} reads no --allow-heavy; only "
+            "--method oracle-kl does"
+        )
     try:
         _resolve_rank_defaults(args)
         return args.func(args, out)

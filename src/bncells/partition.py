@@ -21,8 +21,14 @@ from .errors import InvalidInputError
 OUTSIDE = -1
 
 
-def _canonical(keys: list[Hashable]) -> tuple[array, dict[Hashable, int]]:
-    """Dense ids by first appearance, and each distinct non-``None`` key's id."""
+def _canonical(keys: Iterable[Hashable]) -> tuple[array, dict[Hashable, int]]:
+    """Dense ids by first appearance, and each distinct non-``None`` key's id.
+
+    The keys are read twice, so an iterable other than a list is copied
+    into one first; a list is read as it is.
+    """
+    if not isinstance(keys, list):
+        keys = list(keys)
     first = dict.fromkeys(keys)
     first.pop(None, None)
     first = dict(zip(first, range(len(first))))
@@ -31,7 +37,7 @@ def _canonical(keys: list[Hashable]) -> tuple[array, dict[Hashable, int]]:
 
 def canonical_ids(keys: Iterable[Hashable]) -> array:
     """Dense ids in order of first appearance; ``None`` keys map to ``-1``."""
-    return _canonical(list(keys))[0]
+    return _canonical(keys)[0]
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class GroupPartition:
         ``label_fn`` maps a key to the class label; by default labels are
         omitted.
         """
-        ids, first = _canonical(list(keys))
+        ids, first = _canonical(keys)
         labels = None if label_fn is None else tuple(map(label_fn, first))
         return cls(n=n, class_id=ids, labels=labels)
 

@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from operator import add
+from operator import add, lt
 from typing import Iterable, Iterator, Sequence
 
 from .area import in_area_reduced
@@ -292,17 +292,8 @@ def extended_image_table(cmap: CellularMap) -> array:
 # ---------------------------------------------------------------------------
 
 
-def orbits_of_image_tables(
-    n: int, tables: Sequence[array], side: str = "right"
-) -> GroupPartition:
-    """Orbit partition of the group generated by the tabled permutations.
-
-    ``side="right"`` gives the orbits themselves; ``side="left"`` the
-    inverse-conjugated partition (``y`` joins ``w`` when ``y^-1`` and
-    ``w^-1`` share an orbit).
-    """
-    if side not in ("right", "left"):
-        raise InvalidInputError(f"side must be 'right' or 'left', got {side!r}")
+def orbits_of_image_tables(n: int, tables: Sequence[array]) -> GroupPartition:
+    """Orbit partition of the group generated by the tabled permutations."""
     total = group_order(n)
     # Each orbit is labelled whole when its least index is reached, so ids
     # come out in order of first appearance.  Following the tables forward
@@ -322,8 +313,6 @@ def orbits_of_image_tables(
                     ids[j] = count
                     stack.append(j)
         count += 1
-    if side == "left":
-        ids = canonical_ids(map(ids.__getitem__, inverse_index_table(n)))
     return GroupPartition(n=n, class_id=ids)
 
 
@@ -331,6 +320,10 @@ def xi_orbits(
     n: int, weight: WeightFunction, side: str = "right"
 ) -> GroupPartition:
     """Orbits of the group generated by both extended cycling maps.
+
+    ``side="right"`` gives the orbits themselves; ``side="left"`` the
+    inverse-conjugated partition (``y`` joins ``w`` when ``y^-1`` and
+    ``w^-1`` share an orbit).
 
     Precondition ``b > (n-2) a`` (inherited from the rank-down map).  Past
     that gate neither map reads the weight, so the orbits are cached on
@@ -342,9 +335,16 @@ def xi_orbits(
 
 @lru_cache(maxsize=None)
 def _orbits(n: int, side: str) -> GroupPartition:
+    if side == "left":
+        # relabelled from the right orbits, which are cached for their own requests
+        right = _orbits(n, "right").class_id
+        ids = canonical_ids(map(right.__getitem__, inverse_index_table(n)))
+        return GroupPartition(n=n, class_id=ids)
+    if side != "right":
+        raise InvalidInputError(f"side must be 'right' or 'left', got {side!r}")
     eps = extended_image_table(build_epsilon(n))
     psi = extended_image_table(_psi(n))
-    return orbits_of_image_tables(n, (eps, psi), side=side)
+    return orbits_of_image_tables(n, (eps, psi))
 
 
 xi_orbits.cache_info = _orbits.cache_info
@@ -357,29 +357,65 @@ xi_orbits.cache_info = _orbits.cache_info
 
 @dataclass(frozen=True)
 class VoganRun:
-    """A partition-refinement run: the seed, every distinct round, the fixpoint."""
+    """A partition-refinement run: the class count of each round, and the fixpoint.
+
+    ``round_classes`` counts the classes of the seed and of every distinct
+    round after it.  The round partitions are not kept: :attr:`rounds`
+    runs the refinement again to rebuild them.
+    """
 
     n: int
     weight: WeightFunction
-    rounds: tuple[GroupPartition, ...]
+    round_classes: tuple[int, ...]
     final: GroupPartition
 
     def __post_init__(self) -> None:
-        if not self.rounds:
+        counts = tuple(self.round_classes)
+        object.__setattr__(self, "round_classes", counts)
+        if not counts:
             raise InvalidInputError("a run records at least the seed partition")
-        if not self.final.same_blocks(self.rounds[-1]):
+        if not all(map(lt, counts, counts[1:])):
+            raise InvalidInputError("every round must split at least one class")
+        if counts[-1] != self.final.num_classes:
             raise InvalidInputError("final partition must match the last round")
 
     @property
     def round_count(self) -> int:
         """Number of refinement steps applied after the seed."""
-        return len(self.rounds) - 1
+        return len(self.round_classes) - 1
+
+    @property
+    def rounds(self) -> tuple[GroupPartition, ...]:
+        """The seed and every distinct round over the elements, rebuilt on each call.
+
+        The rebuilt rounds are checked against ``round_classes`` and
+        ``final``.
+        """
+        n = self.n
+        representative = self.weight.representative(n)
+        seed, count, eps, psi, fine = _refinement_space(n, representative)
+        rounds = tuple(
+            GroupPartition(n=n, class_id=_lift(ids, fine))
+            for ids, _ in _rounds(seed, count, eps, psi)
+        )
+        counts = tuple(r.num_classes for r in rounds)
+        if counts != self.round_classes or not self.final.same_blocks(rounds[-1]):
+            raise FalsificationError(
+                f"rank {n}: rebuilt rounds {counts} differ from the run's "
+                f"{self.round_classes}"
+            )
+        return rounds
+
+
+def _first_indices(ids: Sequence[int]) -> list[int]:
+    """The least element index of each class, by class id."""
+    # read backwards, each class's entry is overwritten last by its least index
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return list(map(first.__getitem__, range(len(first))))
 
 
 def _minimal_index_labels(ids: Sequence[int]) -> tuple[str, ...]:
-    # read backwards, each class's entry is overwritten last by its least index
-    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    return tuple(map(str, map(first.__getitem__, range(len(first)))))
+    return tuple(map(str, _first_indices(ids)))
 
 
 def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
@@ -387,50 +423,106 @@ def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
 
     Each round splits every class by the pair of classes its two images
     currently lie in, until a round splits nothing.  Final classes are
-    labeled by their minimal element index.
+    labeled by their minimal element index.  A weight with ``a <= b`` other
+    than the dominant one runs its rounds on the dominant run's classes
+    (:func:`_refinement_space`), so that run is made and cached first.
 
     The weight is read in two places: the seed :func:`rxi_partition` reads
     its gate profile and whether ``a > b``, and :func:`build_psi` reads the
     gate ``b > (n-2) a``, one gate of that profile.  So the caller's gate is
-    checked, then the rounds are cached on ``n`` and
+    checked, then the run is cached on ``n`` and
     :meth:`WeightFunction.representative`, which keeps exactly what is
     read; the run returned carries the caller's own weight.
     """
     _check_psi_gate(n, weight)
-    rounds, final = _refine(n, weight.representative(n))
-    return VoganRun(n=n, weight=weight, rounds=rounds, final=final)
+    round_classes, final = _refine(n, weight.representative(n))
+    return VoganRun(n=n, weight=weight, round_classes=round_classes, final=final)
 
 
 @lru_cache(maxsize=None)
 def _refine(
     n: int, representative: WeightFunction
-) -> tuple[tuple[GroupPartition, ...], GroupPartition]:
-    eps = extended_image_table(build_epsilon(n))
-    psi = extended_image_table(_psi(n))
-    seed = rxi_partition(n, representative)
-    rounds = [seed]
-    cur = seed.class_id
-    count = seed.num_classes
-    # A key packs the class ids of an element and of its images in base
-    # ``count``; ids are numbered by first appearance of their key.
-    while True:
-        seen: dict[int, int] = {}
-        ids = [
-            seen.setdefault((c * count + cur[e]) * count + cur[p], len(seen))
-            for c, e, p in zip(cur, eps, psi)
-        ]
-        new = array("i", ids)
-        if new == cur:
-            break
-        rounds.append(GroupPartition(n=n, class_id=new))
-        cur, count = new, len(seen)
-    final = GroupPartition(
-        n=n, class_id=cur, labels=_minimal_index_labels(cur)
+) -> tuple[tuple[int, ...], GroupPartition]:
+    seed, count, eps, psi, fine = _refinement_space(n, representative)
+    counts = []
+    for ids, count in _rounds(seed, count, eps, psi):
+        counts.append(count)
+    final = _lift(ids, fine)
+    return tuple(counts), GroupPartition(
+        n=n, class_id=final, labels=_minimal_index_labels(final)
     )
-    return tuple(rounds), final
 
 
 vogan_classes.cache_info = _refine.cache_info
+
+
+def _rounds(
+    ids: array, count: int, eps: Sequence[int], psi: Sequence[int]
+) -> Iterator[tuple[array, int]]:
+    """The seed's class ids and class count, then each round's, to the fixpoint.
+
+    A round keys every class by its own id and the ids its two images lie
+    in, packed in base ``count``, and numbers the keys by first appearance;
+    the loop stops at the first round that splits nothing.
+    """
+    while True:
+        yield ids, count
+        seen: dict[int, int] = {}
+        new = array(
+            "i",
+            [
+                seen.setdefault((c * count + ids[e]) * count + ids[p], len(seen))
+                for c, e, p in zip(ids, eps, psi)
+            ],
+        )
+        if new == ids:
+            return
+        ids, count = new, len(seen)
+
+
+def _refinement_space(
+    n: int, representative: WeightFunction
+) -> tuple[array, int, Sequence[int], Sequence[int], array | None]:
+    """What the rounds of one representative run on.
+
+    Returns the seed's ids and class count, the ε and ψ image tables and,
+    when the rounds run on the dominant weight's classes rather than on
+    the elements, each element's class there.
+
+    The dominant seed of ``(1, n)`` reads every gate, so each other seed
+    with ``a <= b`` reads a subset of its bits and the dominant fixpoint
+    ``F`` refines it.  ``F`` is stable under both maps, so every round
+    from such a seed is a union of ``F``-classes, and the rounds run on one
+    point per ``F``-class: its first element, whose seed id and images are
+    read there.  Classes are numbered by their first elements, so the ids
+    keep first-appearance order once lifted back through ``F``.  That ``F``
+    refines the seed is checked; ``a > b`` keeps the rounds on elements.
+    """
+    eps = extended_image_table(build_epsilon(n))
+    psi = extended_image_table(_psi(n))
+    dominant = WeightFunction(1, n)
+    if representative == dominant or representative.a > representative.b:
+        seed = rxi_partition(n, representative)
+        return seed.class_id, seed.num_classes, eps, psi, None
+    fine = _refine(n, dominant)[1].class_id
+    seed = rxi_partition(n, representative)
+    firsts = _first_indices(fine)
+    if len(set(zip(fine, seed.class_id))) != len(firsts):
+        raise FalsificationError(
+            f"rank {n}: the classes of weight (1,{n}) do not refine the seed "
+            f"of ({representative.a},{representative.b})"
+        )
+
+    def images(table: Sequence[int]) -> array:
+        return array("i", map(fine.__getitem__, map(table.__getitem__, firsts)))
+
+    seed_ids = array("i", map(seed.class_id.__getitem__, firsts))
+    return seed_ids, seed.num_classes, images(eps), images(psi), fine
+
+
+def _lift(ids: array, fine: array | None) -> array:
+    """Element-level ids of a partition of ``fine``'s classes (``None``: elements)."""
+    return ids if fine is None else array("i", map(ids.__getitem__, fine))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +635,7 @@ def run_summary(run: VoganRun) -> dict:
         "b": run.weight.b,
         "num_classes": run.final.num_classes,
         "round_count": run.round_count,
-        "round_classes": [r.num_classes for r in run.rounds],
+        "round_classes": list(run.round_classes),
     }
 
 

@@ -8,8 +8,9 @@ and dumb on purpose.  :func:`orbit_meets_canonical` is the exception: it is
 the existential definition that a closed form in the library replaces, so it
 is written with the library's own pieces.  The ``reference_*`` functions are
 the per-element loops that builtins replaced in the library (id density,
-canonical ids, minimal-index labels, window texts, recording fibers), kept
-to compare with.
+canonical ids, minimal-index labels, window texts, recording fibers) or
+that a cheaper scheme replaced (the refinement rounds, each run on the
+elements and kept), kept to compare with.
 :func:`coset_product_elements` is the canonical order by its definition,
 one window product per element, which the library's enumeration buffer must
 reproduce.
@@ -18,8 +19,10 @@ reproduce.
 from __future__ import annotations
 
 import functools
+from array import array
 from collections import deque
 
+from bncells.descents import rxi_partition
 from bncells.group import (
     check_enumeration_rank,
     element_index,
@@ -41,7 +44,12 @@ from bncells.tableaux import (
     standard_bitableaux,
     standard_tableaux,
 )
-from bncells.vogan import build_epsilon, parabolic_elements
+from bncells.vogan import (
+    build_epsilon,
+    build_psi,
+    extended_image_table,
+    parabolic_elements,
+)
 
 # Generator letter codes, mirroring the library convention: 0 is the sign
 # change, i >= 1 is the adjacent swap at positions i, i+1.
@@ -300,6 +308,31 @@ def reference_canonical_ids(keys) -> list[int]:
             seen[key] = len(seen)
         ids.append(seen[key])
     return ids
+
+
+def reference_rounds(n: int, weight) -> list[GroupPartition]:
+    """The seed and every distinct synchronous round, over the elements, each kept.
+
+    Each round keys every element by its class and the classes of its
+    images under the extended ε and ψ tables, numbered by first
+    appearance, until a round splits nothing.
+    """
+    eps = extended_image_table(build_epsilon(n))
+    psi = extended_image_table(build_psi(n, weight))
+    seed = rxi_partition(n, weight)
+    rounds = [seed]
+    cur, count = seed.class_id, seed.num_classes
+    while True:
+        seen: dict[int, int] = {}
+        ids = [
+            seen.setdefault((c * count + cur[e]) * count + cur[p], len(seen))
+            for c, e, p in zip(cur, eps, psi)
+        ]
+        new = array("i", ids)
+        if new == cur:
+            return rounds
+        rounds.append(GroupPartition(n=n, class_id=new))
+        cur, count = new, len(seen)
 
 
 def reference_minimal_index_labels(ids) -> tuple[str, ...]:

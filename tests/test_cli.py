@@ -36,6 +36,10 @@ def run_cli(*argv):
         ("area", "--n", "3", "--jobs", "2"),
         ("orbits", "--n", "3", "--allow-heavy"),
         ("element", "--w", "1,-2", "--quick", "--allow-heavy"),
+        *(
+            ("cells", "--n", "3", "--method", method, "--allow-heavy")
+            for method in ("vogan", "rs-asymptotic", "rxi", "orbits", "area")
+        ),
     ],
 )
 def test_no_subcommand_accepts_a_flag_it_ignores(argv):
@@ -160,6 +164,12 @@ def test_verify_budget_guard_exits_two(capsys):
     code, _ = run_cli("verify", "--n", "5", "--a", "1", "--b", "5")
     assert code == 2
     assert "--allow-heavy" in capsys.readouterr().err
+
+
+def test_cells_reads_allow_heavy_for_the_oracle():
+    heavy = run_cli("cells", "--n", "2", "--method", "oracle-kl", "--allow-heavy")
+    assert heavy == run_cli("cells", "--n", "2", "--method", "oracle-kl")
+    assert heavy[0] == 0
 
 
 @pytest.mark.parametrize("n", ["5", "6"])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from bncells.area import area_elements, in_area, in_area_reduced
 from bncells.descents import rxi_partition
-from bncells.errors import InvalidInputError, RegimeError
+from bncells import vogan
+from bncells.errors import FalsificationError, InvalidInputError, RegimeError
 from bncells.group import (
     MAX_ENUMERATION_RANK,
     WeightFunction,
@@ -33,6 +34,7 @@ from bncells.vogan import (
     _negated_masks,
     _pattern_ranks,
     _psi,
+    _refine,
     build_epsilon,
     build_psi,
     classes_to_tsv,
@@ -54,6 +56,7 @@ from .oracles import (
     oracle_j_table,
     oracle_pair_refinement,
     reference_minimal_index_labels,
+    reference_rounds,
 )
 from .test_hecke import cached_kl
 
@@ -414,11 +417,74 @@ def test_region_is_a_union_of_classes(n):
 def test_rounds_refine_monotonically_and_reach_a_fixpoint(n):
     for weight in (ASYM[n], WeightFunction(1, n - 1)):
         run = vogan_classes(n, weight)
-        for earlier, later in zip(run.rounds, run.rounds[1:]):
+        rounds = run.rounds
+        for earlier, later in zip(rounds, rounds[1:]):
             assert later.refines(earlier)
             assert later.num_classes > earlier.num_classes
-        assert run.final.same_blocks(run.rounds[-1])
-        assert run.round_count == len(run.rounds) - 1
+        assert run.final.same_blocks(rounds[-1])
+        assert run.round_classes == tuple(r.num_classes for r in rounds)
+        assert run.round_count == len(rounds) - 1
+        # rebuilt on each read, not kept
+        assert run.rounds is not rounds and run.rounds[-1].same_blocks(rounds[-1])
+
+
+def representatives(n):
+    """Every representative weight the refinement accepts at rank ``n``."""
+    weights = (WeightFunction(a, b) for a in range(1, 4) for b in range(1, 3 * n + 2))
+    return sorted(
+        {w.representative(n) for w in weights if w.slope_exceeds(n - 2)},
+        key=lambda w: (w.a, w.b),
+    )
+
+
+def test_representatives_cover_both_sides_of_a_equals_b_at_rank_two():
+    assert representatives(2) == [
+        WeightFunction(1, 1),
+        WeightFunction(1, 2),
+        WeightFunction(2, 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,weight",
+    [(n, w) for n in range(1, 7) for w in representatives(n)],
+    ids=lambda v: str(v) if isinstance(v, int) else f"{v.a},{v.b}",
+)
+def test_runs_match_the_reference_rounds_kept_over_the_elements(n, weight):
+    reference = reference_rounds(n, weight)
+    run = vogan_classes(n, weight)
+    assert run.round_classes == tuple(r.num_classes for r in reference)
+    for rebuilt, kept in zip(run.rounds, reference, strict=True):
+        assert rebuilt.class_id == kept.class_id
+    assert run.final.class_id == reference[-1].class_id
+    assert run.final.labels == reference_minimal_index_labels(run.final.class_id)
+
+
+def test_a_non_dominant_run_reads_the_cached_dominant_run():
+    _refine.cache_clear()
+    vogan_classes(5, ASYM[5])
+    before = _refine.cache_info()
+    vogan_classes(5, WeightFunction(1, 4))
+    after = _refine.cache_info()
+    # one miss for (1,4) itself, one hit for the dominant classes it runs on
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+def test_a_seed_the_dominant_classes_do_not_refine_is_refused(monkeypatch):
+    _refine.cache_clear()
+    vogan_classes(3, ASYM[3])  # the dominant run, from its own seed
+
+    def discrete_boundary_seed(n, weight):
+        if weight == ASYM[n]:
+            return rxi_partition(n, weight)
+        return GroupPartition(n=n, class_id=array("i", range(group_order(n))))
+
+    monkeypatch.setattr(vogan, "rxi_partition", discrete_boundary_seed)
+    try:
+        with pytest.raises(FalsificationError, match=r"\(1,3\) do not refine"):
+            vogan_classes(3, WeightFunction(1, 2))
+    finally:
+        _refine.cache_clear()  # no run from the forged seed outlives the test
 
 
 @pytest.mark.parametrize("n", (5, 6))
@@ -432,7 +498,7 @@ def test_dominant_classes_are_the_recording_fibers(n):
 
 def test_rank_six_dominant_round_counts():
     run = vogan_classes(6, ASYM[6])
-    assert [r.num_classes for r in run.rounds] == [486, 1195, 1359, 1383, 1384]
+    assert run.round_classes == (486, 1195, 1359, 1383, 1384)
 
 
 @pytest.mark.parametrize(
@@ -475,7 +541,8 @@ def test_weights_of_one_regime_share_a_run_but_keep_their_own_weight():
     # same gate profile, one refinement, two weights reported
     first = vogan_classes(3, WeightFunction(1, 2))
     second = vogan_classes(3, WeightFunction(3, 5))
-    assert second.rounds is first.rounds and second.final is first.final
+    assert second.round_classes is first.round_classes
+    assert second.final is first.final
     assert (run_summary(second)["a"], run_summary(second)["b"]) == (3, 5)
     assert xi_orbits(3, WeightFunction(3, 5)) is xi_orbits(3, WeightFunction(1, 7))
     flipped = vogan_classes(2, WeightFunction(2, 1))
@@ -483,12 +550,20 @@ def test_weights_of_one_regime_share_a_run_but_keep_their_own_weight():
 
 
 def test_run_validation():
-    with pytest.raises(InvalidInputError):
-        VoganRun(2, ASYM[2], (), GroupPartition(n=2, class_id=[0] * 8))
-    seed = GroupPartition(n=2, class_id=[0] * 8)
-    other = GroupPartition(n=2, class_id=[0, 1] * 4)
-    with pytest.raises(InvalidInputError):
-        VoganRun(2, ASYM[2], (seed,), other)
+    final = GroupPartition(n=2, class_id=[0, 1] * 4)
+    with pytest.raises(InvalidInputError, match="at least the seed"):
+        VoganRun(2, ASYM[2], (), final)
+    with pytest.raises(InvalidInputError, match="split at least one class"):
+        VoganRun(2, ASYM[2], (2, 2), final)
+    with pytest.raises(InvalidInputError, match="match the last round"):
+        VoganRun(2, ASYM[2], (1, 3), final)
+
+
+def test_rounds_that_disagree_with_the_counts_are_refused():
+    run = vogan_classes(3, ASYM[3])
+    forged = VoganRun(3, ASYM[3], (1,) + run.round_classes, run.final)
+    with pytest.raises(FalsificationError, match="rebuilt rounds"):
+        forged.rounds
 
 
 # -- the canonical-shape meeting property ----------------------------------------
