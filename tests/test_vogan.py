@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bncells import vogan
 from bncells.area import area_elements, in_area, in_area_reduced
 from bncells.descents import rxi_partition
-from bncells import vogan
 from bncells.errors import FalsificationError, InvalidInputError, RegimeError
 from bncells.group import (
     MAX_ENUMERATION_RANK,
@@ -435,14 +435,6 @@ def representatives(n):
         {w.representative(n) for w in weights if w.slope_exceeds(n - 2)},
         key=lambda w: (w.a, w.b),
     )
-
-
-def test_representatives_cover_both_sides_of_a_equals_b_at_rank_two():
-    assert representatives(2) == [
-        WeightFunction(1, 1),
-        WeightFunction(1, 2),
-        WeightFunction(2, 1),
-    ]
 
 
 @pytest.mark.parametrize(
