@@ -97,6 +97,17 @@ def in_area_reduced(w: Sequence[int]) -> bool:
     return in_area(w) and w not in extreme_windows(len(w))
 
 
+def star_closed_form(z: Sequence[int]) -> bool:
+    """O(1) window test for the canonical-shape meeting property.
+
+    Holds unless ``z`` lies in the reduced staircase-shape region with its
+    last entry or its inverse's last entry negative.
+    """
+    if not in_area_reduced(z):
+        return True
+    return z[-1] > 0 and inverse(z)[-1] > 0
+
+
 def _region_flags(n: int) -> bytes:
     """One byte per element in canonical order: 1 in the region, else 0.
 

@@ -25,18 +25,21 @@ All output is newline-terminated UTF-8; ``--format tsv|json`` selects the
 encoding.  Exit codes: 0 = all checks pass, 1 = a checked claim is false,
 2 = usage, budget, or regime error, 141 = the reader closed the output pipe
 (the status a shell reports for SIGPIPE).
+
+The Hecke oracle (:mod:`bncells.hecke`) and the region module
+(:mod:`bncells.area`) are imported by the commands that run them, and
+call sites go through the module (``hecke.left_cells``), so a process that
+only refines classes never loads either.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from functools import lru_cache
 
-from .area import area_decomposition, area_elements, in_area, upsilon_decomposition
 from .descents import rxi, rxi_partition, XiDescentSet
 from .errors import BnCellsError, FalsificationError, RankError
 from .group import (
@@ -51,7 +54,6 @@ from .group import (
     right_descents,
     window_text,
 )
-from .hecke import check_oracle_budget, kl_basis, left_cells
 from .partition import GroupPartition
 from .tableaux import count_standard_bitableaux, recording_fibers, rs_generalized
 from .vogan import classes_to_tsv, run_summary, vogan_classes, xi_orbits
@@ -76,6 +78,8 @@ def _emit(lines, out) -> None:
 
 
 def _emit_json(payload, out) -> None:
+    import json
+
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -118,11 +122,13 @@ def _table_row(n: int, exact: bool) -> dict:
         bnd_count = _boundary_count_formula(n)
         source = "formula"
     if n <= ORACLE_CROSS_CHECK_MAX_RANK:
+        from . import hecke
+
         for weight, refined in (
             (WeightFunction(1, n), dominant),
             (WeightFunction(1, n - 1), boundary),
         ):
-            oracle = left_cells(kl_basis(n, weight))
+            oracle = hecke.left_cells(hecke.kl_basis(n, weight))
             if not oracle.same_blocks(refined):
                 raise FalsificationError(
                     f"rank {n}, weight ({weight.a},{weight.b}): oracle cells "
@@ -195,7 +201,9 @@ def _class_diff(oracle: GroupPartition, classes: GroupPartition) -> str:
 
 
 def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
-    oracle = left_cells(kl_basis(n, weight, allow_heavy=allow_heavy))
+    from . import area, hecke
+
+    oracle = hecke.left_cells(hecke.kl_basis(n, weight, allow_heavy=allow_heavy))
     agree = oracle.same_blocks(run.final)
     checks.append(
         {
@@ -209,10 +217,10 @@ def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
 
     oracle_sets = _cells_as_sets(oracle)
     if weight.regime(n) == "asymptotic":
-        region_cells = area_decomposition(n)
+        region_cells = area.area_decomposition(n)
         label = "region cells"
     else:
-        region_cells = upsilon_decomposition(n)
+        region_cells = area.upsilon_decomposition(n)
         label = "region cell pairs"
     bad = [cell for cell in region_cells if frozenset(cell) not in oracle_sets]
     checks.append(
@@ -229,15 +237,15 @@ def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
         companion = WeightFunction(1, n - 1)
         dominant_cells = oracle_sets
         boundary_cells = _cells_as_sets(
-            left_cells(kl_basis(n, companion, allow_heavy=allow_heavy))
+            hecke.left_cells(hecke.kl_basis(n, companion, allow_heavy=allow_heavy))
         )
     else:
         companion = WeightFunction(1, n)
         boundary_cells = oracle_sets
         dominant_cells = _cells_as_sets(
-            left_cells(kl_basis(n, companion, allow_heavy=allow_heavy))
+            hecke.left_cells(hecke.kl_basis(n, companion, allow_heavy=allow_heavy))
         )
-    region = set(area_elements(n))
+    region = set(area.area_elements(n))
     offenders = [
         cell
         for cell in dominant_cells
@@ -256,6 +264,8 @@ def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
 
 
 def cmd_verify(args, out) -> int:
+    from . import hecke
+
     n = args.n
     if n < 2:
         raise RankError(f"verify needs rank >= 2 for the weight (1,n-1), got {n}")
@@ -264,7 +274,7 @@ def cmd_verify(args, out) -> int:
     # every regime the refinement accepts ("low" raises a RegimeError in
     # vogan_classes) runs the oracle, so its budget is checked first
     if regime != "low":
-        check_oracle_budget(n, args.allow_heavy)
+        hecke.check_oracle_budget(n, args.allow_heavy)
     run = vogan_classes(n, weight)
     checks: list[dict] = []
     if regime in ("asymptotic", "intermediate"):
@@ -274,7 +284,8 @@ def cmd_verify(args, out) -> int:
         # equality is not claimed here, and the oracle shows more cells
         # than classes; what is checked is that each cell lies in one class
         regime_label = f"{regime} (conjectural regime)"
-        oracle = left_cells(kl_basis(n, weight, allow_heavy=args.allow_heavy))
+        kl = hecke.kl_basis(n, weight, allow_heavy=args.allow_heavy)
+        oracle = hecke.left_cells(kl)
         split = sum(
             len({run.final.class_of(i) for i in members}) > 1
             for members in oracle.classes()
@@ -320,8 +331,10 @@ def cmd_verify(args, out) -> int:
 
 
 def _area_partition(n: int) -> GroupPartition:
+    from . import area
+
     keys = [None] * group_order(n)
-    for cell in area_decomposition(n):
+    for cell in area.area_decomposition(n):
         label = window_text(min(cell, key=lambda w: (length(w), w)))
         for w in cell:
             keys[element_index(w)] = label
@@ -333,7 +346,9 @@ def _partition_for(args) -> tuple[GroupPartition, dict]:
     n, weight = args.n, WeightFunction(args.a, args.b)
     extra: dict = {}
     if args.method == "oracle-kl":
-        part = left_cells(kl_basis(n, weight, allow_heavy=args.allow_heavy))
+        from . import hecke
+
+        part = hecke.left_cells(hecke.kl_basis(n, weight, allow_heavy=args.allow_heavy))
     elif args.method == "vogan":
         run = vogan_classes(n, weight)
         part = run.final
@@ -386,14 +401,16 @@ def cmd_orbits(args, out) -> int:
 
 
 def cmd_area(args, out) -> int:
+    from . import area
+
     part = _area_partition(args.n)
     if args.format == "json":
-        cells = area_decomposition(args.n)
+        cells = area.area_decomposition(args.n)
         _emit_json(
             {
                 "n": args.n,
                 "num_classes": part.num_classes,
-                "region_size": len(area_elements(args.n)),
+                "region_size": len(area.area_elements(args.n)),
                 "cell_sizes": sorted(len(c) for c in cells),
             },
             out,
@@ -409,6 +426,8 @@ def cmd_area(args, out) -> int:
 
 
 def cmd_element(args, out) -> int:
+    from . import area
+
     w = parse_window(args.w)
     n = len(w)
     weight = WeightFunction(args.a, args.b if args.b is not None else n)
@@ -423,7 +442,7 @@ def cmd_element(args, out) -> int:
         "insertion": a_tab.to_text(),
         "recording": b_tab.to_text(),
         "shape": a_tab.shape.to_text(),
-        "in_area": in_area(w),
+        "in_area": area.in_area(w),
     }
     if not args.quick:
         idx = element_index(w)

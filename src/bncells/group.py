@@ -28,6 +28,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import functools
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -268,13 +269,6 @@ def left_descents(w: Sequence[int]) -> frozenset[int]:
     return right_descents(inverse(w))
 
 
-def is_descent(w: Sequence[int], g: int) -> bool:
-    """O(1) test of whether letter ``g`` is a right descent of ``w``."""
-    if g == T_LETTER:
-        return w[0] < 0
-    return w[g] < w[g - 1]
-
-
 # ---------------------------------------------------------------------------
 # reduced words and suffixes
 # ---------------------------------------------------------------------------
@@ -334,34 +328,6 @@ def suffixes(w: Sequence[int]) -> frozenset[tuple[int, ...]]:
     [(-2, 1), (-1, 2), (1, 2)]
     """
     return _suffixes_cached(tuple(w))
-
-
-# ---------------------------------------------------------------------------
-# longest parabolic elements
-# ---------------------------------------------------------------------------
-
-
-def longest_parabolic(n: int, gens: Iterable[int]) -> SignedPerm:
-    """Longest element of the standard parabolic subgroup generated by ``gens``.
-
-    Built by greedy ascent: repeatedly right-multiply by any generator that
-    increases length, until every generator is a descent.
-
-    >>> longest_parabolic(3, (1, 2)).window      # reversal of the positive block
-    (3, 2, 1)
-    >>> longest_parabolic(2, (0, 1)).window      # longest element of the full group
-    (-1, -2)
-    """
-    gens = tuple(sorted(check_letters(n, gens)))
-    w: Sequence[int] = tuple(range(1, n + 1))
-    progressed = True
-    while progressed:
-        progressed = False
-        for g in gens:
-            if not is_descent(w, g):
-                w = mul_gen_right(w, g)
-                progressed = True
-    return SignedPerm(w)
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +481,30 @@ def lanes_at_least(x: int, y: int, high: int) -> int:
 
 
 def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
-    """Every window in canonical order, decoded one at a time from
-    :func:`window_bytes`; each value is one shared int object."""
-    buf = window_bytes(n)
-    values = tuple(range(-n, n + 1))
-    return zip(*[map(values.__getitem__, buf)] * n)
+    """Every window in canonical order, decoded from :func:`window_bytes`.
+
+    Two C-level steps: one ``bytes.translate`` turns each stored byte
+    ``v + n`` into the signed byte ``v``, and ``struct.iter_unpack`` reads
+    the windows off the result ``n`` bytes at a time.  Values from ``-5`` up
+    are CPython's shared small ints; ``-6`` and ``-7`` are made per entry.
+    """
+    signed = bytes((b - n) & 0xFF for b in range(256))
+    return struct.iter_unpack(f"{n}b", window_bytes(n).translate(signed))
 
 
 @functools.lru_cache(maxsize=None)
 def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
     """All ``2^n n!`` windows in canonical order (identity first), kept.
 
+    The tuples of :func:`iter_windows`; ``tuple()`` reads the iterator's
+    length hint, so it sizes the result once.
+
     >>> group_elements(1)
     ((1,), (-1,))
     >>> len(group_elements(3))
     48
     """
-    # through a list: a tuple grown from the iterator took 1.8 times as long
-    return tuple(list(iter_windows(n)))
+    return tuple(iter_windows(n))
 
 
 def window_texts(n: int) -> Iterator[str]:

@@ -135,10 +135,6 @@ def h_add_scaled(target: HeckeElt, source: Terms, factor: dict[int, int]) -> Non
         _add_term(target, i, poly, pairs)
 
 
-def h_equal(x: HeckeElt, y: HeckeElt) -> bool:
-    return {i: c for i, c in x.items() if c} == {i: c for i, c in y.items() if c}
-
-
 def c_gen_mul(
     tables: GroupTables,
     weight: WeightFunction,
@@ -312,9 +308,9 @@ def kl_basis(
 
     The budget is checked first (:func:`check_oracle_budget`).  The result
     is certified by :func:`verify_bar_invariance` at every rank unless
-    ``check_bar=False``, and the degenerate products
-    ``C_g * C_w = (v^c + v^-c) C_w`` (for ``g`` shortening ``w``) are
-    checked up to rank 3.
+    ``check_bar=False``; that certificate proves the basis canonical, so the
+    degenerate products ``C_g * C_w = (v^c + v^-c) C_w`` (for ``g``
+    shortening ``w``) test only :func:`c_gen_mul` and are left to its tests.
 
     Each ``C_w`` is built as a transient dict and interned
     (:func:`intern_element`) once it is finished; nothing else is interned.
@@ -373,8 +369,6 @@ def kl_basis(
 
     if check_bar:
         verify_bar_invariance(result)
-    if n <= 3:
-        verify_degenerate_products(result)
     return result
 
 
@@ -470,23 +464,6 @@ def verify_bar_invariance(kl: KLBasis) -> None:
             raise FalsificationError(f"{step}: {exc}") from exc
         if h:
             raise FalsificationError(f"{step}: residue on {len(h)} elements")
-
-
-def verify_degenerate_products(kl: KLBasis) -> None:
-    """Assert ``C_g * C_w = (v^c + v^-c) C_w`` whenever ``g`` shortens ``w``."""
-    tables, weight = kl.tables, kl.weight
-    for g in range(kl.n):
-        c = weight.letter_weight(g)
-        for iw in range(tables.order):
-            if not tables.is_left_descent(g, iw):
-                continue
-            got = c_gen_mul(tables, weight, g, kl.terms(iw))
-            expected: HeckeElt = {}
-            h_add_scaled(expected, kl.terms(iw), {c: 1, -c: 1})
-            if not h_equal(got, expected):
-                raise FalsificationError(
-                    f"degenerate product rule fails for generator {g}, index {iw}"
-                )
 
 
 # ---------------------------------------------------------------------------

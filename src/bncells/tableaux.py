@@ -9,15 +9,15 @@ standard Young tableaux whose entry sets partition ``{1, ..., n}``:
 - the recording pair ``B`` stores the window *positions* at which the
   corresponding boxes were created.
 
-Both maps are bijections (inverse provided), and ``B(w) = A(w^{-1})``.  On
-an all-positive window the minus tableaux are empty and this is classic
-Robinson-Schensted.  One loop, :func:`insertion_rows`, does every insertion.
+Both maps are bijections, and ``B(w) = A(w^{-1})``.  On an all-positive
+window the minus tableaux are empty and this is classic Robinson-Schensted.
+One loop, :func:`insertion_rows`, does every insertion.
 
 Text formats: rows of a tableau are ``";"``-separated with space-separated
 entries; the two tableaux of a bitableau are joined by ``" | "``; an empty
 tableau renders as ``"-"``.
 
->>> A, B = rs_generalized(SignedPerm((-7, -5, 6, 4, 3, -2, 1)))
+>>> A, B = rs_generalized((-7, -5, 6, 4, 3, -2, 1))
 >>> A.to_text()
 '1;3;4;6 | 2;5;7'
 >>> B.to_text()
@@ -27,15 +27,14 @@ tableau renders as ``"-"``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FalsificationError, InvalidInputError
-from .group import SignedPerm, iter_windows, longest_parabolic, mul
+from .errors import InvalidInputError
+from .group import iter_windows
 from .partition import GroupPartition
 
 Partition = tuple[int, ...]
@@ -222,53 +221,6 @@ class StandardTableau:
         return ";".join(" ".join(str(x) for x in row) for row in self.rows)
 
 
-def _removable_corners(shape: Sequence[int]) -> list[int]:
-    return [
-        r
-        for r in range(len(shape))
-        if r == len(shape) - 1 or shape[r] > shape[r + 1]
-    ]
-
-
-def standard_tableaux(
-    shape: Partition, entries: Iterable[int] | None = None
-) -> list[StandardTableau]:
-    """All standard fillings of ``shape`` with the given entry set.
-
-    Entries default to ``1..size``; any distinct integers work (the filling
-    is standard relative to their order).
-
-    >>> [t.to_text() for t in standard_tableaux((2, 1))]
-    ['1 2;3', '1 3;2']
-    """
-    shape = check_partition(shape)
-    total = sum(shape)
-    ent = tuple(range(1, total + 1)) if entries is None else tuple(sorted(entries))
-    if len(ent) != total or len(set(ent)) != total:
-        raise InvalidInputError("entry set size must match the shape")
-
-    def rec(sh: tuple[int, ...], upto: int) -> list[tuple[tuple[int, ...], ...]]:
-        if not sh:
-            return [()]
-        out = []
-        x = ent[upto - 1]
-        for r in _removable_corners(sh):
-            smaller = tuple(
-                length - (1 if i == r else 0) for i, length in enumerate(sh)
-            )
-            if smaller and smaller[-1] == 0:
-                smaller = smaller[:-1]
-            for rows in rec(smaller, upto - 1):
-                padded = list(rows) + [()] * (len(sh) - len(rows))
-                padded[r] = padded[r] + (x,)
-                out.append(tuple(padded))
-        return out
-
-    result = [StandardTableau(rows) for rows in rec(shape, total)]
-    result.sort(key=lambda t: t.row_reading_word())
-    return result
-
-
 # ---------------------------------------------------------------------------
 # bitableaux
 # ---------------------------------------------------------------------------
@@ -305,20 +257,6 @@ class Bitableau:
         return f"{self.plus.to_text()} | {self.minus.to_text()}"
 
 
-def standard_bitableaux(shape: Bipartition) -> list[Bitableau]:
-    """All standard bitableaux of the given shape (entries ``1..size``)."""
-    n = shape.size
-    k = sum(shape.plus_part)
-    out = []
-    for plus_entries in itertools.combinations(range(1, n + 1), k):
-        minus_entries = tuple(sorted(set(range(1, n + 1)) - set(plus_entries)))
-        for tp in standard_tableaux(shape.plus_part, plus_entries):
-            for tm in standard_tableaux(shape.minus_part, minus_entries):
-                out.append(Bitableau(tp, tm))
-    out.sort(key=lambda b: b.row_reading_word())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # insertion
 # ---------------------------------------------------------------------------
@@ -338,18 +276,6 @@ def _insert(rows: list[list[int]], x: int) -> int:
             return r
         x, row[c] = row[c], x
         r += 1
-
-
-def _reverse_insert(rows: list[list[int]], r: int) -> int:
-    """Undo an insertion whose final box was at the end of row ``r``."""
-    x = rows[r].pop()
-    if not rows[r]:
-        del rows[r]
-    for rr in range(r - 1, -1, -1):
-        row = rows[rr]
-        c = bisect_left(row, x) - 1
-        x, row[c] = row[c], x
-    return x
 
 
 def _freeze(rows: list[list[int]]) -> StandardTableau:
@@ -399,19 +325,6 @@ def pack_rows(plus: list[list[int]], minus: list[list[int]]) -> bytes:
     return bytes(key)
 
 
-def rs_classic_inverse(P: StandardTableau, Q: StandardTableau) -> tuple[int, ...]:
-    """The ``u`` with ``rs_generalized(u) == ((P | -), (Q | -))``; equal shapes."""
-    if P.shape != Q.shape:
-        raise InvalidInputError("insertion/recording shapes differ")
-    p_rows = [list(r) for r in P.rows]
-    where = {x: r for r, row in enumerate(Q.rows) for x in row}
-    n = P.size
-    out = [0] * n
-    for j in range(n, 0, -1):
-        out[j - 1] = _reverse_insert(p_rows, where[j])
-    return tuple(out)
-
-
 def rs_generalized(w: Sequence[int]) -> tuple[Bitableau, Bitableau]:
     """Signed-permutation insertion (see module docstring for the convention).
 
@@ -448,24 +361,6 @@ def recording_fibers(n: int) -> GroupPartition:
     return GroupPartition(n=n, class_id=ids, labels=tuple(labels))
 
 
-def rs_generalized_inverse(A: Bitableau, B: Bitableau) -> SignedPerm:
-    """Inverse of :func:`rs_generalized`; requires componentwise equal shapes."""
-    if A.shape != B.shape:
-        raise InvalidInputError("insertion/recording shapes differ")
-    ap = [list(r) for r in A.plus.rows]
-    am = [list(r) for r in A.minus.rows]
-    where_plus = {x: r for r, row in enumerate(B.plus.rows) for x in row}
-    where_minus = {x: r for r, row in enumerate(B.minus.rows) for x in row}
-    n = A.size
-    out = [0] * n
-    for j in range(n, 0, -1):
-        if j in where_plus:
-            out[j - 1] = _reverse_insert(ap, where_plus[j])
-        else:
-            out[j - 1] = -_reverse_insert(am, where_minus[j])
-    return SignedPerm(out)
-
-
 def shape(w: Sequence[int]) -> Bipartition:
     """Common shape of the insertion and recording bitableaux of ``w``.
 
@@ -474,45 +369,6 @@ def shape(w: Sequence[int]) -> Bipartition:
     """
     A, _ = rs_generalized(w)
     return A.shape
-
-
-# ---------------------------------------------------------------------------
-# canonical shape representatives
-# ---------------------------------------------------------------------------
-
-
-def canonical_element(shape_: Bipartition, n: int) -> SignedPerm:
-    """A distinguished element whose insertion shape is the conjugate of ``shape_``.
-
-    Constructed as the longest element of the swap-only parabolic whose block
-    sizes are the concatenated parts (positive component first), multiplied by
-    the longest element of the rank-``q`` sign-change subgroup, where ``q``
-    is the size of the positive component.  The resulting shape is verified.
-
-    >>> canonical_element(Bipartition((2,), (2,)), 4).window
-    (-2, -1, 4, 3)
-    """
-    if shape_.size != n:
-        raise InvalidInputError(f"bipartition of size {shape_.size} in rank {n}")
-    q = sum(shape_.plus_part)
-    cuts = set()
-    acc = 0
-    for part in shape_.plus_part + shape_.minus_part:
-        acc += part
-        if acc < n:
-            cuts.add(acc)
-    gens = [i for i in range(1, n) if i not in cuts]
-    w_blocks = longest_parabolic(n, gens)
-    w_signs = tuple(range(-1, -q - 1, -1)) + tuple(range(q + 1, n + 1))
-    out = SignedPerm(mul(w_blocks, w_signs))
-    got = shape(out)
-    expected = shape_.conjugate()
-    if got != expected:
-        raise FalsificationError(
-            f"canonical element shape mismatch: got {got.to_text()}, "
-            f"expected {expected.to_text()}"
-        )
-    return out
 
 
 if __name__ == "__main__":  # pragma: no cover

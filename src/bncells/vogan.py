@@ -28,7 +28,6 @@ from math import factorial
 from operator import add, lt
 from typing import Iterable, Iterator, Sequence
 
-from .area import in_area_reduced
 from .descents import rxi_partition
 from .errors import FalsificationError, InvalidInputError, RegimeError
 from .group import (
@@ -38,7 +37,6 @@ from .group import (
     fix_last_projection,
     group_elements,
     group_order,
-    inverse,
     inverse_index_table,
     iter_windows,
     lanes_at_least,
@@ -588,22 +586,6 @@ def verify_admissible(
                 f"cycle (walked {len(seen)})"
             )
     return tuple(violations)
-
-
-# ---------------------------------------------------------------------------
-# the canonical-shape meeting property
-# ---------------------------------------------------------------------------
-
-
-def star_closed_form(z: Sequence[int]) -> bool:
-    """O(1) window test for the canonical-shape meeting property.
-
-    Holds unless ``z`` lies in the reduced staircase-shape region with its
-    last entry or its inverse's last entry negative.
-    """
-    if not in_area_reduced(z):
-        return True
-    return z[-1] > 0 and inverse(z)[-1] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,36 +13,45 @@ that a cheaper scheme replaced (the refinement rounds, each run on the
 elements and kept), kept to compare with.
 :func:`coset_product_elements` is the canonical order by its definition,
 one window product per element, which the library's enumeration buffer must
-reproduce.
+reproduce.  The inverse insertion maps, the listings of standard
+(bi)tableaux, :func:`longest_parabolic` and :func:`canonical_element` are
+reference code that only these oracles and the unit tests read.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from array import array
+from bisect import bisect_left
 from collections import deque
+from typing import Iterable, Sequence
 
 from bncells.descents import rxi_partition
+from bncells.errors import FalsificationError, InvalidInputError
 from bncells.group import (
+    SignedPerm,
     check_enumeration_rank,
     element_index,
+    check_letters,
     group_elements,
     mul,
+    mul_gen_right,
     rep_fix_last,
+    right_descents,
     window_text,
 )
 from bncells.partition import OUTSIDE, GroupPartition
 from bncells.tableaux import (
+    Bipartition,
     Bitableau,
+    Partition,
+    StandardTableau,
     bipartitions,
-    canonical_element,
+    check_partition,
     partitions,
-    rs_classic_inverse,
     rs_generalized,
-    rs_generalized_inverse,
     shape,
-    standard_bitableaux,
-    standard_tableaux,
 )
 from bncells.vogan import (
     build_epsilon,
@@ -211,6 +220,172 @@ def oracle_t_mul_gen(tables, weight, h, g, side="left"):
     return {i: p for i, p in cleaned.items() if p}
 
 
+# ---------------------------------------------------------------------------
+# reference tableau code: inverse insertion and listings of standard fillings
+# ---------------------------------------------------------------------------
+
+
+def _reverse_insert(rows: list[list[int]], r: int) -> int:
+    """Undo an insertion whose final box was at the end of row ``r``."""
+    x = rows[r].pop()
+    if not rows[r]:
+        del rows[r]
+    for rr in range(r - 1, -1, -1):
+        row = rows[rr]
+        c = bisect_left(row, x) - 1
+        x, row[c] = row[c], x
+    return x
+
+
+def rs_classic_inverse(P: StandardTableau, Q: StandardTableau) -> tuple[int, ...]:
+    """The ``u`` with ``rs_generalized(u) == ((P | -), (Q | -))``; equal shapes."""
+    if P.shape != Q.shape:
+        raise InvalidInputError("insertion/recording shapes differ")
+    p_rows = [list(r) for r in P.rows]
+    where = {x: r for r, row in enumerate(Q.rows) for x in row}
+    n = P.size
+    out = [0] * n
+    for j in range(n, 0, -1):
+        out[j - 1] = _reverse_insert(p_rows, where[j])
+    return tuple(out)
+
+
+def rs_generalized_inverse(A: Bitableau, B: Bitableau) -> SignedPerm:
+    """Inverse of :func:`rs_generalized`; requires componentwise equal shapes."""
+    if A.shape != B.shape:
+        raise InvalidInputError("insertion/recording shapes differ")
+    ap = [list(r) for r in A.plus.rows]
+    am = [list(r) for r in A.minus.rows]
+    where_plus = {x: r for r, row in enumerate(B.plus.rows) for x in row}
+    where_minus = {x: r for r, row in enumerate(B.minus.rows) for x in row}
+    n = A.size
+    out = [0] * n
+    for j in range(n, 0, -1):
+        if j in where_plus:
+            out[j - 1] = _reverse_insert(ap, where_plus[j])
+        else:
+            out[j - 1] = -_reverse_insert(am, where_minus[j])
+    return SignedPerm(out)
+
+
+def _removable_corners(shape: Sequence[int]) -> list[int]:
+    return [
+        r
+        for r in range(len(shape))
+        if r == len(shape) - 1 or shape[r] > shape[r + 1]
+    ]
+
+
+def standard_tableaux(
+    shape: Partition, entries: Iterable[int] | None = None
+) -> list[StandardTableau]:
+    """All standard fillings of ``shape`` with the given entry set.
+
+    Entries default to ``1..size``; any distinct integers work (the filling
+    is standard relative to their order).
+
+    >>> [t.to_text() for t in standard_tableaux((2, 1))]
+    ['1 2;3', '1 3;2']
+    """
+    shape = check_partition(shape)
+    total = sum(shape)
+    ent = tuple(range(1, total + 1)) if entries is None else tuple(sorted(entries))
+    if len(ent) != total or len(set(ent)) != total:
+        raise InvalidInputError("entry set size must match the shape")
+
+    def rec(sh: tuple[int, ...], upto: int) -> list[tuple[tuple[int, ...], ...]]:
+        if not sh:
+            return [()]
+        out = []
+        x = ent[upto - 1]
+        for r in _removable_corners(sh):
+            smaller = tuple(
+                length - (1 if i == r else 0) for i, length in enumerate(sh)
+            )
+            if smaller and smaller[-1] == 0:
+                smaller = smaller[:-1]
+            for rows in rec(smaller, upto - 1):
+                padded = list(rows) + [()] * (len(sh) - len(rows))
+                padded[r] = padded[r] + (x,)
+                out.append(tuple(padded))
+        return out
+
+    result = [StandardTableau(rows) for rows in rec(shape, total)]
+    result.sort(key=lambda t: t.row_reading_word())
+    return result
+
+
+def standard_bitableaux(shape: Bipartition) -> list[Bitableau]:
+    """All standard bitableaux of the given shape (entries ``1..size``)."""
+    n = shape.size
+    k = sum(shape.plus_part)
+    out = []
+    for plus_entries in itertools.combinations(range(1, n + 1), k):
+        minus_entries = tuple(sorted(set(range(1, n + 1)) - set(plus_entries)))
+        for tp in standard_tableaux(shape.plus_part, plus_entries):
+            for tm in standard_tableaux(shape.minus_part, minus_entries):
+                out.append(Bitableau(tp, tm))
+    out.sort(key=lambda b: b.row_reading_word())
+    return out
+
+
+def longest_parabolic(n: int, gens: Iterable[int]) -> SignedPerm:
+    """Longest element of the standard parabolic subgroup generated by ``gens``.
+
+    Built by greedy ascent: repeatedly right-multiply by any generator that
+    increases length, until every generator is a descent.
+
+    >>> longest_parabolic(3, (1, 2)).window      # reversal of the positive block
+    (3, 2, 1)
+    >>> longest_parabolic(2, (0, 1)).window      # longest element of the full group
+    (-1, -2)
+    """
+    gens = tuple(sorted(check_letters(n, gens)))
+    w: Sequence[int] = tuple(range(1, n + 1))
+    progressed = True
+    while progressed:
+        progressed = False
+        for g in gens:
+            if g not in right_descents(w):
+                w = mul_gen_right(w, g)
+                progressed = True
+    return SignedPerm(w)
+
+
+def canonical_element(shape_: Bipartition, n: int) -> SignedPerm:
+    """A distinguished element whose insertion shape is the conjugate of ``shape_``.
+
+    Constructed as the longest element of the swap-only parabolic whose block
+    sizes are the concatenated parts (positive component first), multiplied by
+    the longest element of the rank-``q`` sign-change subgroup, where ``q``
+    is the size of the positive component.  The resulting shape is verified.
+
+    >>> canonical_element(Bipartition((2,), (2,)), 4).window
+    (-2, -1, 4, 3)
+    """
+    if shape_.size != n:
+        raise InvalidInputError(f"bipartition of size {shape_.size} in rank {n}")
+    q = sum(shape_.plus_part)
+    cuts = set()
+    acc = 0
+    for part in shape_.plus_part + shape_.minus_part:
+        acc += part
+        if acc < n:
+            cuts.add(acc)
+    gens = [i for i in range(1, n) if i not in cuts]
+    w_blocks = longest_parabolic(n, gens)
+    w_signs = tuple(range(-1, -q - 1, -1)) + tuple(range(q + 1, n + 1))
+    out = SignedPerm(mul(w_blocks, w_signs))
+    got = shape(out)
+    expected = shape_.conjugate()
+    if got != expected:
+        raise FalsificationError(
+            f"canonical element shape mismatch: got {got.to_text()}, "
+            f"expected {expected.to_text()}"
+        )
+    return out
+
+
 def oracle_cycling_map(subset_id: str, n: int) -> tuple[int, ...]:
     """The "J" (``ε``) or "K" (``ψ``) cycling map by inverse insertion.
 
@@ -264,7 +439,7 @@ def orbit_meets_canonical(z, right_orbits, left_orbits) -> bool:
 
     ``right_orbits``/``left_orbits`` must be the two sides of
     ``vogan.xi_orbits`` at the same weight.  Exponentially slower than
-    ``vogan.star_closed_form``, which it cross-checks at tiny ranks.
+    ``area.star_closed_form``, which it cross-checks at tiny ranks.
     """
     target = canonical_element(shape(z).conjugate(), len(z))
     rc = right_orbits.class_of(element_index(z))

@@ -29,7 +29,6 @@ from bncells.group import (
     from_word,
     group_elements,
     inverse,
-    is_descent,
     length,
     length_t,
     mul,
@@ -106,7 +105,7 @@ class TestMembership:
         for n in range(2, 7):
             for w in area_elements(n):
                 for i in range(1, n):
-                    assert is_descent(w, i) != (w[i - 1] < 0)
+                    assert (i in right_descents(w)) != (w[i - 1] < 0)
 
 
 class TestWords:

@@ -142,12 +142,12 @@ def test_verify_interval_weight_is_conjectural():
 
 
 def test_verify_interval_weight_reports_a_split_cell(monkeypatch):
-    import bncells.cli as cli_module
+    import bncells.hecke as hecke_module
 
     def coarse(kl):
         return GroupPartition(n=3, class_id=[0] * 48)
 
-    monkeypatch.setattr(cli_module, "left_cells", coarse)
+    monkeypatch.setattr(hecke_module, "left_cells", coarse)
     code, text = run_cli("verify", "--n", "3", "--a", "2", "--b", "3")
     assert code == 1
     assert (
@@ -201,12 +201,12 @@ def test_verify_checks_oracle_budget_in_the_interval_regime(monkeypatch):
 
 
 def test_verify_reports_falsification(monkeypatch):
-    import bncells.cli as cli_module
+    import bncells.hecke as hecke_module
 
     def coarse(kl):
         return GroupPartition(n=2, class_id=[0] * 8)
 
-    monkeypatch.setattr(cli_module, "left_cells", coarse)
+    monkeypatch.setattr(hecke_module, "left_cells", coarse)
     code, text = run_cli("verify", "--n", "2", "--a", "1", "--b", "2")
     assert code == 1
     assert "FAIL" in text
@@ -455,6 +455,23 @@ def test_closed_output_pipe_exits_like_sigpipe():
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+def test_cli_import_leaves_the_oracle_and_region_layers_unloaded():
+    # a cold refinement run compiles neither the oracle nor the region module
+    script = (
+        "import io, sys\n"
+        "import bncells.cli\n"
+        "late = ('bncells.hecke', 'bncells.area', 'bncells.knuth', 'json')\n"
+        "print(*sorted(set(late) & set(sys.modules)), sep=',')\n"
+        "bncells.cli.main(['cells', '--n', '3', '--method', 'vogan'], out=io.StringIO())\n"
+        "print('bncells.hecke' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "False"]
 
 
 def in_one_process(argvs):

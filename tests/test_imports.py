@@ -92,11 +92,11 @@ def test_no_runtime_dependencies_declared():
 
 # Paper statements and reference paths that unit tests check.
 CALLED_ONLY_BY_UNIT_TESTS = {
+    "area.star_closed_form",
     "area.subcell_split",
     "area.upsilon",
     "group.is_suffix",
     "vogan.left_extend",
-    "vogan.star_closed_form",
 }
 
 
@@ -143,7 +143,6 @@ def called_only_by_unit_tests() -> set[str]:
             *ROOT.glob("scripts/*.py"),
             *ROOT.glob("perfbench/*.py"),
             ROOT / "tests" / "test_acceptance.py",
-            ROOT / "tests" / "oracles.py",
         )
     ]
     called = set()

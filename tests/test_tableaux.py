@@ -18,25 +18,27 @@ from bncells.tableaux import (
     Bitableau,
     StandardTableau,
     bipartitions,
-    canonical_element,
     conjugate_partition,
     count_standard_bitableaux,
     count_standard_bitableaux_of_shape,
     count_standard_tableaux,
     partitions,
     recording_fibers,
-    rs_classic_inverse,
     rs_generalized,
-    rs_generalized_inverse,
     shape,
-    standard_bitableaux,
-    standard_tableaux,
 )
 
 from bncells.vogan import classes_to_tsv
 
 from .conftest import signed_perms
-from .oracles import reference_recording_fibers
+from .oracles import (
+    canonical_element,
+    reference_recording_fibers,
+    rs_classic_inverse,
+    rs_generalized_inverse,
+    standard_bitableaux,
+    standard_tableaux,
+)
 
 
 def all_positive_perms(n):

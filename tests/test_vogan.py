@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bncells import vogan
-from bncells.area import area_elements, in_area, in_area_reduced
+from bncells.area import area_elements, in_area, in_area_reduced, star_closed_form
 from bncells.descents import rxi_partition
 from bncells.errors import FalsificationError, InvalidInputError, RegimeError
 from bncells.group import (
@@ -43,7 +43,6 @@ from bncells.vogan import (
     orbits_of_image_tables,
     parabolic_elements,
     run_summary,
-    star_closed_form,
     verify_admissible,
     vogan_classes,
     xi_orbits,
