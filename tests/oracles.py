@@ -32,8 +32,8 @@ from bncells.errors import FalsificationError, InvalidInputError
 from bncells.group import (
     SignedPerm,
     check_enumeration_rank,
-    element_index,
     check_letters,
+    element_index,
     group_elements,
     mul,
     mul_gen_right,
