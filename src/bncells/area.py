@@ -39,14 +39,16 @@ from .group import (
     SignedPerm,
     canonical_word,
     from_word,
+    group_order,
     inverse,
+    iter_windows,
     lanes_at_least,
     length,
     length_t,
     mul,
     right_descents,
     suffixes,
-    window_bytes,
+    window_columns,
 )
 
 Window = tuple[int, ...]
@@ -113,43 +115,32 @@ def _region_flags(n: int) -> bytes:
 
     In the region the absolute values of each sign decrease in window order
     (positives decrease, negatives increase).  The columns of
-    :func:`~bncells.group.window_bytes` are walked left to right as ints
-    with one 8-bit lane per element, keeping per lane the absolute value of
-    the last positive and of the last negative entry so far; an entry at
-    least as large as the last one of its sign puts its window outside.
+    :func:`~bncells.group.window_columns` are walked left to right, one
+    8-bit lane per element holding the depth ``n + 1 - |v|``, which rises
+    where ``|v|`` falls and is never 0; an entry stays in the region when
+    its depth is above the last depth of its sign (0 before the first).
     """
-    buf = window_bytes(n)
-    total = len(buf) // n
-    # value v is the byte v + n: its absolute value, and 0xFF where v > 0
-    absolute = bytes(abs(b - n) for b in range(256))
-    positive = bytes(0xFF if b > n else 0 for b in range(256))
-    ones = int.from_bytes(b"\x01" * total, "little")
-    high = ones << 7
-    last_positive = last_negative = (n + 1) * ones
-    outside = 0
-    for i in range(n):
-        column = buf[i::n]
-        values = int.from_bytes(column.translate(absolute), "little")
-        take = int.from_bytes(column.translate(positive), "little")
-        outside |= lanes_at_least(values, last_positive, high) & take
-        outside |= lanes_at_least(values, last_negative, high) & ~take
-        last_positive ^= (last_positive ^ values) & take
-        last_negative ^= (last_negative ^ values) & ~take
-    return ((high ^ outside) >> 7).to_bytes(total, "little")
+    depths = window_columns(n, lambda v: n + 1 - abs(v))
+    positive = window_columns(n, lambda v: 0xFF if v > 0 else 0)
+    inside, last_positive, last_negative = -1, 0, 0
+    for depth, take in zip(depths, positive):
+        above = lanes_at_least(depth, last_positive, n) & take
+        inside &= above | lanes_at_least(depth, last_negative, n) & ~take
+        last_positive ^= (last_positive ^ depth) & take
+        last_negative ^= (last_negative ^ depth) & ~take
+    return inside.to_bytes(group_order(n), "little")
 
 
 @functools.lru_cache(maxsize=None)
 def area_elements(n: int) -> tuple[Window, ...]:
     """Region members in group enumeration order; count is ``sum C(n,q)^2``.
 
-    Membership of every element is decided at once on the enumeration
-    buffer's columns (:func:`_region_flags`), and only the members are
-    decoded to windows.  The count is checked against the closed form.
+    Membership of every element is decided at once on the enumeration's
+    columns (:func:`_region_flags`), and only the members are decoded to
+    windows.  The count is checked against the closed form.
     """
-    buf = window_bytes(n)
-    values = tuple(range(-n, n + 1))
-    members = itertools.compress(range(0, len(buf), n), _region_flags(n))
-    out = tuple(tuple(map(values.__getitem__, buf[k : k + n])) for k in members)
+    members = itertools.compress(itertools.count(), _region_flags(n))
+    out = tuple(iter_windows(n, members))
     expected = sum(math.comb(n, q) ** 2 for q in range(n + 1))
     if len(out) != expected:
         raise FalsificationError(

@@ -20,15 +20,18 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice, pairwise
 from typing import Sequence
 
-from .errors import InvalidInputError, RankError
-from .group import WeightFunction, lanes_at_least, right_descents, window_bytes
+from .errors import InvalidInputError
+from .group import (
+    WeightFunction,
+    group_order,
+    lanes_at_least,
+    right_descents,
+    window_columns,
+)
 from .partition import GroupPartition
-
-# Width of the lane each element's descent mask is computed in; the masks
-# are read back as ``array("H")``, so it is 16.
-LANE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -155,55 +158,46 @@ def rxi_partition(n: int, weight: WeightFunction) -> GroupPartition:
     for the gated sign position ``k`` and bit ``2n`` for ``ts1t``.  Class ids
     number the masks in order of first appearance.  Labels are the rendered
     invariants, each rendered once per fiber from its mask.
-
-    The masks of all elements are computed at once.  Each column of
-    :func:`~bncells.group.window_bytes` is widened into one int, a
-    ``LANE_BITS``-bit lane per element, and each bit of the mask is one
-    lane-wise comparison, :func:`~bncells.group.lanes_at_least`, which
-    keeps the top bit of a lane exactly where ``x >= y``.  The mask must fit
-    below that top bit, so ranks with ``2n + 1 >= LANE_BITS`` are refused.
     """
-    if 2 * n + 1 >= LANE_BITS:
-        raise RankError(
-            f"the descent masks of rank {n} need {2 * n + 1} bits; a "
-            f"{LANE_BITS}-bit lane holds {LANE_BITS - 1}"
-        )
-    buf = window_bytes(n)
-    total = len(buf) // n
-    width = LANE_BITS // 8
+    return GroupPartition.from_keys(
+        n, _masks(n, weight), label_fn=lambda mask: _from_mask(n, mask).to_text()
+    )
 
-    def every_lane(value: int) -> int:
-        return int.from_bytes(value.to_bytes(width, "little") * total, "little")
 
-    top = LANE_BITS - 1
-    high = every_lane(1 << top)
+def _masks(n: int, weight: WeightFunction) -> array:
+    """The :func:`rxi_partition` mask of every element, in canonical order.
 
-    def at_least(x: int, y: int, bit: int) -> int:
-        return lanes_at_least(x, y, high) >> (top - bit)
-
-    wide = bytearray(width * total)
-    columns = []
-    for i in range(n):
-        wide[::width] = buf[i::n]
-        columns.append(int.from_bytes(wide, "little"))
-    # a byte holds v + n, so v < 0 exactly when n - 1 >= byte
-    negative = every_lane(n - 1)
-    mask = at_least(negative, columns[0], 0)
-    for i in range(1, n):
-        mask |= at_least(columns[i - 1], columns[i], i)
-    for k in range(2, n + 1):
-        if weight.slope_exceeds(k - 1):
-            mask |= at_least(negative, columns[k - 1], n + k - 1)
+    Each bit is a 0/1 flag in every 8-bit lane of the columns of
+    :func:`~bncells.group.window_columns`: a sign read off a column, or one
+    lane-wise comparison :func:`~bncells.group.lanes_at_least`.  Bits ``8p``
+    to ``8p + 7`` are packed into byte plane ``p``, and the planes are
+    interleaved into one ``array("I")``.
+    """
+    negative = list(window_columns(n, lambda v: v < 0))
+    # the flag of bit b comes b-th, each made when it is packed; bit n
+    # (position 1) stays 0, as that sign is the generator t, bit 0
+    flags = chain(
+        [negative[0]],
+        (lanes_at_least(x, y, n) for x, y in pairwise(window_columns(n))),
+        [0],
+        (negative[k - 1] * weight.slope_exceeds(k - 1) for k in range(2, n + 1)),
+    )
     if weight.a > weight.b and n >= 2:
-        # w(1) + w(2) < 0 exactly when 2n - 1 >= the sum of the two bytes
-        mask |= at_least(every_lane(2 * n - 1), columns[0] + columns[1], 2 * n)
-    masks = array("H", mask.to_bytes(width * total, "little"))
+        # w(1) + w(2) < 0 exactly when the entry of larger absolute value is
+        # negative (the two absolute values differ)
+        first, second = islice(window_columns(n, abs), 2)
+        larger = lanes_at_least(first, second, n)
+        flags = chain(flags, [negative[1] ^ ((negative[0] ^ negative[1]) & larger)])
+    masks = array("I", [0]) * group_order(n)
+    planes = [0] * masks.itemsize
+    for bit, flag in enumerate(flags):
+        planes[bit // 8] |= flag << bit % 8
+    view = memoryview(masks).cast("B")
+    for p, plane in enumerate(planes):
+        view[p :: masks.itemsize] = plane.to_bytes(len(masks), "little")
     if sys.byteorder == "big":
         masks.byteswap()
-    first = {m: i for i, m in enumerate(dict.fromkeys(masks))}
-    ids = array("i", map(first.__getitem__, masks))
-    labels = tuple(_from_mask(n, m).to_text() for m in first)
-    return GroupPartition(n=n, class_id=ids, labels=labels)
+    return masks
 
 
 if __name__ == "__main__":  # pragma: no cover

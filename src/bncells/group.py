@@ -32,7 +32,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, RankError
 
@@ -435,7 +435,7 @@ def window_bytes(n: int) -> bytes:
     The one construction of the canonical order: every other view of the
     enumerated group is read off this buffer.  Value ``v`` is stored as the
     byte ``v + n``, which keeps order, so byte comparisons are value
-    comparisons.  Column ``i`` of the windows is ``window_bytes(n)[i::n]``.
+    comparisons.  Other modules read its columns through :func:`window_columns`.
 
     An element is keyed by its "K"-coset representative (canonical
     representative order), then by the index of its rank-``(n-1)`` part:
@@ -466,30 +466,63 @@ def window_bytes(n: int) -> bytes:
     return bytes(out)
 
 
-def lanes_at_least(x: int, y: int, high: int) -> int:
-    """The top bit of each lane where ``x >= y``, for every lane at once.
+def window_columns(n: int, value: Callable[[int], int] | None = None) -> Iterator[int]:
+    """The ``n`` window columns in order, as ints with one 8-bit lane per element.
 
-    ``x`` and ``y`` pack one value per lane below the lane's top bit, which
-    ``high`` sets in every lane; ``(x | high) - y`` borrows that bit exactly
-    where ``x < y``, and never from the next lane.  A column of
-    :func:`window_bytes` fits 8-bit lanes, as its bytes are at most ``2n``.
+    Lane ``j`` (byte ``j`` from the low end) of column ``i`` holds entry
+    ``v = w_j(i + 1)`` of element ``j``: its stored byte, which keeps the
+    order of the values, or the byte ``value(v)``, made by one
+    ``bytes.translate`` per column (``value`` is read on ``-n..n``).  Each
+    column is made when it is read, so a pass that walks them holds one.
 
-    >>> lanes_at_least(0x0503, 0x0305, 0x8080) == 0x8000
+    >>> [list(c.to_bytes(8, "little")) for c in window_columns(2)]
+    [[3, 1, 4, 0, 4, 0, 3, 1], [4, 4, 3, 3, 1, 1, 0, 0]]
+    """
+    buf = window_bytes(n)
+    table = None
+    if value is not None:
+        table = bytes(map(value, range(-n, n + 1))).ljust(256, b"\0")
+    return (int.from_bytes(buf[i::n].translate(table), "little") for i in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_tops(n: int) -> int:
+    """The top bit of every lane of a rank-``n`` column."""
+    return int.from_bytes(b"\x80" * group_order(n), "little")
+
+
+def lanes_at_least(x: int, y: int, n: int) -> int:
+    """1 in each lane where ``x >= y`` and 0 elsewhere, for every lane at once.
+
+    ``x`` and ``y`` hold one value below ``0x80`` per lane of a rank-``n``
+    column (:func:`window_columns`).  With the top bit of every lane set in
+    ``x``, ``x - y`` borrows that bit exactly where ``x < y``, and never
+    from the next lane.
+
+    >>> lanes_at_least(0x0503, 0x0305, 1) == 0x0100
     True
     """
-    return ((x | high) - y) & high
+    high = _lane_tops(n)
+    return (((x | high) - y) & high) >> 7
 
 
-def iter_windows(n: int) -> Iterator[tuple[int, ...]]:
-    """Every window in canonical order, decoded from :func:`window_bytes`.
+def iter_windows(
+    n: int, indices: Iterable[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Every window in canonical order, or those at ``indices``, decoded.
 
-    Two C-level steps: one ``bytes.translate`` turns each stored byte
-    ``v + n`` into the signed byte ``v``, and ``struct.iter_unpack`` reads
-    the windows off the result ``n`` bytes at a time.  Values from ``-5`` up
-    are CPython's shared small ints; ``-6`` and ``-7`` are made per entry.
+    ``bytes.translate`` turns each stored byte into the signed byte of its
+    value, and ``struct`` reads the windows off the result ``n`` bytes at a
+    time: the whole buffer in one pass, or only the windows at ``indices``.
+    Values from ``-5`` up are CPython's shared small ints; ``-6`` and ``-7``
+    are made per entry.
     """
+    buf = window_bytes(n)
     signed = bytes((b - n) & 0xFF for b in range(256))
-    return struct.iter_unpack(f"{n}b", window_bytes(n).translate(signed))
+    if indices is None:
+        return struct.iter_unpack(f"{n}b", buf.translate(signed))
+    unpack = struct.Struct(f"{n}b").unpack
+    return (unpack(buf[n * i : n * i + n].translate(signed)) for i in indices)
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import FalsificationError, InvalidInputError
-from .group import lanes_at_least, mul_gen_right, right_generator_tables, window_bytes
+from .group import lanes_at_least, mul_gen_right, right_generator_tables, window_columns
 from .partition import GroupPartition
 from .area import in_area
 from .vogan import orbits_of_image_tables
@@ -117,38 +117,30 @@ def apply_move(w: Sequence[int], move: Move) -> Window:
     raise InvalidInputError(f"move {move.to_text()} does not apply to {w}")
 
 
-def _guard_masks(n: int, kinds: Sequence[str], k: int) -> dict[int, bytes]:
-    """One byte per element for each generator a move uses: 1 where it moves.
+def _guard_masks(n: int, kinds: Sequence[str], k: int) -> dict[int, int]:
+    """One lane per element for each generator a move uses: 1 where it moves.
 
     The guards of all elements are computed at once on the columns of
-    :func:`~bncells.group.window_bytes`, read as ints with an 8-bit lane per
-    element.  :func:`~bncells.group.lanes_at_least` keeps the top bit of a
-    lane where ``x >= y``, which is ``x > y`` since the values of a window
-    are distinct.  A betweenness guard is the XNOR of two such comparisons
-    and the sign guard the XOR of two negativity bits.  The guards of moves
-    that swap by the same generator are joined by OR.
+    :func:`~bncells.group.window_columns`, one 8-bit lane per element.
+    :func:`~bncells.group.lanes_at_least` flags the lanes where ``x >= y``,
+    which is ``x > y`` since the values of a window are distinct.  An entry
+    lies between two others exactly when it is above one of them, the XOR
+    of two such flags; the sign guard is the XOR of two negativity flags.
+    The guards of moves that swap by the same generator are joined by OR.
     """
-    buf = window_bytes(n)
-    total = len(buf) // n
-    high = int.from_bytes(b"\x80" * total, "little")
-    # a byte holds v + n, so v < 0 exactly when n > byte
-    sign = int.from_bytes(bytes((n,)) * total, "little")
-
-    def above(x: int, y: int) -> int:
-        return lanes_at_least(x, y, high)
-
-    columns = [int.from_bytes(buf[i::n], "little") for i in range(n)]
+    columns = list(window_columns(n))
     guards: defaultdict[int, int] = defaultdict(int)
     for i in range(1, k - 1):
         x, y, z = columns[i - 1 : i + 2]
         if "I" in kinds:  # x between y and z
-            guards[i + 1] |= above(x, y) ^ above(z, x) ^ high
+            guards[i + 1] |= lanes_at_least(x, y, n) ^ lanes_at_least(x, z, n)
         if "II" in kinds:  # z between x and y
-            guards[i] |= above(z, x) ^ above(y, z) ^ high
+            guards[i] |= lanes_at_least(z, x, n) ^ lanes_at_least(z, y, n)
     if "III" in kinds:
+        negative = list(window_columns(n, lambda v: v < 0))
         for i in range(1, k):
-            guards[i] |= above(sign, columns[i - 1]) ^ above(sign, columns[i])
-    return {g: (guard >> 7).to_bytes(total, "little") for g, guard in guards.items()}
+            guards[i] |= negative[i - 1] ^ negative[i]
+    return guards
 
 
 def knuth_classes(
@@ -164,9 +156,9 @@ def knuth_classes(
     where none of its guards holds sent to itself, is still a permutation,
     and the classes are the orbits of these restricted tables, labelled by
     :func:`~bncells.vogan.orbits_of_image_tables`.  The guards come as one
-    byte mask per generator from :func:`_guard_masks`; on ints with one
-    table entry per lane, the mask picks the table's entry or the element's
-    own index, lane by lane.  Nothing is cached: the partition reads every
+    0/1 byte lane per element and generator from :func:`_guard_masks`; on
+    ints with one table entry per lane, the mask picks the table's entry or
+    the element's own index, lane by lane.  Nothing is cached: the partition reads every
     argument, and a warm process asks for it about once.
     """
     k = _scope(n, kinds, prefix)
@@ -179,7 +171,7 @@ def knuth_classes(
     low = 0 if order == "little" else width - 1  # the byte of a lane that holds 0 or 1
     steps = []
     for g, mask in masks.items():
-        lanes[low::width] = mask
+        lanes[low::width] = mask.to_bytes(total, "little")
         chosen = int.from_bytes(lanes, order) * ((1 << 8 * width) - 1)
         moved = int.from_bytes(tables[g], order)
         step = fixed ^ ((moved ^ fixed) & chosen)

@@ -24,10 +24,10 @@ OUTSIDE = -1
 def _canonical(keys: Iterable[Hashable]) -> tuple[array, dict[Hashable, int]]:
     """Dense ids by first appearance, and each distinct non-``None`` key's id.
 
-    The keys are read twice, so an iterable other than a list is copied
-    into one first; a list is read as it is.
+    The keys are read twice, so an iterable other than a list or an array
+    is copied into a list first; a list or an array is read as it is.
     """
-    if not isinstance(keys, list):
+    if not isinstance(keys, (list, array)):
         keys = list(keys)
     first = dict.fromkeys(keys)
     first.pop(None, None)

@@ -42,7 +42,7 @@ from .group import (
     lanes_at_least,
     mul,
     repeat_by_block,
-    window_bytes,
+    window_columns,
     window_texts,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
@@ -57,7 +57,7 @@ from .tableaux import insertion_rows, pack_rows, rs_generalized
 def parabolic_elements(subset_id: str, n: int) -> tuple[tuple[int, ...], ...]:
     """The elements of the named parabolic, in its own canonical order.
 
-    Subset "J" is enumerated as all-positive windows in lexicographic order;
+    Subset "J" is the all-positive windows in canonical order, by pattern rank;
     subset "K" reuses the canonical rank-``(n-1)`` enumeration (at ``n = 1``
     the parabolic is trivial).  The "K" tuples are kept, so only the
     element-wise helpers (:meth:`CellularMap.apply`, :func:`left_extend`,
@@ -65,7 +65,7 @@ def parabolic_elements(subset_id: str, n: int) -> tuple[tuple[int, ...], ...]:
     rank-``(n-1)`` windows one at a time instead.
     """
     if subset_id == "J":
-        return tuple(itertools.permutations(range(1, n + 1)))
+        return tuple(u[::-1] for u in itertools.permutations(range(n, 0, -1)))
     if subset_id == "K":
         if n == 1:
             return ((),)
@@ -208,38 +208,31 @@ def left_extend(cmap: CellularMap, w: Sequence[int]) -> SignedPerm:
     return SignedPerm(out)
 
 
-def _negated_masks(windows: bytes, n: int) -> bytes:
-    """The "J"-coset of each window: bit ``v - 1`` set for each value ``-v``.
+def _negated_masks(n: int) -> bytes:
+    """The "J"-coset of each element: bit ``v - 1`` set for each value ``-v``.
 
-    ``windows`` stores ``v`` as the byte ``v + n``, as ``window_bytes``
-    does.  Each column is translated to the bit of its negated value, and
-    the columns are summed with one 8-bit lane per window.
+    Each column holds the bit of its negated value, and the columns are
+    summed, one 8-bit lane per element.
     """
-    bits = bytearray(256)
-    for v in range(1, n + 1):
-        bits[n - v] = 1 << (v - 1)
-    columns = (windows[i::n].translate(bits) for i in range(n))
-    masks = sum(int.from_bytes(c, "little") for c in columns)
-    return masks.to_bytes(len(windows) // n, "little")
+    bits = window_columns(n, lambda v: 1 << -v - 1 if v < 0 else 0)
+    return sum(bits).to_bytes(group_order(n), "little")
 
 
-def _pattern_ranks(windows: bytes, n: int) -> array:
-    """Each window's pattern rank among the all-positive windows in canonical order.
+def _pattern_ranks(n: int) -> array:
+    """Each element's pattern rank among the all-positive windows in canonical order.
 
-    ``windows`` is stored as for :func:`_negated_masks`.  ``w = r * u``
-    with ``r`` increasing compares like its pattern ``u``, and canonical
-    order keys by the last entry first, so the rank is the sum of
+    ``w = r * u`` with ``r`` increasing compares like its pattern ``u``, and
+    canonical order keys by the last entry first, so the rank is the sum of
     ``m! * #{j < m : w(j) > w(m)}`` over positions ``m`` from 0.  Counts
     are summed lane-wise comparisons of columns in 8-bit lanes, weighted in
     16-bit lanes and read back as ``array("H")``.
     """
-    total = len(windows) // n
-    high = int.from_bytes(b"\x80" * total, "little")
-    lanes = [int.from_bytes(windows[i::n], "little") for i in range(n)]
+    columns = list(window_columns(n))
+    total = group_order(n)
     wide = bytearray(2 * total)
     ranks = 0
     for m in range(1, n):
-        count = sum(lanes_at_least(lanes[j], lanes[m], high) >> 7 for j in range(m))
+        count = sum(lanes_at_least(columns[j], columns[m], n) for j in range(m))
         wide[::2] = count.to_bytes(total, "little")
         ranks += factorial(m) * int.from_bytes(wide, "little")
     out = array("H", ranks.to_bytes(2 * total, "little"))
@@ -257,27 +250,21 @@ def extended_image_table(cmap: CellularMap) -> array:
     element is ``r * u`` with ``r`` an increasing window (one per set of
     negated values) and ``u`` a pattern, and maps to ``r * map(u)``.  Each
     element gets the coordinate ``mask * n! + pattern`` from
-    :func:`_negated_masks` and :func:`_pattern_ranks`; the map is carried
-    once from the parabolic's lexicographic order onto pattern ranks, and
-    the image of an element is the element at its coordinate with the
-    pattern moved.
+    :func:`_negated_masks` and :func:`_pattern_ranks`.  The parabolic is
+    indexed in canonical order, so a pattern's index there is its pattern
+    rank, and the image of an element is the element at its coordinate
+    with the pattern moved.
     """
     n = cmap.n
-    total = group_order(n)
     mapping = cmap.mapping
     if cmap.subset_id == "K":
         return repeat_by_block([array("i", mapping)], 2 * n)[0]
     size = factorial(n)
-    lex = bytes(v + n for u in parabolic_elements("J", n) for v in u)
-    rank_of_lex = _pattern_ranks(lex, n)
     # how far each pattern rank moves under the map
-    shift = [0] * size
-    for j, image in enumerate(mapping):
-        shift[rank_of_lex[j]] = rank_of_lex[image] - rank_of_lex[j]
-    buf = window_bytes(n)
-    patterns = _pattern_ranks(buf, n)
-    coords = array("i", map(add, map(size.__mul__, _negated_masks(buf, n)), patterns))
-    where = array("i", bytes(4 * total))
+    shift = [image - j for j, image in enumerate(mapping)]
+    patterns = _pattern_ranks(n)
+    coords = array("i", map(add, map(size.__mul__, _negated_masks(n)), patterns))
+    where = array("i", bytes(4 * len(coords)))
     for i, c in enumerate(coords):
         where[c] = i
     return array(

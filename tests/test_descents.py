@@ -4,18 +4,15 @@ import pytest
 from hypothesis import given
 
 from bncells.area import in_area, sigma_word
-from bncells import group
 from bncells.descents import (
-    LANE_BITS,
     XiDescentSet,
     rdes_enhanced,
     rxi,
     rxi_partition,
     ts1t_descent,
 )
-from bncells.errors import InvalidInputError, RankError
+from bncells.errors import InvalidInputError
 from bncells.group import (
-    MAX_ENUMERATION_RANK,
     WeightFunction,
     from_word,
     group_elements,
@@ -222,20 +219,6 @@ def test_mask_seed_matches_per_element_invariants(n):
         )
         assert list(seed.class_id) == list(reference.class_id)
         assert seed.labels == reference.labels
-
-
-def test_a_lane_holds_the_mask_of_every_enumerable_rank():
-    # the top bit of each lane is the comparison bit; raising the rank cap
-    # past what a lane holds must fail here, not mix neighbouring lanes
-    assert 2 * MAX_ENUMERATION_RANK + 1 < LANE_BITS
-
-
-def test_seed_refuses_a_rank_its_lanes_cannot_hold(monkeypatch):
-    monkeypatch.setattr(group, "MAX_ENUMERATION_RANK", 8)
-    built = group.window_bytes.cache_info().currsize
-    with pytest.raises(RankError, match="lane"):
-        rxi_partition(8, WeightFunction(1, 8))
-    assert group.window_bytes.cache_info().currsize == built
 
 
 def test_partition_is_total_and_label_count_matches():

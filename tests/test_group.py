@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from bncells.group import (
     inverse,
     inverse_index_table,
     is_suffix,
+    iter_windows,
     left_descents,
     length,
     length_t,
@@ -33,6 +35,7 @@ from bncells.group import (
     right_generator_tables,
     suffixes,
     window_bytes,
+    window_columns,
     window_texts,
     word_to_text,
 )
@@ -389,6 +392,45 @@ class TestEnumeration:
         with pytest.raises(RankError):
             window_bytes(n)
         assert window_bytes.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_columns_hold_each_entry_in_one_lane(self, n):
+        reference = coset_product_elements(n)
+        total = len(reference)
+
+        def lanes(column):
+            return list(column.to_bytes(total, "little"))
+
+        stored = window_columns(n)
+        negative = window_columns(n, lambda v: v < 0)
+        for i, column, flags in zip(range(n), stored, negative, strict=True):
+            entries = [w[i] for w in reference]
+            assert lanes(column) == [v + n for v in entries]
+            assert lanes(flags) == [int(v < 0) for v in entries]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_iter_windows_decodes_only_the_given_indices(self, n):
+        reference = coset_product_elements(n)
+        picked = range(len(reference) - 1, -1, -3)
+        assert list(iter_windows(n, picked)) == [reference[i] for i in picked]
+        assert tuple(iter_windows(n)) == reference
+
+    def test_every_lane_user_fits_at_the_enumeration_cap(self):
+        # raising the rank cap past what a lane holds must fail here, not
+        # mix neighbouring lanes
+        n = MAX_ENUMERATION_RANK
+        # lanes_at_least reads values below the top bit of an 8-bit lane:
+        # stored bytes (at most 2n), absolute values and the region's
+        # depths n + 1 - |v| (at most n)
+        assert 2 * n < 0x80
+        # the seed's 2n + 1 mask bits are byte planes of an array("I") entry
+        assert 2 * n + 1 <= 8 * array("I").itemsize
+        # the "J" coset masks, one bit per negated value, are summed in a byte
+        assert (1 << n) - 1 < 1 << 8
+        # pattern ranks, below n!, are read back as array("H")
+        assert math.factorial(n) <= 1 << 8 * array("H").itemsize
+        # the "J" coordinate mask * n! + pattern is an array("i") entry
+        assert group_order(n) <= 1 << (8 * array("i").itemsize - 1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_window_texts_render_every_element(self, n):

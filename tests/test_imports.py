@@ -6,6 +6,9 @@ library and the test modules.  ``__init__.py`` files are exempt from the
 unused-import check because their imports are the package's re-exports, and
 so are ``__future__`` imports.
 
+Only ``group.py`` reads the enumeration buffer ``window_bytes``, so the
+byte encoding of a window value is known to one module.
+
 A top-level function or class of the library is called when another
 definition of the library, a script, the benchmark or the acceptance tests
 load it.  The few that only unit tests call are pinned, so a helper that
@@ -157,3 +160,30 @@ def called_only_by_unit_tests() -> set[str]:
 
 def test_only_the_pinned_definitions_lack_a_caller_outside_unit_tests():
     assert called_only_by_unit_tests() == CALLED_ONLY_BY_UNIT_TESTS
+
+
+def window_bytes_loads(source: str, module: str) -> list[int]:
+    """Lines of ``source`` (module ``module``) that load ``group.window_bytes``."""
+    return [
+        line
+        for key, line in loaded_definitions(source, module, library_definitions())
+        if key == ("group", "window_bytes")
+    ]
+
+
+def test_buffer_guard_sees_a_load():
+    by_name = "from .group import window_bytes\nwindow_bytes(3)\n"
+    by_attribute = "from . import group\nbuf = group.window_bytes(3)\n"
+    through_columns = "from .group import window_columns\nwindow_columns(3)\n"
+    assert window_bytes_loads(by_name, "vogan") == [2]
+    assert window_bytes_loads(by_attribute, "knuth") == [2]
+    assert window_bytes_loads(through_columns, "area") == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "group.py"],
+    ids=lambda path: path.name,
+)
+def test_only_group_reads_the_enumeration_buffer(path):
+    assert window_bytes_loads(path.read_text(encoding="utf-8"), path.stem) == []

@@ -166,7 +166,10 @@ class TestClasses:
                 for i, w in enumerate(windows):
                     for _, _, g in _move_sites(w, kinds, k):
                         expected.setdefault(g, set()).add(i)
-                masks = _guard_masks(n, kinds, k)
+                masks = {
+                    g: guard.to_bytes(len(windows), "little")
+                    for g, guard in _guard_masks(n, kinds, k).items()
+                }
                 assert all(set(m) <= {0, 1} for m in masks.values())
                 got = {g: {i for i, bit in enumerate(m) if bit} for g, m in masks.items()}
                 assert {g: s for g, s in got.items() if s} == expected, (n, kinds, k)

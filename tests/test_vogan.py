@@ -1,7 +1,5 @@
 """Tests for the cell-cycling maps, their orbits, and the class refinement."""
 
-import itertools
-import math
 from array import array
 
 import pytest
@@ -9,18 +7,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bncells import vogan
-from bncells.area import area_elements, in_area, in_area_reduced, star_closed_form
+from bncells.area import (
+    area_elements,
+    in_area,
+    in_area_reduced,
+    star_closed_form,
+    upsilon_decomposition,
+)
 from bncells.descents import rxi_partition
 from bncells.errors import FalsificationError, InvalidInputError, RegimeError
 from bncells.group import (
-    MAX_ENUMERATION_RANK,
     WeightFunction,
     element_index,
     group_elements,
     group_order,
     inverse,
     length,
-    window_bytes,
     window_text,
 )
 from bncells.cli import _area_partition
@@ -100,9 +102,9 @@ def test_cellular_map_checks_the_size_of_its_parabolic(subset_id, n):
 
 
 def test_parabolic_index_spaces():
-    assert parabolic_elements("J", 3) == tuple(
-        itertools.permutations((1, 2, 3))
-    )
+    for n in range(1, 7):
+        positive = tuple(w for w in group_elements(n) if min(w) > 0)
+        assert parabolic_elements("J", n) == positive
     assert parabolic_elements("K", 3) == group_elements(2)
     assert parabolic_elements("K", 1) == ((),)
     with pytest.raises(InvalidInputError):
@@ -236,28 +238,13 @@ def test_j_table_matches_the_window_lookup(n):
 def test_j_coordinates_rank_patterns_by_the_reference_enumeration(n):
     reference = coset_product_elements(n)
     position = {u: p for p, u in enumerate(w for w in reference if min(w) > 0)}
-    # each lexicographic permutation's rank is its position among the
-    # all-positive windows of the enumeration
-    lex = parabolic_elements("J", n)
-    ranks = _pattern_ranks(bytes(v + n for u in lex for v in u), n)
-    assert list(ranks) == [position[u] for u in lex]
-    # every element: the mask of its negated values and its pattern's rank
-    buf = window_bytes(n)
-    assert list(_negated_masks(buf, n)) == [
+    # every element: the mask of its negated values and its pattern's
+    # position among the all-positive windows of the enumeration
+    assert list(_negated_masks(n)) == [
         sum(1 << (-x - 1) for x in w if x < 0) for w in reference
     ]
     patterns = [tuple(sorted(w).index(x) + 1 for x in w) for w in reference]
-    assert list(_pattern_ranks(buf, n)) == [position[u] for u in patterns]
-
-
-def test_a_lane_holds_the_j_coordinates_of_every_enumerable_rank():
-    # the negated-value mask is summed in one byte lane, the pattern rank is
-    # read back as array("H") and the coordinate mask * n! + pattern is an
-    # array("i") entry; raising the rank cap past any of them must fail here
-    n = MAX_ENUMERATION_RANK
-    assert (1 << n) - 1 < 1 << 8
-    assert math.factorial(n) <= 1 << 8 * array("H").itemsize
-    assert group_order(n) <= 1 << (8 * array("i").itemsize - 1)
+    assert list(_pattern_ranks(n)) == [position[u] for u in patterns]
 
 
 # -- orbits ---------------------------------------------------------------------
@@ -485,6 +472,53 @@ def test_dominant_classes_are_the_recording_fibers(n):
     # classes against the cells only up to rank 4
     run = vogan_classes(n, ASYM[n])
     assert run.final.same_blocks(recording_fibers(n))
+
+
+def merged_region_pairs(dominant: GroupPartition, fibers) -> array | None:
+    """The dominant ids with the two classes meeting each fiber merged.
+
+    ``None`` when some fiber is not the union of exactly two dominant
+    classes.
+    """
+    ids = dominant.class_id
+    members = dominant.classes()
+    keys = list(ids)
+    for fiber in fibers:
+        indices = set(map(element_index, fiber))
+        met = sorted({ids[i] for i in indices})
+        if len(met) != 2 or indices != {*members[met[0]], *members[met[1]]}:
+            return None
+        for i in members[met[1]]:
+            keys[i] = met[0]
+    return canonical_ids(keys)
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_boundary_classes_merge_the_dominant_pairs_of_each_region_fiber(n):
+    # at b = (n-1) a the cells are the dominant cells with the two cells of
+    # each right-descent fiber of the region merged, every other cell kept
+    # (the paper's statement); the oracle checks this only up to rank 4
+    dominant = vogan_classes(n, ASYM[n]).final
+    boundary = vogan_classes(n, WeightFunction(1, n - 1)).final
+    assert merged_region_pairs(dominant, upsilon_decomposition(n)) == boundary.class_id
+
+
+def test_boundary_check_sees_one_moved_element():
+    n = 5
+    dominant = vogan_classes(n, ASYM[n]).final
+    boundary = vogan_classes(n, WeightFunction(1, n - 1)).final
+    fibers = upsilon_decomposition(n)
+    # one region element moved into the identity's class, outside the region
+    moved = element_index(min(fibers[0]))
+
+    def moved_into_identity_class(partition):
+        keys = list(partition.class_id)
+        keys[moved] = keys[0]
+        return canonical_ids(keys)
+
+    assert merged_region_pairs(dominant, fibers) != moved_into_identity_class(boundary)
+    forged = GroupPartition(n=n, class_id=moved_into_identity_class(dominant))
+    assert merged_region_pairs(forged, fibers) is None
 
 
 def test_rank_six_dominant_round_counts():
