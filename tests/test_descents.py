@@ -1,5 +1,7 @@
 """Tests for the weighted descent invariants."""
 
+from array import array
+
 import pytest
 from hypothesis import given
 
@@ -13,6 +15,7 @@ from bncells.descents import (
 )
 from bncells.errors import InvalidInputError
 from bncells.group import (
+    MAX_ENUMERATION_RANK,
     WeightFunction,
     from_word,
     group_elements,
@@ -219,6 +222,13 @@ def test_mask_seed_matches_per_element_invariants(n):
         )
         assert list(seed.class_id) == list(reference.class_id)
         assert seed.labels == reference.labels
+
+
+def test_a_lane_holds_the_mask_of_every_enumerable_rank():
+    # the seed's 2n + 1 mask bits are byte planes of an array("I") entry;
+    # raising the rank cap past what an entry holds must fail here, not
+    # drop the top planes
+    assert 2 * MAX_ENUMERATION_RANK + 1 <= 8 * array("I").itemsize
 
 
 def test_partition_is_total_and_label_count_matches():

@@ -1,6 +1,5 @@
 import itertools
 import math
-from array import array
 
 import pytest
 from hypothesis import given
@@ -415,22 +414,15 @@ class TestEnumeration:
         assert list(iter_windows(n, picked)) == [reference[i] for i in picked]
         assert tuple(iter_windows(n)) == reference
 
-    def test_every_lane_user_fits_at_the_enumeration_cap(self):
+    def test_a_column_lane_holds_every_enumerable_rank(self):
         # raising the rank cap past what a lane holds must fail here, not
-        # mix neighbouring lanes
+        # mix neighbouring lanes (the seed and "J" lanes are checked in
+        # test_descents and test_vogan)
         n = MAX_ENUMERATION_RANK
         # lanes_at_least reads values below the top bit of an 8-bit lane:
         # stored bytes (at most 2n), absolute values and the region's
         # depths n + 1 - |v| (at most n)
         assert 2 * n < 0x80
-        # the seed's 2n + 1 mask bits are byte planes of an array("I") entry
-        assert 2 * n + 1 <= 8 * array("I").itemsize
-        # the "J" coset masks, one bit per negated value, are summed in a byte
-        assert (1 << n) - 1 < 1 << 8
-        # pattern ranks, below n!, are read back as array("H")
-        assert math.factorial(n) <= 1 << 8 * array("H").itemsize
-        # the "J" coordinate mask * n! + pattern is an array("i") entry
-        assert group_order(n) <= 1 << (8 * array("i").itemsize - 1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_window_texts_render_every_element(self, n):

@@ -1,5 +1,6 @@
 """Tests for the cell-cycling maps, their orbits, and the class refinement."""
 
+import math
 from array import array
 
 import pytest
@@ -17,6 +18,7 @@ from bncells.area import (
 from bncells.descents import rxi_partition
 from bncells.errors import FalsificationError, InvalidInputError, RegimeError
 from bncells.group import (
+    MAX_ENUMERATION_RANK,
     WeightFunction,
     element_index,
     group_elements,
@@ -245,6 +247,16 @@ def test_j_coordinates_rank_patterns_by_the_reference_enumeration(n):
     ]
     patterns = [tuple(sorted(w).index(x) + 1 for x in w) for w in reference]
     assert list(_pattern_ranks(n)) == [position[u] for u in patterns]
+
+
+def test_a_lane_holds_the_j_coordinates_of_every_enumerable_rank():
+    # the negated-value mask is summed in one byte lane, the pattern rank is
+    # read back as array("H") and the coordinate mask * n! + pattern is an
+    # array("i") entry; raising the rank cap past any of them must fail here
+    n = MAX_ENUMERATION_RANK
+    assert (1 << n) - 1 < 1 << 8
+    assert math.factorial(n) <= 1 << 8 * array("H").itemsize
+    assert group_order(n) <= 1 << (8 * array("i").itemsize - 1)
 
 
 # -- orbits ---------------------------------------------------------------------
