@@ -403,6 +403,22 @@ def fix_last_projection(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(x if abs(x) < k else (x - 1 if x > 0 else x + 1) for x in w[:-1])
 
 
+def coset_entry(v: int, k: int) -> int:
+    """The window entry where the "K"-part holds ``v``, for the last entry ``k``.
+
+    The inverse of :func:`fix_last_projection`, entry by entry: values of
+    absolute value at least ``|k|`` step one away from zero, the rest (and
+    ``0``) stay.  So the relabelling keeps signs and the order of absolute
+    values.
+
+    >>> [coset_entry(v, -2) for v in (-2, -1, 0, 1, 2)]
+    [-3, -1, 0, 1, 3]
+    """
+    if abs(v) < abs(k):
+        return v
+    return v + 1 if v > 0 else v - 1
+
+
 # ---------------------------------------------------------------------------
 # canonical enumeration
 # ---------------------------------------------------------------------------
@@ -441,8 +457,8 @@ def window_bytes(n: int) -> bytes:
     representative order), then by the index of its rank-``(n-1)`` part:
     ``index(w) = rep_rank * order(n-1) + index(part)``.  So each block is
     the rank-``(n-1)`` buffer translated through the representative's
-    relabelling (``v`` moves one step from zero when ``|v| >= |k|``),
-    spread into place by strided slice assignment and extended by ``k``.
+    relabelling (:func:`coset_entry`), spread into place by strided slice
+    assignment and extended by ``k``.
 
     >>> list(window_bytes(1)), list(window_bytes(2)[:4])
     ([2, 0], [3, 4, 1, 4])
@@ -456,8 +472,8 @@ def window_bytes(n: int) -> bytes:
     for block, k in enumerate(_rep_targets(n)):
         table = bytearray(range(256))
         for v in range(1, n):
-            image = v + (v >= abs(k))
-            table[n - 1 + v], table[n - 1 - v] = n + image, n - image
+            table[n - 1 + v] = n + coset_entry(v, k)
+            table[n - 1 - v] = n + coset_entry(-v, k)
         part = base.translate(table)
         start = block * span
         for i in range(n - 1):
@@ -568,8 +584,12 @@ def window_texts(n: int) -> Iterator[str]:
         yield from lines.translate(None, b"\0")[:-1].decode().split("\n")
 
 
-def _rep_rank(n: int, k: int) -> int:
-    """Position of the last entry ``k`` in canonical representative order."""
+def rep_rank(n: int, k: int) -> int:
+    """Position of the last entry ``k`` in canonical representative order.
+
+    The elements with last entry ``k`` are the "K"-coset block
+    ``rep_rank(n, k)`` of the canonical order.
+    """
     return n - k if k > 0 else n - 1 - k
 
 
@@ -582,7 +602,7 @@ def element_index(w: Sequence[int]) -> int:
     cur = tuple(w)
     while n > 1:
         order //= 2 * n
-        idx += _rep_rank(n, cur[-1]) * order
+        idx += rep_rank(n, cur[-1]) * order
         cur = fix_last_projection(cur)
         n -= 1
     return idx + (0 if cur[0] == 1 else 1)
@@ -634,12 +654,12 @@ def right_generator_tables(n: int) -> tuple[array, ...]:
     top = array("i")
     for k in _rep_targets(n):
         for y in _rep_targets(n - 1):
-            # the part's last entry y is the window entry one step further
-            # from zero when |y| >= |k|; after the swap k is the last entry
-            # of the new part, one step nearer zero when |k| > |entry|
-            entry = y + (1 if y > 0 else -1) if abs(y) >= abs(k) else y
+            # the part's last entry y is the window entry coset_entry(y, k);
+            # after the swap k is the last entry of the new part, one step
+            # nearer zero when |k| > |entry|
+            entry = coset_entry(y, k)
             below = k - (1 if k > 0 else -1) if abs(k) > abs(entry) else k
-            start = (_rep_rank(n, entry) * 2 * (n - 1) + _rep_rank(n - 1, below)) * low
+            start = (rep_rank(n, entry) * 2 * (n - 1) + rep_rank(n - 1, below)) * low
             top.extend(range(start, start + low))
     tables.append(top)
     return tuple(tables)

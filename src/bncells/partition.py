@@ -76,11 +76,16 @@ class GroupPartition:
         """Group element indices by key (``None`` = outside the domain).
 
         ``label_fn`` maps a key to the class label; by default labels are
-        omitted.
+        omitted.  The ids are dense by construction, so they are not checked
+        a second time.
         """
         ids, first = _canonical(keys)
         labels = None if label_fn is None else tuple(map(label_fn, first))
-        return cls(n=n, class_id=ids, labels=labels)
+        part = object.__new__(cls)
+        fields = {"n": n, "class_id": ids, "labels": labels, "num_classes": len(first)}
+        for name, value in fields.items():
+            object.__setattr__(part, name, value)
+        return part
 
     # -- inspection -----------------------------------------------------------
 

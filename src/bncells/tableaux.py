@@ -11,7 +11,9 @@ standard Young tableaux whose entry sets partition ``{1, ..., n}``:
 
 Both maps are bijections, and ``B(w) = A(w^{-1})``.  On an all-positive
 window the minus tableaux are empty and this is classic Robinson-Schensted.
-One loop, :func:`insertion_rows`, does every insertion.
+One loop, :func:`insertion_rows`, inserts every window;
+:func:`recording_fiber_ids` builds the fibers of the whole group by
+induction on rank, one insertion per tableau side and value.
 
 Text formats: rows of a tableau are ``";"``-separated with space-separated
 entries; the two tableaux of a bitableau are joined by ``" | "``; an empty
@@ -31,10 +33,11 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
-from .group import iter_windows
+from .group import coset_entry, rep_rank
 from .partition import GroupPartition
 
 Partition = tuple[int, ...]
@@ -216,9 +219,12 @@ class StandardTableau:
         return tuple(x for row in self.rows for x in row)
 
     def to_text(self) -> str:
-        if not self.rows:
-            return "-"
-        return ";".join(" ".join(str(x) for x in row) for row in self.rows)
+        return _rows_text(self.rows)
+
+
+def _rows_text(rows: Sequence[Sequence[int]]) -> str:
+    """Rows ``";"``-separated, entries space-separated; no rows is ``"-"``."""
+    return ";".join(" ".join(map(str, row)) for row in rows) or "-"
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +291,7 @@ def _freeze(rows: list[list[int]]) -> StandardTableau:
 def insertion_rows(w: Iterable[int]) -> tuple[list[list[int]], ...]:
     """Row lists ``(plus, minus, plus_rec, minus_rec)`` of one signed insertion.
 
-    Every insertion of the package is this loop.
+    Every window the package inserts goes through this loop.
 
     >>> insertion_rows((3, -1, 2))
     ([[2], [3]], [[1]], [[1], [3]], [[2]])
@@ -338,27 +344,132 @@ def rs_generalized(w: Sequence[int]) -> tuple[Bitableau, Bitableau]:
     )
 
 
+def _insert_packed(side: bytes, x: int) -> tuple[int, bytes]:
+    """Row-insert ``x`` into a packed tableau; return the new box's row and the result.
+
+    A packed tableau is its rows, each ending in a zero byte.
+    """
+    rows = list(map(bytearray, side.split(b"\0")[:-1]))
+    row = _insert(rows, x)
+    return row, b"".join(bytes(r) + b"\0" for r in rows)
+
+
+def _grow(pairs: list, m: int, keep: bool) -> tuple[list, list, list]:
+    """Insert each "K"-coset block's last entry into every rank-``(m-1)`` P.
+
+    ``pairs`` are the rank-``(m-1)`` insertion bitableaux as pairs of
+    packed tableaux, listed by P id.  For block ``b`` with last entry ``k``,
+    ``rows[b][p]`` is ``m`` times the sign bit of ``k`` plus the row of the
+    box that inserting ``|k|`` into one side of the relabelled P ``p``
+    creates, and, when ``keep``, ``ids[b][p]`` is the id of the resulting
+    rank-``m`` P among the returned pairs.  Many P share a side, so each
+    relabelled side and value is inserted once.
+    """
+    relabel = {
+        a: bytes(coset_entry(v, a) for v in range(m)).ljust(256, b"\0")
+        for a in range(1, m + 1)
+    }
+    grown: dict[tuple[bytes, int], tuple[int, bytes]] = {}
+    rows: list[list[int]] = [[] for _ in range(2 * m)]
+    ids: list[list[int]] = [[] for _ in range(2 * m)]
+    seen: dict[tuple[bytes, bytes], int] = {}
+    for pair in pairs:
+        for a in range(1, m + 1):
+            relabelled = [side.translate(relabel[a]) for side in pair]
+            # k = a inserts into the plus side, k = -a into the minus side
+            for k, sign in ((a, 0), (-a, 1)):
+                b = rep_rank(m, k)
+                key = (relabelled[sign], a)
+                if key not in grown:
+                    grown[key] = _insert_packed(*key)
+                row, side = grown[key]
+                rows[b].append(m * sign + row)
+                if keep:
+                    new = (side, relabelled[1]) if sign == 0 else (relabelled[0], side)
+                    ids[b].append(seen.setdefault(new, len(seen)))
+    return rows, ids, list(seen)
+
+
+def recording_fiber_ids(n: int) -> tuple[array, list[int], list[int]]:
+    """Each element's recording fiber id, each fiber's least index, each fiber's code.
+
+    Built by induction on rank, with no window decoded.  In canonical order
+    ``index(w) = rank(k) * order(n-1) + index(part)`` for the last entry
+    ``k`` and the "K"-part, and ``w[:n-1]`` is the part relabelled
+    monotonically in ``|v|`` (:func:`~bncells.group.coset_entry`).  So
+    ``P(w[:n-1])`` is ``P(part)`` relabelled and ``Q(w[:n-1]) = Q(part)``;
+    inserting ``k`` gives ``P(w)`` and the row of the box ``n`` adds to
+    ``Q(part)``.  Hence per "K"-coset block:
+
+    - the P ids at rank ``n`` are the rank-``(n-1)`` P ids gathered through
+      one table (:func:`_grow`), made by at most one insertion per distinct
+      side of a rank-``(n-1)`` P and inserted value;
+    - ``Q(w)`` is ``Q(part)`` and the sign and row of the new box, so only
+      the rows are gathered at the top rank.
+
+    A recording bitableau is kept as its *code*: box ``i`` at sign ``s`` and
+    row ``r`` is the digit ``s * i + r`` in base ``2i``.  Fibers are numbered
+    by first appearance, block by block, and each fiber's least index is
+    read off the block where it first appears.
+    """
+    # rank 1: (1,) has P = Q = (1 | -), (-1,) has P = Q = (- | 1)
+    pairs, pids, codes = [(b"\1\0", b""), (b"", b"\1\0")], [0, 1], [0, 1]
+    for m in range(2, n):
+        rows, ids, pairs = _grow(pairs, m, keep=True)
+        scaled = [2 * m * code for code in codes]
+        parts, codes, pids = pids, [], []
+        for row, table in zip(rows, ids):
+            codes += map(add, scaled, map(row.__getitem__, parts))
+            pids += map(table.__getitem__, parts)
+    if n == 1:
+        return array("i", codes), [0, 1], codes  # two singleton fibers
+    rows = _grow(pairs, n, keep=False)[0]
+    scaled = [2 * n * code for code in codes]
+    number: dict[int, int] = {}
+    firsts: list[int] = []
+    out = array("i")
+    start = 0
+    for row in rows:
+        block = list(map(add, scaled, map(row.__getitem__, pids)))
+        # read backwards, each code's entry is overwritten last by its least index
+        least = dict(zip(reversed(block), range(start + len(block) - 1, start - 1, -1)))
+        for code in sorted(least.keys() - number.keys(), key=least.__getitem__):
+            number[code] = len(firsts)
+            firsts.append(least[code])
+        out.fromlist(list(map(number.__getitem__, block)))
+        start += len(block)
+    return out, firsts, list(number)
+
+
+def _code_text(n: int, code: int) -> str:
+    """The text of the recording bitableau with code ``code`` at rank ``n``."""
+    boxes = []
+    for i in range(n, 0, -1):
+        code, digit = divmod(code, 2 * i)
+        boxes.append((i, *divmod(digit, i)))
+    sides: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for i, sign, row in reversed(boxes):
+        rows = sides[sign]
+        if row == len(rows):
+            rows.append([i])
+        else:
+            rows[row].append(i)
+    return " | ".join(map(_rows_text, sides))
+
+
 def recording_fibers(n: int) -> GroupPartition:
     """Recording-bitableau fibers of the rank-``n`` group, labelled by their text.
 
-    Windows are decoded one at a time and keyed by their packed recording
-    rows.  For ``b > (n-1) a`` these are the left cells (Bonnafé-Iancu,
-    Represent. Theory 7, 2003).
+    The fibers of :func:`recording_fiber_ids`; each label is rendered once,
+    from its fiber's code.  For ``b > (n-1) a`` these are the left cells
+    (Bonnafé-Iancu, Represent. Theory 7, 2003).
 
     >>> recording_fibers(2).labels
     ('1 2 | -', '2 | 1', '1;2 | -', '1 | 2', '- | 1;2', '- | 1 2')
     """
-    ids = array("i")
-    labels: list[str] = []
-    seen: dict[bytes, int] = {}
-    for w in iter_windows(n):
-        _, _, plus_rec, minus_rec = insertion_rows(w)
-        key = pack_rows(plus_rec, minus_rec)
-        if key not in seen:
-            seen[key] = len(labels)
-            labels.append(Bitableau(_freeze(plus_rec), _freeze(minus_rec)).to_text())
-        ids.append(seen[key])
-    return GroupPartition(n=n, class_id=ids, labels=tuple(labels))
+    ids, _, codes = recording_fiber_ids(n)
+    labels = tuple(_code_text(n, code) for code in codes)
+    return GroupPartition(n=n, class_id=ids, labels=labels)
 
 
 def shape(w: Sequence[int]) -> Bipartition:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import add, lt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .descents import rxi_partition
 from .errors import FalsificationError, InvalidInputError, RegimeError
@@ -46,7 +46,7 @@ from .group import (
     window_texts,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
-from .tableaux import insertion_rows, pack_rows, rs_generalized
+from .tableaux import insertion_rows, pack_rows, recording_fiber_ids, rs_generalized
 
 # ---------------------------------------------------------------------------
 # parabolic index spaces
@@ -377,11 +377,10 @@ class VoganRun:
         ``final``.
         """
         n = self.n
-        representative = self.weight.representative(n)
-        seed, count, eps, psi, fine = _refinement_space(n, representative)
+        space = _refinement_space(n, self.weight.representative(n))
         rounds = tuple(
-            GroupPartition(n=n, class_id=_lift(ids, fine))
-            for ids, _ in _rounds(seed, count, eps, psi)
+            GroupPartition(n=n, class_id=_lift(n, ids, space.fine))
+            for ids, _ in _rounds(space)
         )
         counts = tuple(r.num_classes for r in rounds)
         if counts != self.round_classes or not self.final.same_blocks(rounds[-1]):
@@ -399,8 +398,19 @@ def _first_indices(ids: Sequence[int]) -> list[int]:
     return list(map(first.__getitem__, range(len(first))))
 
 
-def _minimal_index_labels(ids: Sequence[int]) -> tuple[str, ...]:
-    return tuple(map(str, _first_indices(ids)))
+def _minimal_index_labels(
+    ids: Sequence[int], firsts: Sequence[int] | None = None
+) -> tuple[str, ...]:
+    """Each class named by its least element index.
+
+    ``ids`` number elements, or points with least elements ``firsts``
+    numbered in the order of those, so a class's first point holds its
+    least element.
+    """
+    least = _first_indices(ids)
+    if firsts is not None:
+        least = map(firsts.__getitem__, least)
+    return tuple(map(str, least))
 
 
 def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
@@ -408,9 +418,11 @@ def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
 
     Each round splits every class by the pair of classes its two images
     currently lie in, until a round splits nothing.  Final classes are
-    labeled by their minimal element index.  A weight with ``a <= b`` other
-    than the dominant one runs its rounds on the dominant run's classes
-    (:func:`_refinement_space`), so that run is made and cached first.
+    labeled by their minimal element index.  The rounds of a weight with
+    ``a <= b`` run on one point per class of a finer stable partition
+    (:func:`_refinement_space`): the recording fibers for the dominant
+    weight, the dominant run's classes, made and cached first, for the
+    others.
 
     The weight is read in two places: the seed :func:`rxi_partition` reads
     its gate profile and whether ``a > b``, and :func:`build_psi` reads the
@@ -428,28 +440,28 @@ def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
 def _refine(
     n: int, representative: WeightFunction
 ) -> tuple[tuple[int, ...], GroupPartition]:
-    seed, count, eps, psi, fine = _refinement_space(n, representative)
+    space = _refinement_space(n, representative)
     counts = []
-    for ids, count in _rounds(seed, count, eps, psi):
+    for ids, count in _rounds(space):
         counts.append(count)
-    final = _lift(ids, fine)
     return tuple(counts), GroupPartition(
-        n=n, class_id=final, labels=_minimal_index_labels(final)
+        n=n,
+        class_id=_lift(n, ids, space.fine),
+        labels=_minimal_index_labels(ids, space.firsts),
     )
 
 
 vogan_classes.cache_info = _refine.cache_info
 
 
-def _rounds(
-    ids: array, count: int, eps: Sequence[int], psi: Sequence[int]
-) -> Iterator[tuple[array, int]]:
+def _rounds(space: _Space) -> Iterator[tuple[array, int]]:
     """The seed's class ids and class count, then each round's, to the fixpoint.
 
-    A round keys every class by its own id and the ids its two images lie
-    in, packed in base ``count``, and numbers the keys by first appearance;
-    the loop stops at the first round that splits nothing.
+    A round keys every point by its own class and the classes its two
+    images lie in, packed in base ``count``, and numbers the keys by first
+    appearance; the loop stops at the first round that splits nothing.
     """
+    ids, count, eps, psi = space.seed, space.count, space.eps, space.psi
     while True:
         yield ids, count
         seen: dict[int, int] = {}
@@ -465,49 +477,125 @@ def _rounds(
         ids, count = new, len(seen)
 
 
-def _refinement_space(
-    n: int, representative: WeightFunction
-) -> tuple[array, int, Sequence[int], Sequence[int], array | None]:
+class _Space(NamedTuple):
+    """The points the rounds run on, with the seed and both maps read there.
+
+    ``seed`` and ``count`` are the seed's ids on the points and its class
+    count, ``eps`` and ``psi`` the points' image tables.  ``fine`` gives
+    each element's point and ``firsts`` each point's least element; both
+    are ``None`` when the points are the elements.
+    """
+
+    seed: array
+    count: int
+    eps: Sequence[int]
+    psi: Sequence[int]
+    fine: array | None = None
+    firsts: Sequence[int] | None = None
+
+
+def _refinement_space(n: int, representative: WeightFunction) -> _Space:
     """What the rounds of one representative run on.
 
-    Returns the seed's ids and class count, the ε and ψ image tables and,
-    when the rounds run on the dominant weight's classes rather than on
-    the elements, each element's class there.
+    Let ``R`` be a partition that is stable under ε and ψ (the class of
+    ``x`` fixes the classes of ``ε(x)`` and ``ψ(x)``) and refines the
+    seed.  Then every round is a union of ``R``-classes, by induction on
+    the rounds (the setting of Paige and Tarjan's coarsest stable
+    refinement, SIAM J. Comput. 16, 1987).  So the rounds run on one point
+    per ``R``-class, its least element, where its seed id and images are
+    read; classes are numbered by least element, so the ids keep
+    first-appearance order once lifted back through ``R``, and the round
+    counts and final partition are those of the rounds over the elements.
+    Both conditions are checked over every element: the data read at the
+    points, lifted back through ``R``, must be each element's own.
 
-    The dominant seed of ``(1, n)`` reads every gate, so each other seed
-    with ``a <= b`` reads a subset of its bits and the dominant fixpoint
-    ``F`` refines it.  ``F`` is stable under both maps, so every round
-    from such a seed is a union of ``F``-classes, and the rounds run on one
-    point per ``F``-class: its first element, whose seed id and images are
-    read there.  Classes are numbered by their first elements, so the ids
-    keep first-appearance order once lifted back through ``F``.  That ``F``
-    refines the seed is checked; ``a > b`` keeps the rounds on elements.
+    - ``(1, n)``: ``R`` is the recording fibers
+      (:func:`~bncells.tableaux.recording_fiber_ids`), the left cells for
+      ``b > (n-1) a`` (Bonnafé-Iancu, Represent. Theory 7, 2003).  The
+      theorem only supplies ``R``; both checks run, and a failure raises
+      :class:`FalsificationError` naming it.
+    - Other ``a <= b``: ``R`` is the dominant fixpoint ``F``, stable by
+      construction, and the least elements are its labels.  Its seed reads
+      every gate, so each other seed reads a subset of its bits; that
+      ``F`` refines the seed is checked.
+    - ``a > b`` keeps the rounds on the elements.
     """
     eps = extended_image_table(build_epsilon(n))
     psi = extended_image_table(_psi(n))
-    dominant = WeightFunction(1, n)
-    if representative == dominant or representative.a > representative.b:
-        seed = rxi_partition(n, representative)
-        return seed.class_id, seed.num_classes, eps, psi, None
-    fine = _refine(n, dominant)[1].class_id
     seed = rxi_partition(n, representative)
-    firsts = _first_indices(fine)
-    if len(set(zip(fine, seed.class_id))) != len(firsts):
+    if representative.a > representative.b:
+        return _Space(seed.class_id, seed.num_classes, eps, psi)
+    dominant = representative == WeightFunction(1, n)
+    if dominant:
+        fine, firsts, _ = recording_fiber_ids(n)
+        what = "recording fibers (Bonnafé-Iancu, Represent. Theory 7, 2003)"
+    else:
+        final = _refine(n, WeightFunction(1, n))[1]
+        fine, firsts = final.class_id, list(map(int, final.labels))
+        what = f"classes of weight (1,{n})"
+
+    def at_points(values: array, table: Sequence[int] | None = None) -> array:
+        points = firsts if table is None else map(table.__getitem__, firsts)
+        return array("i", map(values.__getitem__, points))
+
+    space = _Space(
+        at_points(seed.class_id),
+        seed.num_classes,
+        at_points(fine, eps),
+        at_points(fine, psi),
+        fine,
+        firsts,
+    )
+    if dominant and not (
+        _lifts_back(n, fine, space.eps, fine, eps)
+        and _lifts_back(n, fine, space.psi, fine, psi)
+    ):
+        raise FalsificationError(f"rank {n}: the {what} are not stable under ε and ψ")
+    if not _lifts_back(n, fine, space.seed, seed.class_id):
         raise FalsificationError(
-            f"rank {n}: the classes of weight (1,{n}) do not refine the seed "
+            f"rank {n}: the {what} do not refine the seed "
             f"of ({representative.a},{representative.b})"
         )
-
-    def images(table: Sequence[int]) -> array:
-        return array("i", map(fine.__getitem__, map(table.__getitem__, firsts)))
-
-    seed_ids = array("i", map(seed.class_id.__getitem__, firsts))
-    return seed_ids, seed.num_classes, images(eps), images(psi), fine
+    return space
 
 
-def _lift(ids: array, fine: array | None) -> array:
-    """Element-level ids of a partition of ``fine``'s classes (``None``: elements)."""
-    return ids if fine is None else array("i", map(ids.__getitem__, fine))
+def _lifts_back(
+    n: int,
+    fine: array,
+    at_points: array,
+    values: array,
+    table: Sequence[int] | None = None,
+) -> bool:
+    """Whether ``at_points[fine[x]]`` is every element ``x``'s own value.
+
+    The value of ``x`` is ``values[table[x]]``, or ``values[x]`` without a
+    table.  Elements are compared one "K"-coset block at a time, so only a
+    block's values are held.
+    """
+    lift = at_points.tolist().__getitem__
+    at = values.__getitem__
+    span = len(fine) // (2 * n)
+    for start in range(0, len(fine), span):
+        block = slice(start, start + span)
+        own = list(values[block]) if table is None else list(map(at, table[block]))
+        if own != list(map(lift, fine[block])):
+            return False
+    return True
+
+
+def _lift(n: int, ids: array, fine: array | None) -> array:
+    """Element-level ids of a partition of ``fine``'s classes (``None``: elements).
+
+    Gathered from a list of the class ids, one "K"-coset block at a time.
+    """
+    if fine is None:
+        return ids
+    at = ids.tolist().__getitem__
+    out = array("i")
+    span = len(fine) // (2 * n)
+    for start in range(0, len(fine), span):
+        out.fromlist(list(map(at, fine[start : start + span])))
+    return out
 
 
 # ---------------------------------------------------------------------------

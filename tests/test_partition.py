@@ -52,6 +52,20 @@ class TestGroupPartition:
         with pytest.raises(InvalidInputError):
             GroupPartition(n=1, class_id=[0, -2])
 
+    def test_from_keys_checks_its_dense_ids_once(self, monkeypatch):
+        keys = ["b", None, "a", "b"]
+        checked = GroupPartition(n=1, class_id=canonical_ids(keys), labels=("b", "a"))
+
+        def second_pass(self):
+            raise AssertionError("the ids were checked again")
+
+        monkeypatch.setattr(GroupPartition, "__post_init__", second_pass)
+        assert GroupPartition.from_keys(1, keys, label_fn=str) == checked
+        assert GroupPartition.from_keys(1, keys).num_classes == checked.num_classes
+        # direct construction still runs the check
+        with pytest.raises(AssertionError, match="checked again"):
+            GroupPartition(n=1, class_id=[0, 1])
+
     @given(st.lists(st.integers(-3, 5), max_size=20))
     def test_density_check_matches_the_per_element_loop(self, ids):
         count = reference_class_count(ids)

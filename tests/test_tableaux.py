@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given
 
+from bncells import group, tableaux
 from bncells.errors import InvalidInputError
 from bncells.group import (
     SignedPerm,
@@ -23,6 +24,7 @@ from bncells.tableaux import (
     count_standard_bitableaux_of_shape,
     count_standard_tableaux,
     partitions,
+    recording_fiber_ids,
     recording_fibers,
     rs_generalized,
     shape,
@@ -245,13 +247,43 @@ class TestGeneralizedInsertion:
 
 
 class TestRecordingFibers:
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_the_per_element_reference(self, n):
         got = recording_fibers(n)
         expected = reference_recording_fibers(n)
         assert list(got.class_id) == list(expected.class_id)
         assert got.labels == expected.labels
         assert list(classes_to_tsv(got)) == list(classes_to_tsv(expected))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_least_indices_are_each_fibers_first_element(self, n):
+        ids, firsts, codes = recording_fiber_ids(n)
+        seen = {}
+        for i, cid in enumerate(ids):
+            seen.setdefault(cid, i)
+        assert firsts == [seen[c] for c in range(len(seen))]
+        assert len(codes) == len(firsts) == count_standard_bitableaux(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_fibers_decode_no_window_and_insert_once_per_p_and_entry(
+        self, n, monkeypatch
+    ):
+        def no_windows(*args):
+            raise AssertionError("a window was decoded")
+
+        calls = []
+
+        def counted(rows, x):
+            calls.append(x)
+            return insert(rows, x)
+
+        insert = tableaux._insert
+        for module in (group, tableaux):
+            monkeypatch.setattr(module, "iter_windows", no_windows, raising=False)
+        monkeypatch.setattr(tableaux, "_insert", counted)
+        assert recording_fibers(n).num_classes == count_standard_bitableaux(n)
+        # one insertion per rank-(n-1) P bitableau and last entry at most
+        assert len(calls) <= count_standard_bitableaux(n - 1) * 2 * n
 
     def test_keys_mark_where_rows_end(self):
         # both recording words read 1 2 3; the tableaux are 1 2 3 and 1 2;3

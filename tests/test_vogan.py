@@ -30,7 +30,12 @@ from bncells.group import (
 from bncells.cli import _area_partition
 from bncells.hecke import left_cells, right_cells
 from bncells.partition import OUTSIDE, GroupPartition, canonical_ids
-from bncells.tableaux import count_standard_bitableaux, recording_fibers, rs_generalized
+from bncells.tableaux import (
+    count_standard_bitableaux,
+    recording_fiber_ids,
+    recording_fibers,
+    rs_generalized,
+)
 from bncells.vogan import (
     CellularMap,
     VoganRun,
@@ -475,6 +480,77 @@ def test_a_seed_the_dominant_classes_do_not_refine_is_refused(monkeypatch):
             vogan_classes(3, WeightFunction(1, 2))
     finally:
         _refine.cache_clear()  # no run from the forged seed outlives the test
+
+
+@pytest.fixture
+def feed_fibers(monkeypatch):
+    """Make the dominant run read the classes of given keys as its fibers.
+
+    No run made from them outlives the test.
+    """
+
+    def feed(keys):
+        ids = canonical_ids(keys)
+        firsts = [ids.index(c) for c in range(max(ids) + 1)]
+        monkeypatch.setattr(vogan, "recording_fiber_ids", lambda n: (ids, firsts, []))
+        _refine.cache_clear()
+        return ids
+
+    yield feed
+    _refine.cache_clear()
+
+
+def test_fibers_with_one_element_moved_are_refused(feed_fibers):
+    n = 4
+    ids, firsts, _ = recording_fiber_ids(n)
+    keys = list(ids)
+    # the last element that is no fiber's least, moved into the identity's fiber
+    keys[max(set(range(len(ids))) - set(firsts))] = 0
+    feed_fibers(keys)
+    with pytest.raises(FalsificationError, match="Bonnafé-Iancu"):
+        vogan_classes(n, ASYM[n])
+
+
+def test_fibers_not_stable_under_the_maps_are_refused(feed_fibers):
+    # the element partition with two elements of one seed class merged:
+    # it refines the seed, but their images lie in two classes
+    n = 3
+    seed = rxi_partition(n, ASYM[n]).class_id
+    final = vogan_classes(n, ASYM[n]).final.class_id
+    x, y = next(
+        (x, y)
+        for y in range(len(seed))
+        for x in range(y)
+        if seed[x] == seed[y] and final[x] != final[y]
+    )
+    keys = list(range(len(seed)))
+    keys[y] = x
+    feed_fibers(keys)
+    with pytest.raises(FalsificationError, match="Bonnafé-Iancu.* not stable"):
+        vogan_classes(n, ASYM[n])
+
+
+def test_fibers_that_do_not_refine_the_seed_are_refused(feed_fibers):
+    # the orbits of both maps are stable under them, and coarser than the seed
+    n = 4
+    feed_fibers(list(xi_orbits(n, ASYM[n]).class_id))
+    with pytest.raises(FalsificationError, match=r"Bonnafé-Iancu.* do not refine"):
+        vogan_classes(n, ASYM[n])
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_rounds_on_the_element_partition_end_at_the_classes_not_at_it(
+    n, feed_fibers
+):
+    # the element partition is stable and refines the seed, so it is accepted
+    # in place of the fibers; the rounds end at the coarser classes, so that
+    # the classes are the fibers is a result, not forced by construction
+    reference = reference_rounds(n, ASYM[n])
+    fed = feed_fibers(range(group_order(n)))
+    run = vogan_classes(n, ASYM[n])
+    assert run.round_classes == tuple(r.num_classes for r in reference)
+    assert run.final.class_id == reference[-1].class_id != fed
+    assert run.final.labels == reference_minimal_index_labels(run.final.class_id)
 
 
 @pytest.mark.parametrize("n", (5, 6))
