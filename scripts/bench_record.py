@@ -2,16 +2,19 @@
 
 Run from the repository root:
 
-    python3 scripts/bench_record.py record --label NAME [--checkout PATH]
+    python3 scripts/bench_record.py record --label NAME [--checkout PATH] [--heavy]
     python3 scripts/bench_record.py table
 
 ``record`` runs the checkout's own ``perfbench/run.py`` (this checkout by
 default) for every workload, with ``--trace 0`` and then ``--trace 1``, at
 seed ``SEED`` and ``--seconds 40``.  It writes ``BENCH_<NAME>.json`` into
 this checkout with each run's record line and result line exactly as the
-benchmark printed them.  Both commands then rewrite the table between the
-``bench-table`` markers of ``README.md`` from the newest BENCH file, the one
-with the latest ``recorded_at``.
+benchmark printed them.  With ``--heavy`` it also runs each command of
+``HEAVY`` cold from the checkout's ``src/``, ``HEAVY_RUNS`` times, and keeps
+under the key ``heavy`` each run's wall and CPU seconds and peak RSS (from
+``os.wait4``) and their medians.  Both commands then rewrite the table
+between the ``bench-table`` markers of ``README.md`` from the end-to-end
+runs of the newest BENCH file, the one with the latest ``recorded_at``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +37,12 @@ SECONDS = 40
 BEGIN = "<!-- bench-table begin -->"
 END = "<!-- bench-table end -->"
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+# rank-7 commands, above the benchmark's rank-6 workloads
+HEAVY = {
+    "cells-r7": ["cells", "--n", "7", "--a", "1", "--b", "8", "--method", "vogan"],
+    "table-r7": ["table", "--exact", "--max-n", "7"],
+}
+HEAVY_RUNS = 3
 
 
 def run_benchmark(checkout: Path, workload: str, trace: int) -> dict:
@@ -43,7 +55,34 @@ def run_benchmark(checkout: Path, workload: str, trace: int) -> dict:
     return {"workload": workload, "trace": trace, "record": lines[-2], "result": lines[-1]}
 
 
-def record(label: str, checkout: Path) -> Path:
+def run_cold(checkout: Path, argv: list[str]) -> dict:
+    """One cold ``bncells`` process of the checkout, its output discarded."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    with open(os.devnull, "wb") as sink:
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "bncells", *argv], cwd=checkout, env=env, stdout=sink
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if child.returncode != 0:
+        sys.exit(f"bncells {' '.join(argv)} failed ({child.returncode})")
+    cpu = usage.ru_utime + usage.ru_stime
+    return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
+def run_heavy(checkout: Path) -> dict:
+    """Each ``HEAVY`` command's cold runs and the median of each measure."""
+    out = {}
+    for name, argv in HEAVY.items():
+        runs = [run_cold(checkout, argv) for _ in range(HEAVY_RUNS)]
+        medians = {key: statistics.median(run[key] for run in runs) for key in runs[0]}
+        out[name] = {"argv": argv, **medians, "runs": runs}
+    return out
+
+
+def record(label: str, checkout: Path, heavy: bool = False) -> Path:
     runs = [
         run_benchmark(checkout, workload, trace)
         for trace in (0, 1)
@@ -51,6 +90,8 @@ def record(label: str, checkout: Path) -> Path:
     ]
     stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     bench = {"label": label, "recorded_at": stamp, "seed": SEED, "seconds": SECONDS, "runs": runs}
+    if heavy:
+        bench["heavy"] = run_heavy(checkout)
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     return path
@@ -130,10 +171,13 @@ def main(argv=None) -> int:
     p_record.add_argument(
         "--checkout", type=Path, default=ROOT, help="checkout whose benchmark runs"
     )
+    p_record.add_argument(
+        "--heavy", action="store_true", help="also time the rank-7 commands cold"
+    )
     sub.add_parser("table", help="rebuild the README table from the newest BENCH file")
     args = parser.parse_args(argv)
     if args.command == "record":
-        print(record(args.label, args.checkout.resolve()))
+        print(record(args.label, args.checkout.resolve(), args.heavy))
     write_table()
     return 0
 

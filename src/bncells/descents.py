@@ -160,11 +160,11 @@ def rxi_partition(n: int, weight: WeightFunction) -> GroupPartition:
     invariants, each rendered once per fiber from its mask.
     """
     return GroupPartition.from_keys(
-        n, _masks(n, weight), label_fn=lambda mask: _from_mask(n, mask).to_text()
+        n, rxi_masks(n, weight), label_fn=lambda mask: _from_mask(n, mask).to_text()
     )
 
 
-def _masks(n: int, weight: WeightFunction) -> array:
+def rxi_masks(n: int, weight: WeightFunction) -> array:
     """The :func:`rxi_partition` mask of every element, in canonical order.
 
     Each bit is a 0/1 flag in every 8-bit lane of the columns of

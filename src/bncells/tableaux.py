@@ -11,9 +11,10 @@ standard Young tableaux whose entry sets partition ``{1, ..., n}``:
 
 Both maps are bijections, and ``B(w) = A(w^{-1})``.  On an all-positive
 window the minus tableaux are empty and this is classic Robinson-Schensted.
-One loop, :func:`insertion_rows`, inserts every window;
-:func:`recording_fiber_ids` builds the fibers of the whole group by
-induction on rank, one insertion per tableau side and value.
+One loop, :func:`insertion_rows`, inserts a single window;
+:func:`insertion_codes` builds every element's insertion and recording
+bitableau by induction on rank, one insertion per tableau side and value,
+and the recording fibers and both cycling maps read it.
 
 Text formats: rows of a tableau are ``";"``-separated with space-separated
 entries; the two tableaux of a bitableau are joined by ``" | "``; an empty
@@ -29,6 +30,7 @@ tableau renders as ``"-"``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from array import array
 from bisect import bisect_left
@@ -311,26 +313,6 @@ def insertion_rows(w: Iterable[int]) -> tuple[list[list[int]], ...]:
     return plus, minus, plus_rec, minus_rec
 
 
-def pack_rows(plus: list[list[int]], minus: list[list[int]]) -> bytes:
-    """Two row lists as bytes: each row ends in 0, one more 0 ends ``plus``.
-
-    The zeros mark where rows end (``1 2 3`` and ``1 2;3`` read alike), and
-    line up within one shape, where keys sort as row reading words.
-
-    >>> pack_rows([[1, 3], [2]], [[4]])
-    b'\\x01\\x03\\x00\\x02\\x00\\x00\\x04\\x00'
-    """
-    key: list[int] = []
-    for row in plus:
-        key += row
-        key.append(0)
-    key.append(0)
-    for row in minus:
-        key += row
-        key.append(0)
-    return bytes(key)
-
-
 def rs_generalized(w: Sequence[int]) -> tuple[Bitableau, Bitableau]:
     """Signed-permutation insertion (see module docstring for the convention).
 
@@ -354,7 +336,7 @@ def _insert_packed(side: bytes, x: int) -> tuple[int, bytes]:
     return row, b"".join(bytes(r) + b"\0" for r in rows)
 
 
-def _grow(pairs: list, m: int, keep: bool) -> tuple[list, list, list]:
+def _grow(pairs: list, m: int, keep: bool, positive: bool) -> tuple[list, list, list]:
     """Insert each "K"-coset block's last entry into every rank-``(m-1)`` P.
 
     ``pairs`` are the rank-``(m-1)`` insertion bitableaux as pairs of
@@ -362,23 +344,25 @@ def _grow(pairs: list, m: int, keep: bool) -> tuple[list, list, list]:
     ``rows[b][p]`` is ``m`` times the sign bit of ``k`` plus the row of the
     box that inserting ``|k|`` into one side of the relabelled P ``p``
     creates, and, when ``keep``, ``ids[b][p]`` is the id of the resulting
-    rank-``m`` P among the returned pairs.  Many P share a side, so each
-    relabelled side and value is inserted once.
+    rank-``m`` P among the returned pairs.  With ``positive`` only the
+    blocks ``b < m`` of the positive last entries are made.  Many P share a
+    side, so each relabelled side and value is inserted once.
     """
     relabel = {
         a: bytes(coset_entry(v, a) for v in range(m)).ljust(256, b"\0")
         for a in range(1, m + 1)
     }
+    signs = (0,) if positive else (0, 1)
     grown: dict[tuple[bytes, int], tuple[int, bytes]] = {}
-    rows: list[list[int]] = [[] for _ in range(2 * m)]
-    ids: list[list[int]] = [[] for _ in range(2 * m)]
+    rows: list[list[int]] = [[] for _ in range(len(signs) * m)]
+    ids: list[list[int]] = [[] for _ in range(len(signs) * m)]
     seen: dict[tuple[bytes, bytes], int] = {}
     for pair in pairs:
         for a in range(1, m + 1):
             relabelled = [side.translate(relabel[a]) for side in pair]
             # k = a inserts into the plus side, k = -a into the minus side
-            for k, sign in ((a, 0), (-a, 1)):
-                b = rep_rank(m, k)
+            for sign in signs:
+                b = rep_rank(m, -a if sign else a)
                 key = (relabelled[sign], a)
                 if key not in grown:
                     grown[key] = _insert_packed(*key)
@@ -390,40 +374,41 @@ def _grow(pairs: list, m: int, keep: bool) -> tuple[list, list, list]:
     return rows, ids, list(seen)
 
 
-def recording_fiber_ids(n: int) -> tuple[array, list[int], list[int]]:
-    """Each element's recording fiber id, each fiber's least index, each fiber's code.
+def insertion_codes(n: int, positive: bool = False) -> tuple[list, list, list]:
+    """The rank-``n`` P as packed pairs by id, and each element's P id and Q code.
 
     Built by induction on rank, with no window decoded.  In canonical order
     ``index(w) = rank(k) * order(n-1) + index(part)`` for the last entry
     ``k`` and the "K"-part, and ``w[:n-1]`` is the part relabelled
     monotonically in ``|v|`` (:func:`~bncells.group.coset_entry`).  So
-    ``P(w[:n-1])`` is ``P(part)`` relabelled and ``Q(w[:n-1]) = Q(part)``;
-    inserting ``k`` gives ``P(w)`` and the row of the box ``n`` adds to
-    ``Q(part)``.  Hence per "K"-coset block:
-
-    - the P ids at rank ``n`` are the rank-``(n-1)`` P ids gathered through
-      one table (:func:`_grow`), made by at most one insertion per distinct
-      side of a rank-``(n-1)`` P and inserted value;
-    - ``Q(w)`` is ``Q(part)`` and the sign and row of the new box, so only
-      the rows are gathered at the top rank.
-
-    A recording bitableau is kept as its *code*: box ``i`` at sign ``s`` and
-    row ``r`` is the digit ``s * i + r`` in base ``2i``.  Fibers are numbered
-    by first appearance, block by block, and each fiber's least index is
-    read off the block where it first appears.
+    ``P(w)`` is ``|k|`` inserted into ``P(part)`` relabelled, which per
+    block is one table (:func:`_grow`) over the rank-``(n-1)`` P ids, and
+    ``Q(w)`` is ``Q(part)`` and the new box's sign and row.  ``Q`` is kept
+    as its *code*: box ``i`` at sign ``s`` and row ``r`` is the digit
+    ``s * i + r`` in base ``2i``.  With ``positive`` only the all-positive
+    windows are kept, in canonical order.
     """
-    # rank 1: (1,) has P = Q = (1 | -), (-1,) has P = Q = (- | 1)
-    pairs, pids, codes = [(b"\1\0", b""), (b"", b"\1\0")], [0, 1], [0, 1]
-    for m in range(2, n):
-        rows, ids, pairs = _grow(pairs, m, keep=True)
+    # rank 0: the empty window, with empty P and Q
+    pairs, pids, codes = [(b"", b"")], [0], [0]
+    for m in range(1, n + 1):
+        rows, ids, pairs = _grow(pairs, m, True, positive)
         scaled = [2 * m * code for code in codes]
         parts, codes, pids = pids, [], []
         for row, table in zip(rows, ids):
             codes += map(add, scaled, map(row.__getitem__, parts))
             pids += map(table.__getitem__, parts)
-    if n == 1:
-        return array("i", codes), [0, 1], codes  # two singleton fibers
-    rows = _grow(pairs, n, keep=False)[0]
+    return pairs, pids, codes
+
+
+def recording_fiber_ids(n: int) -> tuple[array, list[int], list[int]]:
+    """Each element's recording fiber id, each fiber's least index, each fiber's code.
+
+    :func:`insertion_codes` to rank ``n-1``, then only the new boxes' rows.
+    Fibers are numbered by first appearance, block by block, and each
+    fiber's least index is read off the block where it first appears.
+    """
+    pairs, pids, codes = insertion_codes(n - 1)
+    rows = _grow(pairs, n, keep=False, positive=False)[0]
     scaled = [2 * n * code for code in codes]
     number: dict[int, int] = {}
     firsts: list[int] = []
@@ -441,8 +426,8 @@ def recording_fiber_ids(n: int) -> tuple[array, list[int], list[int]]:
     return out, firsts, list(number)
 
 
-def _code_text(n: int, code: int) -> str:
-    """The text of the recording bitableau with code ``code`` at rank ``n``."""
+def _code_rows(n: int, code: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The plus and minus row lists of the recording bitableau with code ``code``."""
     boxes = []
     for i in range(n, 0, -1):
         code, digit = divmod(code, 2 * i)
@@ -454,7 +439,25 @@ def _code_text(n: int, code: int) -> str:
             rows.append([i])
         else:
             rows[row].append(i)
-    return " | ".join(map(_rows_text, sides))
+    return sides
+
+
+def next_codes(n: int, codes: Iterable[int]) -> dict[int, int]:
+    """Each code's successor among the codes of its shape, cyclically.
+
+    Codes of one shape come in the order of their row reading words; each
+    code's rows are rendered once.
+    """
+    keyed = []
+    for code in set(codes):
+        plus, minus = _code_rows(n, code)
+        lengths = (list(map(len, plus)), list(map(len, minus)))
+        keyed.append((lengths, sum(plus + minus, []), code))
+    step = {}
+    for _, run in itertools.groupby(sorted(keyed), key=lambda entry: entry[0]):
+        cycle = [code for _, _, code in run]
+        step.update(zip(cycle, cycle[1:] + cycle[:1]))
+    return step
 
 
 def recording_fibers(n: int) -> GroupPartition:
@@ -468,7 +471,7 @@ def recording_fibers(n: int) -> GroupPartition:
     ('1 2 | -', '2 | 1', '1;2 | -', '1 | 2', '- | 1;2', '- | 1 2')
     """
     ids, _, codes = recording_fiber_ids(n)
-    labels = tuple(_code_text(n, code) for code in codes)
+    labels = tuple(" | ".join(map(_rows_text, _code_rows(n, code))) for code in codes)
     return GroupPartition(n=n, class_id=ids, labels=labels)
 
 

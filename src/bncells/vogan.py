@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import add, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .descents import rxi_partition
+from .descents import rxi_masks
 from .errors import FalsificationError, InvalidInputError, RegimeError
 from .group import (
     SignedPerm,
@@ -38,7 +38,6 @@ from .group import (
     group_elements,
     group_order,
     inverse_index_table,
-    iter_windows,
     lanes_at_least,
     mul,
     repeat_by_block,
@@ -46,7 +45,7 @@ from .group import (
     window_texts,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
-from .tableaux import insertion_rows, pack_rows, recording_fiber_ids, rs_generalized
+from .tableaux import insertion_codes, next_codes, recording_fiber_ids, rs_generalized
 
 # ---------------------------------------------------------------------------
 # parabolic index spaces
@@ -61,8 +60,8 @@ def parabolic_elements(subset_id: str, n: int) -> tuple[tuple[int, ...], ...]:
     subset "K" reuses the canonical rank-``(n-1)`` enumeration (at ``n = 1``
     the parabolic is trivial).  The "K" tuples are kept, so only the
     element-wise helpers (:meth:`CellularMap.apply`, :func:`left_extend`,
-    :func:`verify_admissible`) read them; :func:`build_psi` walks the
-    rank-``(n-1)`` windows one at a time instead.
+    :func:`verify_admissible`) read them; :func:`build_epsilon` and
+    :func:`build_psi` read the codes of the rank induction instead.
     """
     if subset_id == "J":
         return tuple(u[::-1] for u in itertools.permutations(range(n, 0, -1)))
@@ -118,25 +117,22 @@ class CellularMap:
 # ---------------------------------------------------------------------------
 
 
-def _recording_cycles(elements: Iterable[Sequence[int]]) -> tuple[int, ...]:
+def _recording_steps(n: int, positive: bool) -> tuple[int, ...]:
     """Index map stepping each element's recording bitableau to the next one.
 
-    One forward signed insertion per element gives the key ``(A, B, index)``
-    of its packed insertion and recording rows.  After one sort each run of
-    equal ``A`` is one cycle; its recording rows share ``A``'s shape, so they
-    come in the order of their reading words, as ``standard_bitableaux`` lists.
+    The elements are the rank-``n`` windows, or the all-positive ones, with
+    the P ids and Q codes of :func:`~bncells.tableaux.insertion_codes`.
+    The elements of one P are one cycle: their Q have P's shape, and each
+    steps to the next of that shape (:func:`~bncells.tableaux.next_codes`),
+    as ``standard_bitableaux`` lists them.  The element of a pair ``(P, Q)``
+    is found by the pair packed into one int.
     """
-    keys = []
-    for index, w in enumerate(elements):
-        plus, minus, plus_rec, minus_rec = insertion_rows(w)
-        keys.append((pack_rows(plus, minus), pack_rows(plus_rec, minus_rec), index))
-    keys.sort()
-    images = [0] * len(keys)
-    for _, run in itertools.groupby(keys, key=lambda key: key[0]):
-        cycle = [index for _, _, index in run]
-        for index, image in zip(cycle, cycle[1:] + cycle[:1]):
-            images[index] = image
-    return tuple(images)
+    _, pids, codes = insertion_codes(n, positive)
+    step = next_codes(n, codes)
+    span = group_order(n)  # every code is below it
+    by_pair = dict(zip(map(add, map(span.__mul__, pids), codes), itertools.count()))
+    images = map(add, map(span.__mul__, pids), map(step.__getitem__, codes))
+    return tuple(map(by_pair.__getitem__, images))
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +143,7 @@ def build_epsilon(n: int) -> CellularMap:
     ``(P, next(Q))`` where ``next`` steps cyclically through the standard
     tableaux of the shape in increasing order of their row reading words.
     """
-    return CellularMap("J", n, _recording_cycles(parabolic_elements("J", n)))
+    return CellularMap("J", n, _recording_steps(n, positive=True))
 
 
 def build_psi(n: int, weight: WeightFunction) -> CellularMap:
@@ -173,9 +169,7 @@ def _check_psi_gate(n: int, weight: WeightFunction) -> None:
 
 @lru_cache(maxsize=None)
 def _psi(n: int) -> CellularMap:
-    # decoded one window at a time, so no tuple enumeration is kept
-    elements = iter_windows(n - 1) if n > 1 else [()]
-    return CellularMap("K", n, _recording_cycles(elements))
+    return CellularMap("K", n, _recording_steps(n - 1, positive=False))
 
 
 build_psi.cache_info = _psi.cache_info
@@ -424,9 +418,10 @@ def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
     weight, the dominant run's classes, made and cached first, for the
     others.
 
-    The weight is read in two places: the seed :func:`rxi_partition` reads
-    its gate profile and whether ``a > b``, and :func:`build_psi` reads the
-    gate ``b > (n-2) a``, one gate of that profile.  So the caller's gate is
+    The weight is read in two places: the seed masks
+    (:func:`~bncells.descents.rxi_masks`) read its gate profile and whether
+    ``a > b``, and :func:`build_psi` reads the gate ``b > (n-2) a``, one
+    gate of that profile.  So the caller's gate is
     checked, then the run is cached on ``n`` and
     :meth:`WeightFunction.representative`, which keeps exactly what is
     read; the run returned carries the caller's own weight.
@@ -461,7 +456,8 @@ def _rounds(space: _Space) -> Iterator[tuple[array, int]]:
     images lie in, packed in base ``count``, and numbers the keys by first
     appearance; the loop stops at the first round that splits nothing.
     """
-    ids, count, eps, psi = space.seed, space.count, space.eps, space.psi
+    ids, eps, psi = space.seed, space.eps, space.psi
+    count = max(ids) + 1
     while True:
         yield ids, count
         seen: dict[int, int] = {}
@@ -480,14 +476,13 @@ def _rounds(space: _Space) -> Iterator[tuple[array, int]]:
 class _Space(NamedTuple):
     """The points the rounds run on, with the seed and both maps read there.
 
-    ``seed`` and ``count`` are the seed's ids on the points and its class
-    count, ``eps`` and ``psi`` the points' image tables.  ``fine`` gives
+    ``seed`` is the seed's ids on the points, ``eps`` and ``psi`` the
+    points' image tables.  ``fine`` gives
     each element's point and ``firsts`` each point's least element; both
     are ``None`` when the points are the elements.
     """
 
     seed: array
-    count: int
     eps: Sequence[int]
     psi: Sequence[int]
     fine: array | None = None
@@ -502,7 +497,7 @@ def _refinement_space(n: int, representative: WeightFunction) -> _Space:
     seed.  Then every round is a union of ``R``-classes, by induction on
     the rounds (the setting of Paige and Tarjan's coarsest stable
     refinement, SIAM J. Comput. 16, 1987).  So the rounds run on one point
-    per ``R``-class, its least element, where its seed id and images are
+    per ``R``-class, its least element, where its seed mask and images are
     read; classes are numbered by least element, so the ids keep
     first-appearance order once lifted back through ``R``, and the round
     counts and final partition are those of the rounds over the elements.
@@ -522,9 +517,9 @@ def _refinement_space(n: int, representative: WeightFunction) -> _Space:
     """
     eps = extended_image_table(build_epsilon(n))
     psi = extended_image_table(_psi(n))
-    seed = rxi_partition(n, representative)
+    masks = rxi_masks(n, representative)
     if representative.a > representative.b:
-        return _Space(seed.class_id, seed.num_classes, eps, psi)
+        return _Space(canonical_ids(masks), eps, psi)
     dominant = representative == WeightFunction(1, n)
     if dominant:
         fine, firsts, _ = recording_fiber_ids(n)
@@ -536,22 +531,17 @@ def _refinement_space(n: int, representative: WeightFunction) -> _Space:
 
     def at_points(values: array, table: Sequence[int] | None = None) -> array:
         points = firsts if table is None else map(table.__getitem__, firsts)
-        return array("i", map(values.__getitem__, points))
+        return array(values.typecode, map(values.__getitem__, points))
 
-    space = _Space(
-        at_points(seed.class_id),
-        seed.num_classes,
-        at_points(fine, eps),
-        at_points(fine, psi),
-        fine,
-        firsts,
-    )
+    point_masks = at_points(masks)
+    seed = canonical_ids(point_masks)
+    space = _Space(seed, at_points(fine, eps), at_points(fine, psi), fine, firsts)
     if dominant and not (
         _lifts_back(n, fine, space.eps, fine, eps)
         and _lifts_back(n, fine, space.psi, fine, psi)
     ):
         raise FalsificationError(f"rank {n}: the {what} are not stable under ε and ψ")
-    if not _lifts_back(n, fine, space.seed, seed.class_id):
+    if not _lifts_back(n, fine, point_masks, masks):
         raise FalsificationError(
             f"rank {n}: the {what} do not refine the seed "
             f"of ({representative.a},{representative.b})"

@@ -6,7 +6,7 @@ before it breaks the benchmark.  ``verify_small_ranks.py`` and
 ``area_atlas.py`` get a smoke run each, the rank-5 gate of
 ``verify_small_ranks.py`` is checked, and the README performance table must
 be the one ``bench_record.py`` builds from the newest BENCH file (no
-benchmark runs here).
+benchmark runs here); its heavy section is run on a rank-3 command.
 """
 
 import importlib.util
@@ -140,3 +140,29 @@ def test_readme_table_is_built_from_the_newest_bench_file():
     script = load_script("bench_record")
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert script.readme_table(readme) == script.render_table(script.newest_bench())
+
+
+def test_heavy_runs_keep_medians_beside_the_runs_the_table_ignores(
+    monkeypatch, tmp_path
+):
+    script = load_script("bench_record")
+    monkeypatch.setattr(script, "HEAVY", {"cells-r3": ["cells", "--n", "3"]})
+    heavy = script.run_heavy(ROOT)
+    entry = heavy["cells-r3"]
+    assert entry["argv"] == ["cells", "--n", "3"]
+    assert len(entry["runs"]) == script.HEAVY_RUNS
+    for key in ("wall_s", "cpu_s", "peak_rss_mb"):
+        values = sorted(run[key] for run in entry["runs"])
+        assert values[0] > 0 and entry[key] == values[len(values) // 2]
+    # a BENCH file with a heavy section renders the same end-to-end table
+    newest = script.newest_bench()
+    bench = json.loads(newest.read_text(encoding="utf-8"))
+    with_heavy = tmp_path / newest.name
+    with_heavy.write_text(json.dumps({**bench, "heavy": heavy}), encoding="utf-8")
+    assert script.render_table(with_heavy) == script.render_table(newest)
+
+
+def test_a_failing_heavy_command_stops_the_record():
+    script = load_script("bench_record")
+    with pytest.raises(SystemExit, match="failed"):
+        script.run_cold(ROOT, ["cells", "--n", "3", "--method", "nonsense"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bncells import vogan
+from bncells import group, tableaux, vogan
 from bncells.area import (
     area_elements,
     in_area,
@@ -15,7 +15,7 @@ from bncells.area import (
     star_closed_form,
     upsilon_decomposition,
 )
-from bncells.descents import rxi_partition
+from bncells.descents import rxi_masks, rxi_partition
 from bncells.errors import FalsificationError, InvalidInputError, RegimeError
 from bncells.group import (
     MAX_ENUMERATION_RANK,
@@ -24,6 +24,7 @@ from bncells.group import (
     group_elements,
     group_order,
     inverse,
+    iter_windows,
     length,
     window_text,
 )
@@ -64,6 +65,7 @@ from .oracles import (
     oracle_j_table,
     oracle_pair_refinement,
     reference_minimal_index_labels,
+    reference_recording_cycles,
     reference_rounds,
 )
 from .test_hecke import cached_kl
@@ -122,6 +124,39 @@ def test_parabolic_index_spaces():
 def test_cycling_maps_match_inverse_insertion(n):
     assert build_epsilon(n).mapping == oracle_cycling_map("J", n)
     assert build_psi(n, ASYM[n]).mapping == oracle_cycling_map("K", n)
+
+
+@pytest.fixture
+def no_insertion_loop(monkeypatch):
+    """Make inserting or decoding a window fail; rebuild both maps under it."""
+
+    def refused(*args):
+        raise AssertionError("a window was inserted or decoded")
+
+    # in the modules that define them and in any that import them
+    for module in (group, tableaux, vogan):
+        for name in ("insertion_rows", "iter_windows"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    build_epsilon.cache_clear()
+    _psi.cache_clear()
+    yield
+    build_epsilon.cache_clear()
+    _psi.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cycling_maps_insert_and_decode_no_window(n, no_insertion_loop):
+    assert build_epsilon(n).parabolic_size == math.factorial(n)
+    assert build_psi(n, ASYM[n]).parabolic_size == group_order(n - 1)
+
+
+def test_cycling_maps_match_one_insertion_per_element_at_rank_seven():
+    n = 7
+    positive = parabolic_elements("J", n)
+    assert build_epsilon(n).mapping == reference_recording_cycles(positive)
+    assert build_psi(n, ASYM[n]).mapping == reference_recording_cycles(
+        iter_windows(n - 1)
+    )
 
 
 def test_epsilon_is_identity_on_single_tableau_shapes():
@@ -465,21 +500,74 @@ def test_a_non_dominant_run_reads_the_cached_dominant_run():
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
-def test_a_seed_the_dominant_classes_do_not_refine_is_refused(monkeypatch):
-    _refine.cache_clear()
-    vogan_classes(3, ASYM[3])  # the dominant run, from its own seed
+@pytest.fixture
+def feed_masks(monkeypatch):
+    """Make the refinement read the seed masks ``forge(n, weight)`` returns.
 
+    No run made from them outlives the test.
+    """
+
+    def feed(forge):
+        monkeypatch.setattr(vogan, "rxi_masks", forge)
+        _refine.cache_clear()
+
+    yield feed
+    _refine.cache_clear()
+
+
+def test_a_seed_the_dominant_classes_do_not_refine_is_refused(feed_masks):
+    # the dominant run reads its own seed; the boundary weight's seed is discrete
     def discrete_boundary_seed(n, weight):
         if weight == ASYM[n]:
-            return rxi_partition(n, weight)
-        return GroupPartition(n=n, class_id=array("i", range(group_order(n))))
+            return rxi_masks(n, weight)
+        return array("I", range(group_order(n)))
 
-    monkeypatch.setattr(vogan, "rxi_partition", discrete_boundary_seed)
-    try:
-        with pytest.raises(FalsificationError, match=r"\(1,3\) do not refine"):
-            vogan_classes(3, WeightFunction(1, 2))
-    finally:
-        _refine.cache_clear()  # no run from the forged seed outlives the test
+    feed_masks(discrete_boundary_seed)
+    with pytest.raises(FalsificationError, match=r"\(1,3\) do not refine"):
+        vogan_classes(3, WeightFunction(1, 2))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_a_dominant_seed_with_one_gate_bit_flipped_is_refused(n, feed_masks):
+    # the gate bit of the last sign position, flipped on one element whose
+    # recording fiber has other elements, so the fibers no longer refine it
+    ids, firsts, _ = recording_fiber_ids(n)
+    flipped = max(set(range(len(ids))) - set(firsts))
+    gate = 1 << (2 * n - 1)
+
+    def one_bit_flipped(n_, weight):
+        masks = rxi_masks(n_, weight)
+        masks[flipped] ^= gate
+        return masks
+
+    feed_masks(one_bit_flipped)
+    with pytest.raises(FalsificationError, match=r"do not refine the seed"):
+        vogan_classes(n, ASYM[n])
+
+
+REGIMES = {
+    "dominant": lambda n: (1, n + 1),
+    "sharp": lambda n: (1, n),
+    "boundary": lambda n: (1, n - 1),
+    "intermediate": lambda n: (2, 2 * n - 3),
+    "wide": lambda n: (3, 3 * n - 4),
+    "flipped": lambda n: (2, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "n,weight",
+    [
+        pytest.param(n, weight, id=f"{n}-{regime}")
+        for n in range(2, 7)
+        for regime, weight_at in REGIMES.items()
+        for weight in [WeightFunction(*weight_at(n))]
+        if weight.slope_exceeds(n - 2)  # the refinement's gate
+    ],
+)
+def test_the_first_round_counts_the_seed_classes(n, weight):
+    run = vogan_classes(n, weight)
+    assert run.round_classes[0] == rxi_partition(n, weight).num_classes
 
 
 @pytest.fixture
