@@ -2,14 +2,15 @@
 
 Run from the repository root:
 
-    python3 scripts/bench_record.py record --label NAME [--checkout PATH] [--heavy]
+    python3 scripts/bench_record.py record --label NAME [--checkout PATH]
     python3 scripts/bench_record.py table
 
 ``record`` runs the checkout's own ``perfbench/run.py`` (this checkout by
 default) for every workload, with ``--trace 0`` and then ``--trace 1``, at
 seed ``SEED`` and ``--seconds 40``.  It writes ``BENCH_<NAME>.json`` into
 this checkout with each run's record line and result line exactly as the
-benchmark printed them.  With ``--heavy`` it also runs each command of
+benchmark printed them, and the checkout's commit, marked ``+dirty`` when
+its tracked files differ from that commit.  It also runs each command of
 ``HEAVY`` cold from the checkout's ``src/``, ``HEAVY_RUNS`` times, and keeps
 under the key ``heavy`` each run's wall and CPU seconds and peak RSS (from
 ``os.wait4``) and their medians.  Both commands then rewrite the table
@@ -82,16 +83,36 @@ def run_heavy(checkout: Path) -> dict:
     return out
 
 
-def record(label: str, checkout: Path, heavy: bool = False) -> Path:
+def checkout_commit(checkout: Path) -> str | None:
+    """The checkout's short HEAD, ``+dirty`` if tracked files changed; None outside git."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return None
+    changed = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("+dirty" if changed else "")
+
+
+def record(label: str, checkout: Path) -> Path:
+    commit = checkout_commit(checkout)
     runs = [
         run_benchmark(checkout, workload, trace)
         for trace in (0, 1)
         for workload in WORKLOADS
     ]
     stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    bench = {"label": label, "recorded_at": stamp, "seed": SEED, "seconds": SECONDS, "runs": runs}
-    if heavy:
-        bench["heavy"] = run_heavy(checkout)
+    bench = {
+        "label": label,
+        "recorded_at": stamp,
+        "commit": commit,
+        "seed": SEED,
+        "seconds": SECONDS,
+        "runs": runs,
+        "heavy": run_heavy(checkout),
+    }
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     return path
@@ -117,13 +138,12 @@ def render_table(path: Path) -> str:
     results = {
         (run["workload"], run["trace"]): json.loads(run["result"]) for run in bench["runs"]
     }
-    commit = json.loads(bench["runs"][0]["record"])["perfbench"]["commit"]
     header = "| metric | " + " | ".join(f"`{w}`" for w in WORKLOADS) + " |"
     rule = "|---" * (len(WORKLOADS) + 1) + "|"
     lines = [
         BEGIN,
         f"Generated by `scripts/bench_record.py` from `{path.name}` (commit "
-        f"`{(commit or 'unknown')[:7]}`, seed {bench['seed']}, "
+        f"`{bench['commit'] or 'unknown'}`, seed {bench['seed']}, "
         f"`--seconds {bench['seconds']}`).",
         "",
         "End to end (`--trace 0`; times scaled to the reference host, RSS in MB):",
@@ -171,13 +191,10 @@ def main(argv=None) -> int:
     p_record.add_argument(
         "--checkout", type=Path, default=ROOT, help="checkout whose benchmark runs"
     )
-    p_record.add_argument(
-        "--heavy", action="store_true", help="also time the rank-7 commands cold"
-    )
     sub.add_parser("table", help="rebuild the README table from the newest BENCH file")
     args = parser.parse_args(argv)
     if args.command == "record":
-        print(record(args.label, args.checkout.resolve(), args.heavy))
+        print(record(args.label, args.checkout.resolve()))
     write_table()
     return 0
 

@@ -8,8 +8,7 @@ and dumb on purpose.  :func:`orbit_meets_canonical` is the exception: it is
 the existential definition that a closed form in the library replaces, so it
 is written with the library's own pieces.  The ``reference_*`` functions are
 the per-element loops that builtins replaced in the library (id density,
-canonical ids, minimal-index labels, window texts, recording fibers, the
-one insertion per element of the cycling maps) or
+canonical ids, minimal-index labels, window texts, recording fibers) or
 that a cheaper scheme replaced (the refinement rounds, each run on the
 elements and kept), kept to compare with.
 :func:`coset_product_elements` is the canonical order by its definition,
@@ -50,7 +49,6 @@ from bncells.tableaux import (
     StandardTableau,
     bipartitions,
     check_partition,
-    insertion_rows,
     partitions,
     rs_generalized,
     shape,
@@ -550,40 +548,3 @@ def reference_recording_fibers(n: int) -> GroupPartition:
         label_fn=Bitableau.to_text,
     )
 
-
-def pack_rows(plus: list[list[int]], minus: list[list[int]]) -> bytes:
-    """Two row lists as bytes: each row ends in 0, one more 0 ends ``plus``.
-
-    The zeros mark where rows end (``1 2 3`` and ``1 2;3`` read alike), and
-    line up within one shape, where keys sort as row reading words.
-    """
-    key: list[int] = []
-    for row in plus:
-        key += row
-        key.append(0)
-    key.append(0)
-    for row in minus:
-        key += row
-        key.append(0)
-    return bytes(key)
-
-
-def reference_recording_cycles(elements: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Index map stepping each element's recording bitableau to the next one.
-
-    One forward signed insertion per element gives the key ``(A, B, index)``
-    of its packed insertion and recording rows.  After one sort each run of
-    equal ``A`` is one cycle; its recording rows share ``A``'s shape, so they
-    come in the order of their reading words, as ``standard_bitableaux`` lists.
-    """
-    keys = []
-    for index, w in enumerate(elements):
-        plus, minus, plus_rec, minus_rec = insertion_rows(w)
-        keys.append((pack_rows(plus, minus), pack_rows(plus_rec, minus_rec), index))
-    keys.sort()
-    images = [0] * len(keys)
-    for _, run in itertools.groupby(keys, key=lambda key: key[0]):
-        cycle = [index for _, _, index in run]
-        for index, image in zip(cycle, cycle[1:] + cycle[:1]):
-            images[index] = image
-    return tuple(images)

@@ -6,7 +6,8 @@ before it breaks the benchmark.  ``verify_small_ranks.py`` and
 ``area_atlas.py`` get a smoke run each, the rank-5 gate of
 ``verify_small_ranks.py`` is checked, and the README performance table must
 be the one ``bench_record.py`` builds from the newest BENCH file (no
-benchmark runs here); its heavy section is run on a rank-3 command.
+benchmark runs here); its heavy section is run on a rank-3 command, and a
+record names the commit it measured.
 """
 
 import importlib.util
@@ -166,3 +167,35 @@ def test_a_failing_heavy_command_stops_the_record():
     script = load_script("bench_record")
     with pytest.raises(SystemExit, match="failed"):
         script.run_cold(ROOT, ["cells", "--n", "3", "--method", "nonsense"])
+
+
+def test_a_record_keeps_the_heavy_runs_and_names_a_dirty_tree(monkeypatch, tmp_path):
+    script = load_script("bench_record")
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    assert script.checkout_commit(checkout) is None
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=checkout,
+            check=True,
+            capture_output=True,
+        )
+
+    git("init", "-q")
+    (checkout / "code.py").write_text("x = 1\n")
+    git("add", "code.py")
+    git("commit", "-q", "-m", "one")
+    (checkout / "untracked.txt").write_text("")
+    head = script.checkout_commit(checkout)
+    assert head and "+" not in head
+    (checkout / "code.py").write_text("x = 2\n")
+    assert script.checkout_commit(checkout) == head + "+dirty"
+
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    monkeypatch.setattr(script, "run_benchmark", lambda *args: {"workload": args[1]})
+    monkeypatch.setattr(script, "run_heavy", lambda checkout: {"cells-r3": {}})
+    bench = json.loads(script.record("t", checkout).read_text(encoding="utf-8"))
+    assert bench["commit"] == head + "+dirty"
+    assert bench["heavy"] == {"cells-r3": {}}
