@@ -46,8 +46,8 @@ from .group import (
     WeightFunction,
     check_enumeration_rank,
     element_index,
-    group_elements,
     group_order,
+    iter_windows,
     length,
     length_t,
     parse_window,
@@ -174,29 +174,26 @@ def cmd_table(args, out) -> int:
 
 
 def _cells_as_sets(partition: GroupPartition) -> set[frozenset]:
-    elements = group_elements(partition.n)
-    return {
-        frozenset(elements[i] for i in members)
-        for members in partition.classes()
-    }
+    n = partition.n
+    return {frozenset(iter_windows(n, members)) for members in partition.classes()}
 
 
 def _class_diff(oracle: GroupPartition, classes: GroupPartition) -> str:
-    """First oracle cell that is split or merged by the class partition."""
-    elements = group_elements(oracle.n)
+    """First oracle cell that is split or merged by the class partition.
+
+    Only the members of that cell are decoded.
+    """
     sizes = classes.class_sizes()
     for members in oracle.classes():
         hit = {classes.class_of(i) for i in members}
         if len(hit) != 1:
-            windows = ", ".join(window_text(elements[i]) for i in sorted(members))
-            return f"oracle cell {{{windows}}} meets {len(hit)} classes"
-        size = sizes[hit.pop()]
-        if size != len(members):
-            windows = ", ".join(window_text(elements[i]) for i in sorted(members))
-            return (
-                f"oracle cell {{{windows}}} sits inside a strictly larger "
-                f"class of size {size}"
-            )
+            problem = f"meets {len(hit)} classes"
+        elif (size := sizes[hit.pop()]) != len(members):
+            problem = f"sits inside a strictly larger class of size {size}"
+        else:
+            continue
+        windows = ", ".join(map(window_text, iter_windows(oracle.n, members)))
+        return f"oracle cell {{{windows}}} {problem}"
     return "partitions agree"
 
 

@@ -174,6 +174,33 @@ def _psi(n: int) -> CellularMap:
 
 build_psi.cache_info = _psi.cache_info
 
+_RECORDING_FIBERS = "recording fibers (Bonnafé-Iancu, Represent. Theory 7, 2003)"
+
+
+@lru_cache(maxsize=None)
+def _fibers(n: int) -> tuple[array, array, array, array]:
+    """The recording fibers, each fiber's least element, and ε and ψ read there.
+
+    Both images are read at the least elements as fiber ids.  That the
+    fibers are stable under both maps is checked over every element: the
+    fiber of each element's image must be the one read at its fiber's
+    least element.  Built once per rank, and shared by every weight with
+    ``a <= b`` (see :func:`_refinement_space`).
+    """
+    eps = extended_image_table(build_epsilon(n))
+    psi = extended_image_table(_psi(n))
+    fine, firsts, _ = recording_fiber_ids(n)
+    images = []
+    for table in (eps, psi):
+        at_points = array("i", map(fine.__getitem__, map(table.__getitem__, firsts)))
+        if not _lifts_back(n, fine, at_points, fine, table):
+            raise FalsificationError(
+                f"rank {n}: the {_RECORDING_FIBERS} are not stable under ε and ψ"
+            )
+        images.append(at_points)
+    # kept as an array, not a list of int objects, since the cache outlives the run
+    return fine, array("i", firsts), *images
+
 
 # ---------------------------------------------------------------------------
 # left extension
@@ -392,19 +419,13 @@ def _first_indices(ids: Sequence[int]) -> list[int]:
     return list(map(first.__getitem__, range(len(first))))
 
 
-def _minimal_index_labels(
-    ids: Sequence[int], firsts: Sequence[int] | None = None
-) -> tuple[str, ...]:
+def _minimal_index_labels(ids: Sequence[int], firsts: Sequence[int]) -> tuple[str, ...]:
     """Each class named by its least element index.
 
-    ``ids`` number elements, or points with least elements ``firsts``
-    numbered in the order of those, so a class's first point holds its
-    least element.
+    ``ids`` number points with least elements ``firsts``, numbered in the
+    order of those, so a class's first point holds its least element.
     """
-    least = _first_indices(ids)
-    if firsts is not None:
-        least = map(firsts.__getitem__, least)
-    return tuple(map(str, least))
+    return tuple(map(str, map(firsts.__getitem__, _first_indices(ids))))
 
 
 def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
@@ -412,11 +433,10 @@ def vogan_classes(n: int, weight: WeightFunction) -> VoganRun:
 
     Each round splits every class by the pair of classes its two images
     currently lie in, until a round splits nothing.  Final classes are
-    labeled by their minimal element index.  The rounds of a weight with
-    ``a <= b`` run on one point per class of a finer stable partition
-    (:func:`_refinement_space`): the recording fibers for the dominant
-    weight, the dominant run's classes, made and cached first, for the
-    others.
+    labeled by their minimal element index.  The rounds of every weight
+    with ``a <= b`` run on one point per recording fiber of the rank, a
+    finer stable partition built and checked once per rank
+    (:func:`_refinement_space`); those of ``a > b`` run on the elements.
 
     The weight is read in two places: the seed masks
     (:func:`~bncells.descents.rxi_masks`) read its gate profile and whether
@@ -477,16 +497,15 @@ class _Space(NamedTuple):
     """The points the rounds run on, with the seed and both maps read there.
 
     ``seed`` is the seed's ids on the points, ``eps`` and ``psi`` the
-    points' image tables.  ``fine`` gives
-    each element's point and ``firsts`` each point's least element; both
-    are ``None`` when the points are the elements.
+    points' image tables, ``fine`` each element's point and ``firsts`` each
+    point's least element.
     """
 
     seed: array
     eps: Sequence[int]
     psi: Sequence[int]
-    fine: array | None = None
-    firsts: Sequence[int] | None = None
+    fine: Sequence[int]
+    firsts: Sequence[int]
 
 
 def _refinement_space(n: int, representative: WeightFunction) -> _Space:
@@ -501,52 +520,34 @@ def _refinement_space(n: int, representative: WeightFunction) -> _Space:
     read; classes are numbered by least element, so the ids keep
     first-appearance order once lifted back through ``R``, and the round
     counts and final partition are those of the rounds over the elements.
-    Both conditions are checked over every element: the data read at the
-    points, lifted back through ``R``, must be each element's own.
 
-    - ``(1, n)``: ``R`` is the recording fibers
-      (:func:`~bncells.tableaux.recording_fiber_ids`), the left cells for
-      ``b > (n-1) a`` (Bonnafé-Iancu, Represent. Theory 7, 2003).  The
-      theorem only supplies ``R``; both checks run, and a failure raises
-      :class:`FalsificationError` naming it.
-    - Other ``a <= b``: ``R`` is the dominant fixpoint ``F``, stable by
-      construction, and the least elements are its labels.  Its seed reads
-      every gate, so each other seed reads a subset of its bits; that
-      ``F`` refines the seed is checked.
-    - ``a > b`` keeps the rounds on the elements.
+    For ``a <= b``, ``R`` is the recording fibers of the rank
+    (:func:`_fibers`), the left cells for ``b > (n-1) a`` (Bonnafé-Iancu,
+    Represent. Theory 7, 2003).  The theorem only supplies ``R``: its
+    stability is checked once per rank, and that it refines this
+    representative's seed is checked here, over every element, each
+    element's own mask against its point's.  A failure raises
+    :class:`FalsificationError` naming the theorem.  For ``a > b``, which
+    the ψ gate admits only at ranks 1 and 2, ``R`` is the element
+    partition.
     """
+    # the tables, then the masks, then the fibers: the order of the lowest peak
     eps = extended_image_table(build_epsilon(n))
     psi = extended_image_table(_psi(n))
     masks = rxi_masks(n, representative)
     if representative.a > representative.b:
-        return _Space(canonical_ids(masks), eps, psi)
-    dominant = representative == WeightFunction(1, n)
-    if dominant:
-        fine, firsts, _ = recording_fiber_ids(n)
-        what = "recording fibers (Bonnafé-Iancu, Represent. Theory 7, 2003)"
+        firsts = range(len(masks))
+        fine = array("i", firsts)
     else:
-        final = _refine(n, WeightFunction(1, n))[1]
-        fine, firsts = final.class_id, list(map(int, final.labels))
-        what = f"classes of weight (1,{n})"
-
-    def at_points(values: array, table: Sequence[int] | None = None) -> array:
-        points = firsts if table is None else map(table.__getitem__, firsts)
-        return array(values.typecode, map(values.__getitem__, points))
-
-    point_masks = at_points(masks)
-    seed = canonical_ids(point_masks)
-    space = _Space(seed, at_points(fine, eps), at_points(fine, psi), fine, firsts)
-    if dominant and not (
-        _lifts_back(n, fine, space.eps, fine, eps)
-        and _lifts_back(n, fine, space.psi, fine, psi)
-    ):
-        raise FalsificationError(f"rank {n}: the {what} are not stable under ε and ψ")
+        fine, firsts, eps, psi = _fibers(n)
+    point_masks = array(masks.typecode, map(masks.__getitem__, firsts))
+    # the element partition refines every seed, so only the fibers can fail here
     if not _lifts_back(n, fine, point_masks, masks):
         raise FalsificationError(
-            f"rank {n}: the {what} do not refine the seed "
+            f"rank {n}: the {_RECORDING_FIBERS} do not refine the seed "
             f"of ({representative.a},{representative.b})"
         )
-    return space
+    return _Space(canonical_ids(point_masks), eps, psi, fine, firsts)
 
 
 def _lifts_back(
@@ -573,13 +574,16 @@ def _lifts_back(
     return True
 
 
-def _lift(n: int, ids: array, fine: array | None) -> array:
-    """Element-level ids of a partition of ``fine``'s classes (``None``: elements).
+def _lift(n: int, ids: array, fine: array) -> array:
+    """Element-level ids of a partition of ``fine``'s classes.
 
-    Gathered from a list of the class ids, one "K"-coset block at a time.
+    With one class per point the ids are ``0, 1, ...`` in point order, so
+    the lifted ids are ``fine`` itself, which is returned.  Otherwise they
+    are gathered from a list of the class ids, one "K"-coset block at a
+    time.
     """
-    if fine is None:
-        return ids
+    if max(ids) + 1 == len(ids):
+        return fine
     at = ids.tolist().__getitem__
     out = array("i")
     span = len(fine) // (2 * n)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from bncells import cli
 from bncells.cli import METHODS, _class_diff, main
 from bncells.group import WeightFunction, parse_window
 from bncells.partition import GroupPartition, canonical_ids
@@ -229,6 +230,10 @@ def test_class_diff_names_a_cell_inside_a_larger_class():
         "oracle cell {-1,2,3, -2,1,3, -3,1,2} sits inside a strictly larger "
         "class of size 5"
     )
+
+
+def test_cli_decodes_windows_without_the_kept_tuples():
+    assert not hasattr(cli, "group_elements")
 
 
 # -- cells ------------------------------------------------------------------------

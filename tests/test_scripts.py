@@ -61,13 +61,14 @@ TRACE_INPUTS = {
 # ``vogan.cache_misses`` counts ψ once per rank, the refinement once per gate
 # profile and the orbits once per side; the hits count every later lookup,
 # including the ψ lookup of each run's rounds, which ``counts()`` rebuilds,
-# and the right orbits the left ones are relabelled from.
+# the one of the rank's recording fibers, read once for every ``a <= b``
+# weight, and the right orbits the left ones are relabelled from.
 EXPECTED_COUNTS = {
     "refine-r6": {
         "descents.seed_classes": 18,
         "vogan.rounds": 1,
         "round_classes": [[18, 20]],
-        "vogan.cache_hits": 3,
+        "vogan.cache_hits": 4,
         "vogan.cache_misses": 2,
     },
     "oracle-r4": {
@@ -81,7 +82,7 @@ EXPECTED_COUNTS = {
         "descents.seed_classes": 18,
         "vogan.rounds": 1,
         "round_classes": [[18, 20]],
-        "vogan.cache_hits": 9,
+        "vogan.cache_hits": 10,
         "vogan.cache_misses": 4,
         "knuth.classes": 20,
     },

@@ -39,6 +39,7 @@ from bncells.tableaux import (
 from bncells.vogan import (
     CellularMap,
     VoganRun,
+    _fibers,
     _minimal_index_labels,
     _negated_masks,
     _pattern_ranks,
@@ -189,6 +190,10 @@ def test_psi_regime_gate():
         xi_orbits(4, WeightFunction(2, 4))
     with pytest.raises(RegimeError):
         vogan_classes(4, WeightFunction(2, 4))
+    # so a > b runs at ranks 1 and 2 only, the ranks of the element partition
+    for n in range(3, 8):
+        with pytest.raises(RegimeError):
+            vogan_classes(n, WeightFunction(2, 1))
 
 
 # -- admissibility -------------------------------------------------------------
@@ -479,14 +484,21 @@ def test_runs_match_the_reference_rounds_kept_over_the_elements(n, weight):
     assert run.final.labels == reference_minimal_index_labels(run.final.class_id)
 
 
-def test_a_non_dominant_run_reads_the_cached_dominant_run():
+def test_every_a_le_b_weight_of_a_rank_reads_one_cached_fiber_space(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return recording_fiber_ids(n)
+
+    monkeypatch.setattr(vogan, "recording_fiber_ids", counted)
     _refine.cache_clear()
-    vogan_classes(5, ASYM[5])
-    before = _refine.cache_info()
+    _fibers.cache_clear()
     vogan_classes(5, WeightFunction(1, 4))
-    after = _refine.cache_info()
-    # one miss for (1,4) itself, one hit for the dominant classes it runs on
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    # one miss for (1,4) itself; no dominant run is made or read for it
+    assert (_refine.cache_info().misses, _refine.cache_info().hits) == (1, 0)
+    vogan_classes(5, ASYM[5])
+    assert calls == [5]
 
 
 @pytest.fixture
@@ -499,20 +511,21 @@ def feed_masks(monkeypatch):
     def feed(forge):
         monkeypatch.setattr(vogan, "rxi_masks", forge)
         _refine.cache_clear()
+        _fibers.cache_clear()
 
     yield feed
     _refine.cache_clear()
+    _fibers.cache_clear()
 
 
 def test_a_seed_the_dominant_classes_do_not_refine_is_refused(feed_masks):
-    # the dominant run reads its own seed; the boundary weight's seed is discrete
-    def discrete_boundary_seed(n, weight):
-        if weight == ASYM[n]:
-            return rxi_masks(n, weight)
-        return array("I", range(group_order(n)))
-
-    feed_masks(discrete_boundary_seed)
-    with pytest.raises(FalsificationError, match=r"\(1,3\) do not refine"):
+    # the dominant classes are the recording fibers, which the boundary
+    # weight's rounds run on; a discrete seed is one they do not refine
+    feed_masks(lambda n, weight: array("I", range(group_order(n))))
+    with pytest.raises(
+        FalsificationError,
+        match=r"recording fibers \(Bonnafé-Iancu.* do not refine the seed of \(1,2\)",
+    ):
         vogan_classes(3, WeightFunction(1, 2))
 
 
@@ -561,7 +574,7 @@ def test_the_first_round_counts_the_seed_classes(n, weight):
 
 @pytest.fixture
 def feed_fibers(monkeypatch):
-    """Make the dominant run read the classes of given keys as its fibers.
+    """Make every a ≤ b run read the classes of given keys as its recording fibers.
 
     No run made from them outlives the test.
     """
@@ -571,10 +584,12 @@ def feed_fibers(monkeypatch):
         firsts = [ids.index(c) for c in range(max(ids) + 1)]
         monkeypatch.setattr(vogan, "recording_fiber_ids", lambda n: (ids, firsts, []))
         _refine.cache_clear()
+        _fibers.cache_clear()
         return ids
 
     yield feed
     _refine.cache_clear()
+    _fibers.cache_clear()
 
 
 def test_fibers_with_one_element_moved_are_refused(feed_fibers):
@@ -818,7 +833,8 @@ def test_tsv_matches_per_element_rendering(n):
 @given(st.lists(st.integers(0, 6), max_size=30))
 def test_minimal_index_labels_match_the_per_element_loop(keys):
     ids = canonical_ids(keys)
-    assert _minimal_index_labels(ids) == reference_minimal_index_labels(ids)
+    elements = range(len(ids))  # each point its own least element
+    assert _minimal_index_labels(ids, elements) == reference_minimal_index_labels(ids)
 
 
 def test_tsv_skips_outside_elements_at_both_ends():
