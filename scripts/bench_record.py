@@ -38,10 +38,12 @@ SECONDS = 40
 BEGIN = "<!-- bench-table begin -->"
 END = "<!-- bench-table end -->"
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
-# rank-7 commands, above the benchmark's rank-6 workloads
+# rank-7 commands, above the benchmark's rank-6 workloads; the left orbits
+# are the largest rank-7 dump and the largest rank-7 peak RSS
 HEAVY = {
     "cells-r7": ["cells", "--n", "7", "--a", "1", "--b", "8", "--method", "vogan"],
     "table-r7": ["table", "--exact", "--max-n", "7"],
+    "orbits-left-r7": ["orbits", "--n", "7", "--a", "1", "--b", "8", "--side", "left"],
 }
 HEAVY_RUNS = 3
 

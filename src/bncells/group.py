@@ -28,6 +28,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import functools
+import re
 import struct
 import sys
 from array import array
@@ -556,32 +557,39 @@ def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_windows(n))
 
 
-def window_texts(n: int) -> Iterator[str]:
-    """The :func:`window_text` of every element, in canonical order.
+def render_tsv(n: int, class_id: Sequence[int], labels: Sequence[str]) -> Iterator[bytes]:
+    """The ``window<TAB>label`` lines of a dump, one "K"-coset block of bytes at a time.
 
-    Rendered from :func:`window_bytes` one "K"-coset block at a time, so
-    only one block of texts is held.  Each value becomes three bytes (its
-    sign or a filler, its digit, a comma or newline), placed by strided
-    slice assignment of two ``bytes.translate``; the filler is then deleted.
-    Single digits need ``n <= 9`` (the enumeration cap is lower).
+    Element ``i`` is labelled ``labels[class_id[i]]``; class ``-1`` is outside
+    the domain and has no line.  Each element's line is gathered once from its
+    label, padded with a filler byte to one stride; the signs and digits are
+    placed by strided slice assignment of ``bytes.translate``, the runs of
+    lines in the domain are kept, and one ``translate`` deletes the filler.
 
-    >>> list(window_texts(2))
-    ['1,2', '-1,2', '2,1', '-2,1', '2,-1', '-2,-1', '1,-2', '-1,-2']
+    >>> [b.decode() for b in render_tsv(2, [0, 1, -1, 1, 0, -1, 0, 0], ["a", "bc"])]
+    ['1,2\\ta\\n-1,2\\tbc\\n', '-2,1\\tbc\\n', '2,-1\\ta\\n', '1,-2\\ta\\n-1,-2\\ta\\n']
     """
-    check_enumeration_rank(n)
-    buf = window_bytes(n)
-    signs, digits = bytearray(256), bytearray(256)  # byte 0 is the filler
-    for v in range(1, n + 1):
-        signs[n - v] = ord("-")
-        digits[n - v] = digits[n + v] = ord(str(v))
-    span = len(buf) // (2 * n)
-    lines = bytearray(3 * span)
-    lines[2::3] = (b"," * (n - 1) + b"\n") * (span // n)
-    for start in range(0, len(buf), span):
-        block = buf[start : start + span]
-        lines[0::3] = block.translate(signs)
-        lines[1::3] = block.translate(digits)
-        yield from lines.translate(None, b"\0")[:-1].decode().split("\n")
+    text = "".join(labels)
+    if not text.isascii() or any(c in text for c in "\0\t\n"):
+        raise InvalidInputError("a TSV label must be ASCII with no NUL, tab or newline")
+    buf, count = window_bytes(n), group_order(n - 1)  # window_bytes checks the rank
+    width = max(map(len, labels), default=0)
+    stride = 3 * n + width + 1
+    lead = b"\0\0,".join([b""] * n) + b"\0\0\t"  # the filler is byte 0
+    lines = [lead + label.encode().ljust(width, b"\0") + b"\n" for label in labels]
+    lines.append(bytes(stride))  # read at class -1: no newline, so never kept
+    values = range(-n, n + 1)  # stored as the bytes 0..2n; one digit needs n <= 9
+    signs = bytes(ord("-") * (v < 0) for v in values).ljust(256, b"\0")
+    digits = "".join(str(abs(v)) for v in values).encode().ljust(256, b"\0")
+    for first in range(0, 2 * n * count, count):
+        block = bytearray().join(map(lines.__getitem__, class_id[first : first + count]))
+        for at, table in enumerate((signs, digits)):
+            column = buf[first * n : (first + count) * n].translate(table)
+            for i in range(n):
+                block[3 * i + at :: stride] = column[i::n]
+        runs = re.finditer(b"\n+", block[stride - 1 :: stride])
+        block = b"".join(block[m.start() * stride : m.end() * stride] for m in runs)
+        yield block.translate(None, b"\0")
 
 
 def rep_rank(n: int, k: int) -> int:

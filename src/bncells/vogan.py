@@ -40,9 +40,9 @@ from .group import (
     inverse_index_table,
     lanes_at_least,
     mul,
+    render_tsv,
     repeat_by_block,
     window_columns,
-    window_texts,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
 from .tableaux import insertion_codes, next_codes, recording_fiber_ids, rs_generalized
@@ -662,20 +662,24 @@ def verify_admissible(
 # ---------------------------------------------------------------------------
 
 
-def classes_to_tsv(partition: GroupPartition) -> Iterator[str]:
-    """One ``window<TAB>label`` line per in-domain element, in canonical order.
+def tsv_blocks(partition: GroupPartition) -> Iterator[bytes]:
+    """The dump of ``partition`` as bytes, one "K"-coset block at a time.
 
-    The lines are made one at a time, so a dump never holds them all.
-    Classes without labels are named by their ids.
+    One ``window<TAB>label`` line per in-domain element, in canonical order
+    (:func:`group.render_tsv`); classes without labels are named by their
+    ids.
     """
-    labels = partition.labels or map(str, range(partition.num_classes))
-    tails = ["\t" + label for label in labels]
-    ids = partition.class_id
-    lines = map(add, window_texts(partition.n), map(tails.__getitem__, ids))
-    if OUTSIDE not in ids:
-        return lines
-    tails.append("")  # read at index OUTSIDE, then dropped
-    return itertools.compress(lines, map(OUTSIDE.__ne__, ids))
+    labels = partition.labels or [str(c) for c in range(partition.num_classes)]
+    return render_tsv(partition.n, partition.class_id, labels)
+
+
+def classes_to_tsv(partition: GroupPartition) -> Iterator[str]:
+    """The lines of :func:`tsv_blocks`, without their newlines.
+
+    Only one block of lines is held at a time.
+    """
+    for block in tsv_blocks(partition):
+        yield from block.decode().split("\n")[:-1]
 
 
 def run_summary(run: VoganRun) -> dict:

@@ -401,6 +401,35 @@ def test_area_tsv_labels_cells_by_minimal_element():
     assert lines["-1,2"] == lines["-2,1"]
 
 
+# -- dump writes ------------------------------------------------------------------
+
+
+class WriteCounter(io.StringIO):
+    """A text sink that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cells", "--n", "1"),
+        ("cells", "--n", "4", "--method", "rs-asymptotic"),
+        ("orbits", "--n", "5", "--side", "left"),
+        ("area", "--n", "6"),
+    ],
+)
+def test_a_dump_makes_one_write_per_coset_block(argv):
+    # a write per line reaches a pipe reader in buffer-sized pieces
+    out = WriteCounter()
+    assert main(list(argv), out=out) == 0
+    assert out.writes == 2 * int(argv[2])
+
+
 # -- frozen rank-6 dumps ----------------------------------------------------------
 
 

@@ -29,13 +29,13 @@ from bncells.group import (
     mul_gen_left,
     mul_gen_right,
     parse_window,
+    render_tsv,
     rep_fix_last,
     right_descents,
     right_generator_tables,
     suffixes,
     window_bytes,
     window_columns,
-    window_texts,
     word_to_text,
 )
 
@@ -371,7 +371,7 @@ class TestEnumeration:
         with pytest.raises(RankError):
             group_elements(0)
         with pytest.raises(RankError):
-            next(window_texts(8))
+            next(render_tsv(8, [], []))
         with pytest.raises(RankError):
             right_generator_tables(8)
 
@@ -426,12 +426,28 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_window_texts_render_every_element(self, n):
-        assert list(window_texts(n)) == list(reference_window_texts(n))
+        # labels of different widths, one of them empty, and one with a space
+        labels = ["12345", "", "a b"]
+        class_id = [i % 3 for i in range(group_order(n))]
+        expected = "".join(
+            f"{text}\t{labels[i % 3]}\n"
+            for i, text in enumerate(reference_window_texts(n))
+        )
+        blocks = list(render_tsv(n, class_id, labels))
+        assert len(blocks) == 2 * n
+        assert b"".join(blocks).decode() == expected
 
     def test_window_texts_check_the_rank_before_building(self):
         window_bytes.cache_clear()
         with pytest.raises(RankError):
-            next(window_texts(8))
+            next(render_tsv(8, [], []))
+        assert window_bytes.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("label", ["caf\u00e9", "a\0b", "a\tb", "a\nb", "\n"])
+    def test_render_tsv_refuses_a_label_it_would_mangle(self, label):
+        window_bytes.cache_clear()
+        with pytest.raises(InvalidInputError):
+            next(render_tsv(2, [0, 1] * 4, ["ok", label]))
         assert window_bytes.cache_info().currsize == 0
 
     def test_group_order(self):

@@ -818,16 +818,36 @@ def per_element_tsv(partition):
     ]
 
 
-@pytest.mark.parametrize("n", (3, 6))
+def dump_partitions(n):
+    """A partition of every kind a dump renders at rank ``n``, by name."""
+    labelled = vogan_classes(n, ASYM[n]).final  # labels of 1 to 5 digits
+    kinds = {
+        "vogan": labelled,
+        "rs-asymptotic": recording_fibers(n),  # labels with spaces
+        "rxi a > b": rxi_partition(n, WeightFunction(2, 1)),
+        "orbits right": xi_orbits(n, ASYM[n]),  # no labels
+        "orbits left": xi_orbits(n, ASYM[n], side="left"),
+        "area": _area_partition(n),  # elements outside the domain
+    }
+    if n <= 3:
+        kinds["oracle-kl"] = left_cells(cached_kl(n, 1, n))
+    block = group_order(n) // (2 * n)
+    for name, outside in (("first", range(block)), ("last", range(-block, 0))):
+        keys = list(map(labelled.labels.__getitem__, labelled.class_id))
+        keys[outside.start : outside.stop or None] = [None] * block
+        kinds[f"{name} block outside"] = GroupPartition.from_keys(n, keys, label_fn=str)
+    return kinds
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_tsv_matches_per_element_rendering(n):
-    labelled = vogan_classes(n, ASYM[n]).final
-    unlabelled = xi_orbits(n, ASYM[n])
-    partial = _area_partition(n)
-    assert labelled.labels is not None and unlabelled.labels is None
-    assert OUTSIDE in partial.class_id
-    for partition in (labelled, unlabelled, partial):
+    kinds = dump_partitions(n)
+    assert kinds["vogan"].labels is not None and kinds["orbits left"].labels is None
+    assert n == 1 or OUTSIDE in kinds["area"].class_id  # rank 1: all in the region
+    assert all(" " in label for label in kinds["rs-asymptotic"].labels)
+    for name, partition in kinds.items():
         expected = "\n".join(per_element_tsv(partition)) + "\n"
-        assert "\n".join(classes_to_tsv(partition)) + "\n" == expected
+        assert "\n".join(classes_to_tsv(partition)) + "\n" == expected, name
 
 
 @given(st.lists(st.integers(0, 6), max_size=30))
