@@ -560,27 +560,26 @@ def group_elements(n: int) -> tuple[tuple[int, ...], ...]:
 def render_tsv(n: int, class_id: Sequence[int], labels: Sequence[str]) -> Iterator[bytes]:
     """The ``window<TAB>label`` lines of a dump, one "K"-coset block of bytes at a time.
 
-    Element ``i`` is labelled ``labels[class_id[i]]``; class ``-1`` is outside
-    the domain and has no line.  Each element's line is gathered once from its
-    label, padded with a filler byte to one stride; the signs and digits are
-    placed by strided slice assignment of ``bytes.translate``, the runs of
-    lines in the domain are kept, and one ``translate`` deletes the filler.
+    Element ``i`` gets ``labels[class_id[i]]``, or no line if its class is
+    ``-1``.  A block's lines share one stride: each is gathered from its
+    label padded with filler bytes, the window's signs and digits are placed
+    by strided slice assignment of ``bytes.translate``, the runs of lines in
+    the domain are kept, and one ``translate`` deletes the filler.
 
     >>> [b.decode() for b in render_tsv(2, [0, 1, -1, 1, 0, -1, 0, 0], ["a", "bc"])]
     ['1,2\\ta\\n-1,2\\tbc\\n', '-2,1\\tbc\\n', '2,-1\\ta\\n', '1,-2\\ta\\n-1,-2\\ta\\n']
     """
     text = "".join(labels)
-    if not text.isascii() or any(c in text for c in "\0\t\n"):
-        raise InvalidInputError("a TSV label must be ASCII with no NUL, tab or newline")
+    if not (text.isascii() and text.isprintable()):
+        raise InvalidInputError("a TSV label must be printable ASCII")
     buf, count = window_bytes(n), group_order(n - 1)  # window_bytes checks the rank
     width = max(map(len, labels), default=0)
     stride = 3 * n + width + 1
-    lead = b"\0\0,".join([b""] * n) + b"\0\0\t"  # the filler is byte 0
+    lead = b"\0\0," * (n - 1) + b"\0\0\t"  # the filler is byte 0
     lines = [lead + label.encode().ljust(width, b"\0") + b"\n" for label in labels]
-    lines.append(bytes(stride))  # read at class -1: no newline, so never kept
-    values = range(-n, n + 1)  # stored as the bytes 0..2n; one digit needs n <= 9
-    signs = bytes(ord("-") * (v < 0) for v in values).ljust(256, b"\0")
-    digits = "".join(str(abs(v)) for v in values).encode().ljust(256, b"\0")
+    lines.append(bytes(stride))  # class -1: no newline, so in no kept run
+    signs = (b"-" * n).ljust(256, b"\0")  # byte v + n stores the value v
+    digits = "".join(str(abs(v)) for v in range(-n, n + 1)).encode().ljust(256, b"\0")
     for first in range(0, 2 * n * count, count):
         block = bytearray().join(map(lines.__getitem__, class_id[first : first + count]))
         for at, table in enumerate((signs, digits)):

@@ -443,7 +443,7 @@ class TestEnumeration:
             next(render_tsv(8, [], []))
         assert window_bytes.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("label", ["caf\u00e9", "a\0b", "a\tb", "a\nb", "\n"])
+    @pytest.mark.parametrize("label", ["caf\u00e9", "a\0b", "a\tb", "a\nb", "\r"])
     def test_render_tsv_refuses_a_label_it_would_mangle(self, label):
         window_bytes.cache_clear()
         with pytest.raises(InvalidInputError):
