@@ -832,9 +832,9 @@ def dump_partitions(n):
     if n <= 3:
         kinds["oracle-kl"] = left_cells(cached_kl(n, 1, n))
     block = group_order(n) // (2 * n)
-    for name, outside in (("first", range(block)), ("last", range(-block, 0))):
+    for name, outside in (("first", slice(block)), ("last", slice(-block, None))):
         keys = list(map(labelled.labels.__getitem__, labelled.class_id))
-        keys[outside.start : outside.stop or None] = [None] * block
+        keys[outside] = [None] * block
         kinds[f"{name} block outside"] = GroupPartition.from_keys(n, keys, label_fn=str)
     return kinds
 
