@@ -5,18 +5,19 @@ unequal-parameter weight (``a`` on the swap generators, ``b`` on the sign
 change) and provides, with exact integer/Laurent arithmetic throughout:
 
 - :mod:`bncells.group` -- signed permutations, words, length, descents,
-  parabolic cosets, canonical enumeration;
+  suffixes, the canonical enumeration and its index tables;
 - :mod:`bncells.hecke` -- the Iwahori-Hecke algebra, the Kazhdan-Lusztig
-  basis, and the left/right/two-sided cell partitions (the oracle);
+  basis, and its left cells (the oracle);
 - :mod:`bncells.tableaux` -- classic and signed-permutation
   Robinson-Schensted correspondences, shapes, and counting;
-- :mod:`bncells.knuth` -- generalized Knuth moves and their closures;
+- :mod:`bncells.knuth` -- the classes of the generalized Knuth moves;
 - :mod:`bncells.descents` -- the weight-gated generalized descent invariant
   and its fibers;
 - :mod:`bncells.area` -- the distinguished two-column region, its explicit
   words, and its cell decompositions;
 - :mod:`bncells.vogan` -- cellular self-maps of parabolics, their left
-  extensions, orbit partitions, and the refinement fixpoint classes;
+  extensions as index tables, orbit partitions, and the refinement
+  fixpoint classes;
 - :mod:`bncells.cli` -- the ``bncells`` command-line front door.
 """
 

@@ -22,8 +22,7 @@ structural identity the construction relies on asserted at build time
 
 ``area_decomposition`` splits the region into the ``2^n`` asymptotic left
 cells; ``upsilon_decomposition`` splits it into the ``2^{n-1}`` right-descent
-fibers, each a union of exactly two cells; ``subcell_split`` cuts one cell
-into the two pieces that stay inside single left cells at every weight.
+fibers, each a union of exactly two cells.
 """
 
 from __future__ import annotations
@@ -32,19 +31,17 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import FalsificationError, InvalidInputError
 from .group import (
     SignedPerm,
-    canonical_word,
     from_word,
     group_order,
     inverse,
     iter_windows,
     lanes_at_least,
     length,
-    length_t,
     mul,
     right_descents,
     suffixes,
@@ -79,35 +76,6 @@ def in_area(w: Sequence[int]) -> bool:
                 return False
             prev_neg = x
     return True
-
-
-def extreme_windows(n: int) -> tuple[Window, Window]:
-    """The two distinguished region members removed to form the reduced region:
-
-    the positive reversal ``(n..1)`` and the negated reversal ``(-n..-1)``.
-    """
-    return tuple(range(n, 0, -1)), tuple(range(-n, 0))
-
-
-def in_area_reduced(w: Sequence[int]) -> bool:
-    """Region membership minus the two extreme windows.
-
-    >>> in_area_reduced((2, 1)), in_area_reduced((-1, 2))
-    (False, True)
-    """
-    w = tuple(w)
-    return in_area(w) and w not in extreme_windows(len(w))
-
-
-def star_closed_form(z: Sequence[int]) -> bool:
-    """O(1) window test for the canonical-shape meeting property.
-
-    Holds unless ``z`` lies in the reduced staircase-shape region with its
-    last entry or its inverse's last entry negative.
-    """
-    if not in_area_reduced(z):
-        return True
-    return z[-1] > 0 and inverse(z)[-1] > 0
 
 
 def _region_flags(n: int) -> bytes:
@@ -394,20 +362,6 @@ def asymptotic_cell(w: Sequence[int]) -> frozenset[Window]:
 # ---------------------------------------------------------------------------
 
 
-def upsilon(w: Sequence[int]) -> frozenset[Window]:
-    """Region members sharing the right descent set of ``w`` (definitional).
-
-    >>> sorted(upsilon((-1, 2)))
-    [(-2, -1), (-2, 1), (-1, 2)]
-    """
-    w = tuple(w)
-    n = len(w)
-    if not in_area(w):
-        raise InvalidInputError(f"window {w} is outside the region")
-    target = right_descents(w)
-    return frozenset(z for z in area_elements(n) if right_descents(z) == target)
-
-
 @functools.lru_cache(maxsize=None)
 def upsilon_decomposition(n: int) -> tuple[frozenset[Window], ...]:
     """The ``2^{n-1}`` right-descent fibers of the region.
@@ -480,69 +434,6 @@ def upsilon_decomposition(n: int) -> tuple[frozenset[Window], ...]:
             f"expected {2 ** (n - 1)} fibers, got {len(fibers)}"
         )
     return tuple(fibers)
-
-
-# ---------------------------------------------------------------------------
-# weight-stable subcells
-# ---------------------------------------------------------------------------
-
-
-def _letters_used(w: Sequence[int]) -> frozenset[int]:
-    return frozenset(canonical_word(w))
-
-
-def subcell_split(cell: Iterable[Sequence[int]]) -> tuple[frozenset[Window], frozenset[Window]]:
-    """Split an asymptotic cell into its two weight-stable halves.
-
-    The first half collects the products whose prefix avoids the top swap
-    generator; the second is its complement.  Both halves are re-derived
-    from the one-rank-down block elements and checked to agree; the second
-    half is empty exactly for singleton cells.
-    """
-    members = frozenset(tuple(w) for w in cell)
-    if not members:
-        raise InvalidInputError("cannot split an empty cell")
-    n = len(next(iter(members)))
-    sig = min(members, key=lambda w: (length(w), w))
-    if asymptotic_cell(sig) != members:
-        raise InvalidInputError("input is not an asymptotic cell of the region")
-    q = length_t(sig)
-    words = build_words(n)
-    top = n - 1
-
-    first: set[Window] = set()
-    second: set[Window] = set()
-    for pi in suffixes(words.block[q]):
-        product = _reduced_product(pi, sig)
-        if top in _letters_used(pi):
-            second.add(product)
-        else:
-            first.add(product)
-
-    if len(members) == 1:
-        if second:
-            raise FalsificationError("singleton cell produced a second subcell")
-    else:
-        # non-singleton cells have 1 <= q <= n-1, so the one-rank-down block
-        # elements on both sides of the split are defined
-        via_down = frozenset(
-            _reduced_product(pi, sig)
-            for pi in suffixes(from_word(n, block_word(n - 1, q)))
-        )
-        if frozenset(first) != via_down:
-            raise FalsificationError(
-                f"first subcell disagrees with its one-rank-down description at q={q}"
-            )
-        tail = from_word(n, tail_word(n, q))
-        via_tail = frozenset(
-            _reduced_product(pi, mul(tail, sig))
-            for pi in suffixes(from_word(n, block_word(n - 1, q - 1)))
-        )
-        if frozenset(second) != via_tail:
-            raise FalsificationError(
-                f"second subcell disagrees with its tail description at q={q}"
-            )
-    return frozenset(first), frozenset(second)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -271,43 +271,8 @@ def left_descents(w: Sequence[int]) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# reduced words and suffixes
+# suffixes
 # ---------------------------------------------------------------------------
-
-
-def canonical_word(w: Sequence[int]) -> tuple[int, ...]:
-    """A deterministic reduced word for ``w`` (smallest right descent stripped last).
-
-    >>> canonical_word((-1, 2))
-    (0,)
-    >>> from_word(2, canonical_word((-1, -2))).window
-    (-1, -2)
-    """
-    cur = tuple(w)
-    rev: list[int] = []
-    while True:
-        des = right_descents(cur)
-        if not des:
-            break
-        g = min(des)
-        cur = mul_gen_right(cur, g)
-        rev.append(g)
-    return tuple(reversed(rev))
-
-
-def is_suffix(y: Sequence[int], w: Sequence[int]) -> bool:
-    """True iff some reduced word of ``w`` ends with a reduced word of ``y``.
-
-    Exact criterion: ``length(w) == length(w * y^{-1}) + length(y)``.
-
-    >>> is_suffix((1, 2), (-2, 1))
-    True
-    >>> is_suffix((2, 1), (-1, 2))
-    False
-    """
-    if len(y) != len(w):
-        raise RankError("suffix test requires equal ranks")
-    return length(mul(w, inverse(y))) == length(w) - length(y)
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,68 +300,16 @@ def suffixes(w: Sequence[int]) -> frozenset[tuple[int, ...]]:
 # parabolic coset decomposition
 # ---------------------------------------------------------------------------
 
-# Identifiers for the two parabolic subsets used throughout: "J" drops the
-# sign change (all index-swapping generators: the subgroup of all-positive
-# windows, a copy of the symmetric group); "K" drops the last swap (the
-# subgroup fixing the last position, a copy of the rank-(n-1) group).
-SUBSET_J = "J"
-SUBSET_K = "K"
-
-
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """``w = rep * part`` with ``rep`` a minimal coset representative.
-
-    ``part`` lies in the parabolic subgroup (all entries positive for "J";
-    fixing the last position for "K") and lengths add:
-    ``length(w) == length(rep) + length(part)``.
-    """
-
-    rep: SignedPerm
-    part: SignedPerm
-    subset_id: str
-
-
-def rep_fix_last(n: int, k: int) -> SignedPerm:
-    """The minimal coset representative (for subset "K") sending ``n`` to ``k``.
-
-    Window: ``(1, ..., |k|-1, |k|+1, ..., n, k)``.
-    """
-    a = abs(k)
-    body = list(range(1, a)) + list(range(a + 1, n + 1))
-    return SignedPerm(tuple(body) + (k,))
-
-
-def coset_decompose(w: Sequence[int], subset_id: str) -> CosetDecomposition:
-    """Factor ``w = rep * part`` over the named parabolic subset.
-
-    For "J" the representative sorts the window ascending (negatives in
-    increasing order, then positives in increasing order); for "K" it is the
-    unique minimal representative with ``rep(n) = w(n)``.
-
-    >>> d = coset_decompose((3, -1, 2), "J")
-    >>> d.rep.window, d.part.window
-    ((-1, 2, 3), (3, 1, 2))
-    >>> d = coset_decompose((-2, 3, -1), "K")
-    >>> d.rep.window, d.part.window
-    ((2, 3, -1), (-1, 2, 3))
-    """
-    w = SignedPerm(w)
-    n = w.rank
-    if subset_id == SUBSET_J:
-        rep = SignedPerm(sorted(w))
-    elif subset_id == SUBSET_K:
-        rep = rep_fix_last(n, w[-1])
-    else:
-        raise InvalidInputError(f"unsupported parabolic subset id {subset_id!r}")
-    part = rep.inverse() * w
-    return CosetDecomposition(rep=rep, part=part, subset_id=subset_id)
+# "K" names the parabolic subgroup fixing the last window position, a copy of
+# the rank-(n-1) group; its minimal coset representatives key the canonical
+# order.
 
 
 def fix_last_projection(w: Sequence[int]) -> tuple[int, ...]:
     """The "K"-part of ``w`` as a rank-``(n-1)`` window, via the shift formula.
 
-    Equals ``coset_decompose(w, "K").part`` with the fixed last entry dropped:
+    ``w = r * p`` with ``r`` the minimal "K"-coset representative and ``p``
+    fixing ``n``; this is ``p`` with the fixed last entry dropped:
     entries of absolute value below ``|w(n)|`` are kept, larger ones are
     shifted one step toward zero.
     """

@@ -542,24 +542,6 @@ def left_cells(kl: KLBasis) -> GroupPartition:
     return GroupPartition(kl.n, canonical_ids(comp))
 
 
-def right_cells(kl: KLBasis) -> GroupPartition:
-    left = left_cells(kl).class_id
-    inv = kl.tables.inverse
-    return GroupPartition(kl.n, canonical_ids(map(left.__getitem__, inv)))
-
-
-def two_sided_cells(kl: KLBasis) -> GroupPartition:
-    inv = kl.tables.inverse
-
-    def successors(i: int) -> set[int]:
-        out = left_successors(kl, i)
-        out.update(inv[j] for j in left_successors(kl, inv[i]))
-        return out
-
-    comp = strongly_connected_components(kl.tables.order, successors)
-    return GroupPartition(kl.n, canonical_ids(comp))
-
-
 if __name__ == "__main__":  # pragma: no cover
     import doctest
 

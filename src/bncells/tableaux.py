@@ -460,12 +460,14 @@ def next_codes(n: int, codes: Iterable[int]) -> dict[int, int]:
     return step
 
 
+@functools.lru_cache(maxsize=None)
 def recording_fibers(n: int) -> GroupPartition:
     """Recording-bitableau fibers of the rank-``n`` group, labelled by their text.
 
     The fibers of :func:`recording_fiber_ids`; each label is rendered once,
     from its fiber's code.  For ``b > (n-1) a`` these are the left cells
-    (Bonnafé-Iancu, Represent. Theory 7, 2003).
+    (Bonnafé-Iancu, Represent. Theory 7, 2003).  The partition is cached
+    and shared, so callers must not change it.
 
     >>> recording_fibers(2).labels
     ('1 2 | -', '2 | 1', '1;2 | -', '1 | 2', '- | 1;2', '- | 1 2')

@@ -31,54 +31,29 @@ from typing import Iterator, NamedTuple, Sequence
 from .descents import rxi_masks
 from .errors import FalsificationError, InvalidInputError, RegimeError
 from .group import (
-    SignedPerm,
     WeightFunction,
-    coset_decompose,
-    fix_last_projection,
-    group_elements,
     group_order,
     inverse_index_table,
     lanes_at_least,
-    mul,
     render_tsv,
     repeat_by_block,
     window_columns,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
-from .tableaux import insertion_codes, next_codes, recording_fiber_ids, rs_generalized
+from .tableaux import insertion_codes, next_codes, recording_fiber_ids
 
 # ---------------------------------------------------------------------------
-# parabolic index spaces
+# cellular maps
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def parabolic_elements(subset_id: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """The elements of the named parabolic, in its own canonical order.
-
-    Subset "J" is the all-positive windows in canonical order, by pattern rank;
-    subset "K" reuses the canonical rank-``(n-1)`` enumeration (at ``n = 1``
-    the parabolic is trivial).  The "K" tuples are kept, so only the
-    element-wise helpers (:meth:`CellularMap.apply`, :func:`left_extend`,
-    :func:`verify_admissible`) read them; :func:`build_epsilon` and
-    :func:`build_psi` read the codes of the rank induction instead.
-    """
-    if subset_id == "J":
-        return tuple(u[::-1] for u in itertools.permutations(range(n, 0, -1)))
-    if subset_id == "K":
-        if n == 1:
-            return ((),)
-        return group_elements(n - 1)
-    raise InvalidInputError(f"unsupported parabolic subset id {subset_id!r}")
 
 
 @dataclass(frozen=True)
 class CellularMap:
     """A permutation of a parabolic subgroup that cycles recording fibers.
 
-    ``mapping`` is stored over the parabolic's own index space (see
-    :func:`parabolic_elements`), whose size is ``n!`` for "J" and the
-    rank-``(n-1)`` group order for "K".
+    ``mapping`` is stored over the parabolic's own index space, whose size
+    is ``n!`` for "J" (the all-positive windows, in canonical order) and the
+    rank-``(n-1)`` group order for "K" (the rank-``(n-1)`` canonical order).
     """
 
     subset_id: str
@@ -101,15 +76,6 @@ class CellularMap:
             )
         if sorted(self.mapping) != list(range(expected)):
             raise InvalidInputError("mapping is not a bijection")
-
-    @property
-    def parabolic_size(self) -> int:
-        return len(self.mapping)
-
-    def apply(self, u: Sequence[int]) -> tuple[int, ...]:
-        """Image of a parabolic element given in the parabolic's own windows."""
-        elements = parabolic_elements(self.subset_id, self.n)
-        return elements[self.mapping[elements.index(tuple(u))]]
 
 
 # ---------------------------------------------------------------------------
@@ -200,33 +166,6 @@ def _fibers(n: int) -> tuple[array, array, array, array]:
         images.append(at_points)
     # kept as an array, not a list of int objects, since the cache outlives the run
     return fine, array("i", firsts), *images
-
-
-# ---------------------------------------------------------------------------
-# left extension
-# ---------------------------------------------------------------------------
-
-
-def left_extend(cmap: CellularMap, w: Sequence[int]) -> SignedPerm:
-    """Apply the map through the minimal-coset decomposition of ``w``.
-
-    ``w = x * u`` with ``u`` in the parabolic maps to ``x * cmap(u)``; the
-    representative ``x`` is preserved (checked), the length in general is
-    not.
-    """
-    dec = coset_decompose(w, cmap.subset_id)
-    if cmap.subset_id == "J":
-        part_image = cmap.apply(tuple(dec.part))
-    else:
-        small = fix_last_projection(dec.part)
-        part_image = cmap.apply(small) + (len(w),)
-    out = mul(dec.rep, part_image)
-    if coset_decompose(out, cmap.subset_id).rep != dec.rep:
-        raise FalsificationError(
-            f"extension of {cmap.subset_id}-map moved the coset representative "
-            f"of {tuple(w)}"
-        )
-    return SignedPerm(out)
 
 
 def _negated_masks(n: int) -> bytes:
@@ -590,71 +529,6 @@ def _lift(n: int, ids: array, fine: array) -> array:
     for start in range(0, len(fine), span):
         out.fromlist(list(map(at, fine[start : start + span])))
     return out
-
-
-# ---------------------------------------------------------------------------
-# admissibility checks
-# ---------------------------------------------------------------------------
-
-
-def verify_admissible(
-    cmap: CellularMap,
-    right_keys: Sequence | None = None,
-    left_keys: Sequence | None = None,
-) -> tuple[str, ...]:
-    """Check the three cell conditions; return violation messages (expect none).
-
-    The map must send each left fiber onto a left fiber, keep every element
-    in its right fiber, and walk each right fiber in one full cycle.  By
-    default fibers are the insertion/recording fibers of the parabolic; an
-    oracle's cell keys can be passed instead.
-    """
-    size = cmap.parabolic_size
-    if size == 1:
-        return ()
-    if (right_keys is None) != (left_keys is None):
-        raise InvalidInputError("pass both oracle key sequences or neither")
-    if right_keys is None:
-        elements = parabolic_elements(cmap.subset_id, cmap.n)
-        right_keys, left_keys = zip(*map(rs_generalized, elements))
-    if len(right_keys) != size or len(left_keys) != size:
-        raise InvalidInputError("oracle key sequences must cover the parabolic")
-    violations = []
-
-    left_fibers: dict = {}
-    for i, key in enumerate(left_keys):
-        left_fibers.setdefault(key, set()).add(i)
-    fiber_sets = {frozenset(v) for v in left_fibers.values()}
-    for key, fiber in left_fibers.items():
-        image = frozenset(cmap.mapping[i] for i in fiber)
-        if image not in fiber_sets:
-            violations.append(
-                f"left fiber of {key!r} maps onto a non-fiber set of size "
-                f"{len(image)}"
-            )
-
-    for i in range(size):
-        if right_keys[i] != right_keys[cmap.mapping[i]]:
-            violations.append(f"element {i} leaves its right fiber")
-
-    right_fibers: dict = {}
-    for i, key in enumerate(right_keys):
-        right_fibers.setdefault(key, set()).add(i)
-    for key, fiber in right_fibers.items():
-        start = min(fiber)
-        seen = {start}
-        cursor = cmap.mapping[start]
-        while cursor != start:
-            if cursor in seen or cursor not in fiber:
-                break
-            seen.add(cursor)
-            cursor = cmap.mapping[cursor]
-        if seen != fiber:
-            violations.append(
-                f"right fiber of {key!r} (size {len(fiber)}) is not a single "
-                f"cycle (walked {len(seen)})"
-            )
-    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

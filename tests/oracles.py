@@ -1,12 +1,12 @@
-"""Independent oracles used to cross-check the library.
+"""Independent oracles, reference code and the paper's statements, for the tests.
 
-Everything here is deliberately implemented from scratch with different data
-structures and algorithms than the package under test: elements are value
-maps on ``{±1, ..., ±n}``, lengths come from breadth-first search over the
-Cayley graph, suffix relations come from brute-force word enumeration.  Slow
-and dumb on purpose.  :func:`orbit_meets_canonical` is the exception: it is
-the existential definition that a closed form in the library replaces, so it
-is written with the library's own pieces.  The ``reference_*`` functions are
+The oracles are implemented from scratch with different data structures and
+algorithms than the package under test: elements are value maps on
+``{±1, ..., ±n}``, lengths come from breadth-first search over the Cayley
+graph, suffix relations come from brute-force word enumeration.  Slow and
+dumb on purpose.  :func:`orbit_meets_canonical` is the exception: it is
+the existential definition that :func:`star_closed_form` replaces, so it is
+written with the library's own pieces.  The ``reference_*`` functions are
 the per-element loops that builtins replaced in the library (id density,
 canonical ids, minimal-index labels, window texts, recording fibers) or
 that a cheaper scheme replaced (the refinement rounds, each run on the
@@ -16,6 +16,14 @@ one window product per element, which the library's enumeration buffer must
 reproduce.  The inverse insertion maps, the listings of standard
 (bi)tableaux, :func:`longest_parabolic` and :func:`canonical_element` are
 reference code that only these oracles and the unit tests read.
+
+The last section is not written from scratch.  It holds element-wise
+helpers that the library once carried and no command runs: reduced words,
+coset decompositions, the parabolic index spaces, the admissibility check
+of a cycling map, right and two-sided cells, the rewriting moves one
+window at a time and the bridge search; and the paper's statements that
+the tests check: the bridge path exists, and the closed form of the
+canonical-shape meeting property on the reduced staircase region.
 """
 
 from __future__ import annotations
@@ -25,8 +33,10 @@ import itertools
 from array import array
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
+from bncells.area import in_area
 from bncells.descents import rxi_partition
 from bncells.errors import FalsificationError, InvalidInputError
 from bncells.group import (
@@ -35,13 +45,20 @@ from bncells.group import (
     check_letters,
     element_index,
     group_elements,
+    inverse,
     mul,
     mul_gen_right,
-    rep_fix_last,
     right_descents,
     window_text,
 )
-from bncells.partition import OUTSIDE, GroupPartition
+from bncells.hecke import (
+    KLBasis,
+    left_cells,
+    left_successors,
+    strongly_connected_components,
+)
+from bncells.knuth import MOVE_KINDS, _scope
+from bncells.partition import OUTSIDE, GroupPartition, canonical_ids
 from bncells.tableaux import (
     Bipartition,
     Bitableau,
@@ -53,12 +70,7 @@ from bncells.tableaux import (
     rs_generalized,
     shape,
 )
-from bncells.vogan import (
-    build_epsilon,
-    build_psi,
-    extended_image_table,
-    parabolic_elements,
-)
+from bncells.vogan import CellularMap, build_epsilon, build_psi, extended_image_table
 
 # Generator letter codes, mirroring the library convention: 0 is the sign
 # change, i >= 1 is the adjacent swap at positions i, i+1.
@@ -439,7 +451,7 @@ def orbit_meets_canonical(z, right_orbits, left_orbits) -> bool:
 
     ``right_orbits``/``left_orbits`` must be the two sides of
     ``vogan.xi_orbits`` at the same weight.  Exponentially slower than
-    ``area.star_closed_form``, which it cross-checks at tiny ranks.
+    :func:`star_closed_form`, which it cross-checks at tiny ranks.
     """
     target = canonical_element(shape(z).conjugate(), len(z))
     rc = right_orbits.class_of(element_index(z))
@@ -548,3 +560,302 @@ def reference_recording_fibers(n: int) -> GroupPartition:
         label_fn=Bitableau.to_text,
     )
 
+
+
+# ---------------------------------------------------------------------------
+# the paper's statements and the library's former helpers
+# ---------------------------------------------------------------------------
+
+
+def canonical_word(w: Sequence[int]) -> tuple[int, ...]:
+    """A deterministic reduced word for ``w`` (smallest right descent stripped last)."""
+    cur = tuple(w)
+    rev: list[int] = []
+    while True:
+        des = right_descents(cur)
+        if not des:
+            break
+        g = min(des)
+        cur = mul_gen_right(cur, g)
+        rev.append(g)
+    return tuple(reversed(rev))
+
+
+@dataclass(frozen=True)
+class CosetDecomposition:
+    """``w = rep * part`` with ``rep`` a minimal coset representative.
+
+    ``part`` lies in the parabolic subgroup (all entries positive for "J",
+    the swap generators; fixing the last position for "K", everything but
+    the last swap) and lengths add:
+    ``length(w) == length(rep) + length(part)``.
+    """
+
+    rep: SignedPerm
+    part: SignedPerm
+    subset_id: str
+
+
+def rep_fix_last(n: int, k: int) -> SignedPerm:
+    """The minimal coset representative (for subset "K") sending ``n`` to ``k``.
+
+    Window: ``(1, ..., |k|-1, |k|+1, ..., n, k)``.
+    """
+    a = abs(k)
+    body = list(range(1, a)) + list(range(a + 1, n + 1))
+    return SignedPerm(tuple(body) + (k,))
+
+
+def coset_decompose(w: Sequence[int], subset_id: str) -> CosetDecomposition:
+    """Factor ``w = rep * part`` over the named parabolic subset.
+
+    For "J" the representative sorts the window ascending (negatives in
+    increasing order, then positives in increasing order); for "K" it is the
+    unique minimal representative with ``rep(n) = w(n)``.
+    """
+    w = SignedPerm(w)
+    n = w.rank
+    if subset_id == "J":
+        rep = SignedPerm(sorted(w))
+    elif subset_id == "K":
+        rep = rep_fix_last(n, w[-1])
+    else:
+        raise InvalidInputError(f"unsupported parabolic subset id {subset_id!r}")
+    part = rep.inverse() * w
+    return CosetDecomposition(rep=rep, part=part, subset_id=subset_id)
+
+
+@functools.lru_cache(maxsize=None)
+def parabolic_elements(subset_id: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """The elements of the named parabolic, in its own canonical order.
+
+    Subset "J" is the all-positive windows in canonical order, by pattern rank;
+    subset "K" reuses the canonical rank-``(n-1)`` enumeration (at ``n = 1``
+    the parabolic is trivial).  This is the index space of a
+    :class:`~bncells.vogan.CellularMap`'s ``mapping``.
+    """
+    if subset_id == "J":
+        return tuple(u[::-1] for u in itertools.permutations(range(n, 0, -1)))
+    if subset_id == "K":
+        if n == 1:
+            return ((),)
+        return group_elements(n - 1)
+    raise InvalidInputError(f"unsupported parabolic subset id {subset_id!r}")
+
+
+def verify_admissible(
+    cmap: CellularMap,
+    right_keys: Sequence | None = None,
+    left_keys: Sequence | None = None,
+) -> tuple[str, ...]:
+    """Check the three cell conditions; return violation messages (expect none).
+
+    The map must send each left fiber onto a left fiber, keep every element
+    in its right fiber, and walk each right fiber in one full cycle.  By
+    default fibers are the insertion/recording fibers of the parabolic; an
+    oracle's cell keys can be passed instead.
+    """
+    size = len(cmap.mapping)
+    if size == 1:
+        return ()
+    if (right_keys is None) != (left_keys is None):
+        raise InvalidInputError("pass both oracle key sequences or neither")
+    if right_keys is None:
+        elements = parabolic_elements(cmap.subset_id, cmap.n)
+        right_keys, left_keys = zip(*map(rs_generalized, elements))
+    if len(right_keys) != size or len(left_keys) != size:
+        raise InvalidInputError("oracle key sequences must cover the parabolic")
+    violations = []
+
+    left_fibers: dict = {}
+    for i, key in enumerate(left_keys):
+        left_fibers.setdefault(key, set()).add(i)
+    fiber_sets = {frozenset(v) for v in left_fibers.values()}
+    for key, fiber in left_fibers.items():
+        image = frozenset(cmap.mapping[i] for i in fiber)
+        if image not in fiber_sets:
+            violations.append(
+                f"left fiber of {key!r} maps onto a non-fiber set of size "
+                f"{len(image)}"
+            )
+
+    for i in range(size):
+        if right_keys[i] != right_keys[cmap.mapping[i]]:
+            violations.append(f"element {i} leaves its right fiber")
+
+    right_fibers: dict = {}
+    for i, key in enumerate(right_keys):
+        right_fibers.setdefault(key, set()).add(i)
+    for key, fiber in right_fibers.items():
+        start = min(fiber)
+        seen = {start}
+        cursor = cmap.mapping[start]
+        while cursor != start:
+            if cursor in seen or cursor not in fiber:
+                break
+            seen.add(cursor)
+            cursor = cmap.mapping[cursor]
+        if seen != fiber:
+            violations.append(
+                f"right fiber of {key!r} (size {len(fiber)}) is not a single "
+                f"cycle (walked {len(seen)})"
+            )
+    return tuple(violations)
+
+
+def right_cells(kl: KLBasis) -> GroupPartition:
+    """The right cells: the left cells of the inverses."""
+    left = left_cells(kl).class_id
+    inv = kl.tables.inverse
+    return GroupPartition(kl.n, canonical_ids(map(left.__getitem__, inv)))
+
+
+def two_sided_cells(kl: KLBasis) -> GroupPartition:
+    """Components of the graph of left steps and right steps (left steps of inverses)."""
+    inv = kl.tables.inverse
+
+    def successors(i: int) -> set[int]:
+        out = left_successors(kl, i)
+        out.update(inv[j] for j in left_successors(kl, inv[i]))
+        return out
+
+    comp = strongly_connected_components(kl.tables.order, successors)
+    return GroupPartition(kl.n, canonical_ids(comp))
+
+
+# -- rewriting moves and the bridge search --------------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class Move:
+    """One applicable rewriting move, rendered as ``kind@position``."""
+
+    position: int
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in MOVE_KINDS:
+            raise InvalidInputError(f"unknown move kind {self.kind!r}")
+        if self.position < 1:
+            raise InvalidInputError(f"move position must be >= 1, got {self.position}")
+
+    def to_text(self) -> str:
+        return f"{self.kind}@{self.position}"
+
+
+def _move_sites(
+    w: Sequence[int], kinds: Sequence[str], k: int
+) -> Iterator[tuple[int, str, int]]:
+    """``(position, kind, generator)`` of each move whose guard holds on ``w``.
+
+    Only moves inside the first ``k`` positions are tried; ``generator`` is
+    the right swap the move makes.  ``knuth._guard_masks`` evaluates the
+    same guards for every window of a rank at once.
+    """
+    kind_i, kind_ii = "I" in kinds, "II" in kinds
+    for i in range(1, k - 1):
+        x, y, z = w[i - 1], w[i], w[i + 1]
+        if kind_i and (y < x < z or z < x < y):
+            yield i, "I", i + 1
+        if kind_ii and (x < z < y or y < z < x):
+            yield i, "II", i
+    if "III" in kinds:
+        for i in range(1, k):
+            if (w[i - 1] > 0) != (w[i] > 0):
+                yield i, "III", i
+
+
+def applicable_moves(
+    w: Sequence[int],
+    kinds: Sequence[str] = MOVE_KINDS,
+    prefix: int | None = None,
+) -> tuple[Move, ...]:
+    """All moves applicable to ``w`` within its first ``prefix`` positions."""
+    k = _scope(len(w), kinds, prefix)
+    return tuple(
+        sorted(Move(position=i, kind=kind) for i, kind, _ in _move_sites(w, kinds, k))
+    )
+
+
+def apply_move(w: Sequence[int], move: Move) -> tuple[int, ...]:
+    """Apply one move; raises when its guard does not hold."""
+    w = tuple(w)
+    for i, _, g in _move_sites(w, (move.kind,), len(w)):
+        if i == move.position:
+            return mul_gen_right(w, g)
+    raise InvalidInputError(f"move {move.to_text()} does not apply to {w}")
+
+
+def _bridge_moves(w: Sequence[int]) -> tuple[Move, ...]:
+    n = len(w)
+    return applicable_moves(w, kinds=("I", "II")) + applicable_moves(
+        w, kinds=("III",), prefix=n - 1
+    )
+
+
+def welsh_bridge(w: Sequence[int]) -> tuple[Move, ...]:
+    """A move path from ``w`` to its top-swap image avoiding the last position.
+
+    Requires ``w`` outside the double-staircase region with opposite signs in
+    its final two entries — there the path is claimed always to exist, so an
+    exhausted search is a falsification, not a usage error.
+    """
+    start = tuple(w)
+    n = len(start)
+    if n < 2:
+        raise InvalidInputError("bridge search needs rank at least 2")
+    if in_area(start):
+        raise InvalidInputError(f"window {start} lies inside the region")
+    if (start[-2] > 0) == (start[-1] > 0):
+        raise InvalidInputError(
+            f"final two entries of {start} do not have opposite signs"
+        )
+    target = mul_gen_right(start, n - 1)
+    parents: dict[tuple[int, ...], tuple[tuple[int, ...], Move] | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        if cur == target:
+            path: list[Move] = []
+            back = parents[cur]
+            while back is not None:
+                prev, move = back
+                path.append(move)
+                back = parents[prev]
+            return tuple(reversed(path))
+        for move in _bridge_moves(cur):
+            nxt = apply_move(cur, move)
+            if nxt not in parents:
+                parents[nxt] = (cur, move)
+                queue.append(nxt)
+    raise FalsificationError(
+        f"no restricted move path from {start} to its top-swap image"
+    )
+
+
+# -- the reduced staircase region ------------------------------------------------
+
+
+def extreme_windows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two distinguished region members removed to form the reduced region:
+
+    the positive reversal ``(n..1)`` and the negated reversal ``(-n..-1)``.
+    """
+    return tuple(range(n, 0, -1)), tuple(range(-n, 0))
+
+
+def in_area_reduced(w: Sequence[int]) -> bool:
+    """Region membership minus the two extreme windows."""
+    w = tuple(w)
+    return in_area(w) and w not in extreme_windows(len(w))
+
+
+def star_closed_form(z: Sequence[int]) -> bool:
+    """O(1) window test for the canonical-shape meeting property.
+
+    Holds unless ``z`` lies in the reduced staircase-shape region with its
+    last entry or its inverse's last entry negative.
+    """
+    if not in_area_reduced(z):
+        return True
+    return z[-1] > 0 and inverse(z)[-1] > 0

@@ -26,19 +26,20 @@ from bncells.group import (
     length_t,
     mul_gen_right,
 )
-from bncells.hecke import left_cells, right_cells, two_sided_cells
-from bncells.knuth import apply_move, knuth_classes, welsh_bridge
+from bncells.hecke import left_cells
+from bncells.knuth import knuth_classes
 from bncells.partition import GroupPartition
 from bncells.tableaux import rs_generalized, shape
-from bncells.vogan import (
-    build_epsilon,
-    build_psi,
-    verify_admissible,
-    vogan_classes,
-    xi_orbits,
-)
+from bncells.vogan import build_epsilon, build_psi, vogan_classes, xi_orbits
 
-from .oracles import reference_recording_fibers
+from .oracles import (
+    apply_move,
+    reference_recording_fibers,
+    right_cells,
+    two_sided_cells,
+    verify_admissible,
+    welsh_bridge,
+)
 from .test_hecke import cached_kl, cells_as_windows
 
 # Frozen expected values (fixtures, independent of the library's formulas).

@@ -1,26 +1,24 @@
 """Region membership, word identities, and the cell/fiber decompositions."""
 
 import math
+from typing import Iterable, Sequence
 
 import pytest
 
 from bncells import area
 from bncells.area import (
+    Window,
     area_decomposition,
     area_elements,
     asymptotic_cell,
     block_word,
     block_word_alt,
     build_words,
-    extreme_windows,
     fused_word,
     fused_word_alt,
     in_area,
-    in_area_reduced,
     sigma_word,
-    subcell_split,
     tail_word,
-    upsilon,
     upsilon_decomposition,
 )
 from bncells.errors import FalsificationError, InvalidInputError
@@ -33,12 +31,90 @@ from bncells.group import (
     length_t,
     mul,
     right_descents,
+    suffixes,
 )
 from bncells.hecke import left_cells
 from bncells.tableaux import Bipartition, shape
 
-from .oracles import coset_product_elements
+from .oracles import (
+    canonical_word,
+    coset_product_elements,
+    extreme_windows,
+    in_area_reduced,
+)
 from .test_hecke import cached_kl
+
+
+# Statements on the region that no command runs: the definitional descent
+# fiber of one member, and the split of a cell into its weight-stable halves.
+
+
+def upsilon(w: Sequence[int]) -> frozenset[Window]:
+    """Region members sharing the right descent set of ``w`` (definitional)."""
+    w = tuple(w)
+    n = len(w)
+    if not in_area(w):
+        raise InvalidInputError(f"window {w} is outside the region")
+    target = right_descents(w)
+    return frozenset(z for z in area_elements(n) if right_descents(z) == target)
+
+
+def _letters_used(w: Sequence[int]) -> frozenset[int]:
+    return frozenset(canonical_word(w))
+
+
+def subcell_split(cell: Iterable[Sequence[int]]) -> tuple[frozenset[Window], frozenset[Window]]:
+    """Split an asymptotic cell into its two weight-stable halves.
+
+    The first half collects the products whose prefix avoids the top swap
+    generator; the second is its complement.  Both halves are re-derived
+    from the one-rank-down block elements and checked to agree; the second
+    half is empty exactly for singleton cells.
+    """
+    members = frozenset(tuple(w) for w in cell)
+    if not members:
+        raise InvalidInputError("cannot split an empty cell")
+    n = len(next(iter(members)))
+    sig = min(members, key=lambda w: (length(w), w))
+    if asymptotic_cell(sig) != members:
+        raise InvalidInputError("input is not an asymptotic cell of the region")
+    q = length_t(sig)
+    words = build_words(n)
+    top = n - 1
+
+    first: set[Window] = set()
+    second: set[Window] = set()
+    for pi in suffixes(words.block[q]):
+        product = area._reduced_product(pi, sig)
+        if top in _letters_used(pi):
+            second.add(product)
+        else:
+            first.add(product)
+
+    if len(members) == 1:
+        if second:
+            raise FalsificationError("singleton cell produced a second subcell")
+    else:
+        # non-singleton cells have 1 <= q <= n-1, so the one-rank-down block
+        # elements on both sides of the split are defined
+        via_down = frozenset(
+            area._reduced_product(pi, sig)
+            for pi in suffixes(from_word(n, block_word(n - 1, q)))
+        )
+        if frozenset(first) != via_down:
+            raise FalsificationError(
+                f"first subcell disagrees with its one-rank-down description at q={q}"
+            )
+        tail = from_word(n, tail_word(n, q))
+        via_tail = frozenset(
+            area._reduced_product(pi, mul(tail, sig))
+            for pi in suffixes(from_word(n, block_word(n - 1, q - 1)))
+        )
+        if frozenset(second) != via_tail:
+            raise FalsificationError(
+                f"second subcell disagrees with its tail description at q={q}"
+            )
+    return frozenset(first), frozenset(second)
 
 
 class TestMembership:
@@ -77,6 +153,7 @@ class TestMembership:
             area_elements.__wrapped__(4)
 
     def test_reduced_region_removes_the_two_extremes(self):
+        assert (in_area_reduced((2, 1)), in_area_reduced((-1, 2))) == (False, True)
         for n in range(1, 6):
             lo, hi = extreme_windows(n)
             assert in_area(lo) and in_area(hi)
@@ -147,12 +224,10 @@ class TestWords:
                 assert length(left) == (q + 1) * (n - q)
 
     def test_tail_is_block_suffix(self):
-        from bncells.group import is_suffix
-
         for n in range(2, 6):
             for q in range(1, n):
                 tail = from_word(n, tail_word(n, q))
-                assert is_suffix(tail, from_word(n, block_word(n, q)))
+                assert tail in suffixes(from_word(n, block_word(n, q)))
 
     def test_word_bounds_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -226,6 +301,7 @@ class TestDescentFibers:
             assert sizes == expected
 
     def test_definitional_fiber_matches(self):
+        assert sorted(upsilon((-1, 2))) == [(-2, -1), (-2, 1), (-1, 2)]
         for n in range(2, 6):
             by_member = {}
             for fiber in upsilon_decomposition(n):

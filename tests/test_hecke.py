@@ -15,7 +15,6 @@ from bncells.cli import main
 from bncells.errors import BudgetError, FalsificationError, InvalidInputError
 from bncells.group import (
     WeightFunction,
-    canonical_word,
     element_index,
     group_elements,
     inverse,
@@ -29,11 +28,10 @@ from bncells.hecke import (
     intern_element,
     kl_basis,
     left_cells,
-    right_cells,
     t_basis,
-    two_sided_cells,
     verify_bar_invariance,
 )
+from .oracles import canonical_word, right_cells, two_sided_cells
 from .oracles import oracle_t_mul_gen as t_mul_gen
 
 

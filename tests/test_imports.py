@@ -10,9 +10,9 @@ Only ``group.py`` reads the enumeration buffer ``window_bytes``, so the
 byte encoding of a window value is known to one module.
 
 A top-level function or class of the library is called when another
-definition of the library, a script, the benchmark or the acceptance tests
-load it.  The few that only unit tests call are pinned, so a helper that
-loses its last caller, or a new one written for tests alone, fails here.
+definition of the library, a script or the benchmark loads it.  None is
+left to the tests alone: a helper that loses its last caller, or a new one
+written for tests alone, fails here, and belongs in the tests.
 """
 
 import ast
@@ -93,22 +93,20 @@ def test_no_runtime_dependencies_declared():
     assert project["project"]["dependencies"] == []
 
 
-# Paper statements and reference paths that unit tests check.
-CALLED_ONLY_BY_UNIT_TESTS = {
-    "area.star_closed_form",
-    "area.subcell_split",
-    "area.upsilon",
-    "group.is_suffix",
-    "vogan.left_extend",
-}
+# Reference code and the paper's statements live in the tests, so none is pinned.
+CALLED_ONLY_BY_UNIT_TESTS: set[str] = set()
 
 
-def library_definitions() -> dict[tuple[str, str], ast.AST]:
-    """``(module, name)`` of every top-level function and class."""
+# each library module's source, by module name
+LIBRARY = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+
+
+def library_definitions(sources: dict[str, str]) -> dict[tuple[str, str], ast.AST]:
+    """``(module, name)`` of every top-level function and class of ``sources``."""
     return {
-        (path.stem, node.name): node
-        for path in PACKAGE.glob("*.py")
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        (module, node.name): node
+        for module, source in sources.items()
+        for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
 
@@ -138,24 +136,27 @@ def loaded_definitions(source: str, module: str | None, definitions):
         yield from ((key, node.lineno) for key in keys if key in definitions)
 
 
-def called_only_by_unit_tests() -> set[str]:
-    definitions = library_definitions()
-    callers = [(path, path.stem) for path in PACKAGE.glob("*.py")] + [
-        (path, None)
-        for path in (
-            *ROOT.glob("scripts/*.py"),
-            *ROOT.glob("perfbench/*.py"),
-            ROOT / "tests" / "test_acceptance.py",
-        )
-    ]
+def lacking_a_caller(library: dict[str, str], outside: list[str]) -> set[str]:
+    """``module.name`` of each definition of ``library`` that no caller loads.
+
+    The callers are the library modules themselves, where a load inside the
+    definition's own body does not count, and the ``outside`` sources.
+    """
+    definitions = library_definitions(library)
+    callers = [*library.items(), *((None, source) for source in outside)]
     called = set()
-    for path, module in callers:
-        source = path.read_text(encoding="utf-8")
+    for module, source in callers:
         for key, line in loaded_definitions(source, module, definitions):
             node = definitions[key]
             if key[0] != module or not node.lineno <= line <= node.end_lineno:
                 called.add(key)
     return {f"{m}.{name}" for m, name in definitions.keys() - called}
+
+
+def called_only_by_unit_tests() -> set[str]:
+    """Library definitions that neither the library, a script nor the benchmark loads."""
+    outside = [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
+    return lacking_a_caller(LIBRARY, [path.read_text(encoding="utf-8") for path in outside])
 
 
 def test_only_the_pinned_definitions_lack_a_caller_outside_unit_tests():
@@ -166,7 +167,7 @@ def window_bytes_loads(source: str, module: str) -> list[int]:
     """Lines of ``source`` (module ``module``) that load ``group.window_bytes``."""
     return [
         line
-        for key, line in loaded_definitions(source, module, library_definitions())
+        for key, line in loaded_definitions(source, module, library_definitions(LIBRARY))
         if key == ("group", "window_bytes")
     ]
 
@@ -178,6 +179,16 @@ def test_buffer_guard_sees_a_load():
     assert window_bytes_loads(by_name, "vogan") == [2]
     assert window_bytes_loads(by_attribute, "knuth") == [2]
     assert window_bytes_loads(through_columns, "area") == []
+
+
+def test_caller_guard_flags_a_definition_with_no_outside_caller():
+    library = {
+        "a": "def used():\n    pass\n\n\ndef for_tests(k):\n    return for_tests(k - 1)\n",
+        "b": "from .a import used\nused()\n",
+    }
+    assert lacking_a_caller(library, []) == {"a.for_tests"}
+    script = "from bncells.a import for_tests\nfor_tests(3)\n"
+    assert lacking_a_caller(library, [script]) == set()
 
 
 @pytest.mark.parametrize(

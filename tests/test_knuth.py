@@ -17,21 +17,20 @@ from bncells.group import (
     right_generator_tables,
     window_bytes,
 )
-from bncells.knuth import (
-    MOVE_KINDS,
-    Move,
-    _guard_masks,
-    _move_sites,
-    applicable_moves,
-    apply_move,
-    knuth_classes,
-    welsh_bridge,
-)
+from bncells.knuth import MOVE_KINDS, _guard_masks, knuth_classes
 from bncells.partition import GroupPartition
 from bncells.tableaux import count_standard_bitableaux, rs_generalized
 
 from .conftest import signed_perms
-from .oracles import oracle_knuth_closure
+from .oracles import (
+    Move,
+    _move_sites,
+    applicable_moves,
+    apply_move,
+    coset_decompose,
+    oracle_knuth_closure,
+    welsh_bridge,
+)
 
 
 def move_neighbors(w, kinds=MOVE_KINDS, prefix=None):
@@ -107,8 +106,6 @@ class TestClasses:
     def test_swap_only_classes_are_coset_and_tableau_fibers(self):
         # moves I and II alone preserve the sorted coset representative and
         # the classic insertion tableau of the positive part
-        from bncells.group import coset_decompose
-
         for n in range(1, 5):
             part = knuth_classes(n, kinds=("I", "II"))
 
@@ -228,6 +225,8 @@ class TestBridge:
                 assert not seen_last_pos
 
     def test_spot_checks_rank4(self):
+        assert [m.to_text() for m in welsh_bridge((2, -3, 1, -4))] == ["I@2"]
+        assert len(welsh_bridge((-2, 3, 1, -4))) > 1
         for w in [(2, -3, 1, -4), (-2, 3, 1, -4), (1, -3, 2, -4), (-4, 2, -1, 3)]:
             path = welsh_bridge(w)
             cur = w

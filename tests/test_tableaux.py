@@ -281,6 +281,7 @@ class TestRecordingFibers:
         for module in (group, tableaux):
             monkeypatch.setattr(module, "iter_windows", no_windows, raising=False)
         monkeypatch.setattr(tableaux, "_insert", counted)
+        recording_fibers.cache_clear()
         assert recording_fibers(n).num_classes == count_standard_bitableaux(n)
         # one insertion per rank-(n-1) P bitableau and last entry at most
         assert len(calls) <= count_standard_bitableaux(n - 1) * 2 * n
@@ -301,8 +302,15 @@ class TestRecordingFibers:
 
     def test_fibers_build_no_window_tuples(self):
         group_elements.cache_clear()
+        recording_fibers.cache_clear()
         assert recording_fibers(5).num_classes == count_standard_bitableaux(5)
         assert group_elements.cache_info().currsize == 0
+
+    def test_a_second_call_does_not_rebuild_the_fibers(self, monkeypatch):
+        recording_fibers.cache_clear()
+        first = recording_fibers(4)
+        monkeypatch.setattr(tableaux, "recording_fiber_ids", None)  # a rebuild raises
+        assert recording_fibers(4) is first
 
 
 class TestCanonicalElement:
