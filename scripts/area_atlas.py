@@ -20,11 +20,11 @@ from bncells.area import (
     sigma_word,
     upsilon_decomposition,
 )
-from bncells.descents import XiDescentSet
+from bncells.descents import mask_text, rxi_mask
 from bncells.group import (
+    WeightFunction,
     length,
     length_t,
-    right_descents,
     window_text,
     word_to_text,
 )
@@ -62,7 +62,8 @@ def main(argv: list[str] | None = None) -> int:
     print("\ndescent fibers (each fuses two cells)")
     for fiber in upsilon_decomposition(n):
         members = sort_cell(fiber)
-        label = XiDescentSet(right_descents(members[0])).to_text()
+        # at equal weights the invariant is the right descent set alone
+        label = mask_text(n, rxi_mask(members[0], WeightFunction(1, 1)))
         halves = [
             sort_cell(c)[0] for c in cells if c <= fiber
         ]

@@ -5,7 +5,12 @@ Subcommands
 
 ``table``
     The three-column count table (boundary-weight cells, dominant-weight
-    cells, orbits) for ranks 2..7, computed — never echoed from constants.
+    cells, orbits) for ranks 2..7.  The orbits are computed at every rank.
+    The cell counts are refined, and checked against the closed forms and
+    the oracle, at ranks up to 4; above that they are the closed forms,
+    unless ``--exact`` refines them and checks them against the closed
+    forms.  ``cells_source`` says which (``refined+oracle``, ``formula``,
+    ``refined``).
 ``verify --n --a --b``
     Compare the Hecke-algebra left cells against the refinement classes
     element by element, check the staircase-region cell lists, and check
@@ -39,7 +44,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .descents import rxi, rxi_partition, XiDescentSet
+from .descents import mask_text, rxi_mask, rxi_partition
 from .errors import BnCellsError, FalsificationError, RankError
 from .group import (
     WeightFunction,
@@ -50,7 +55,6 @@ from .group import (
     length,
     length_t,
     parse_window,
-    right_descents,
     window_text,
 )
 from .partition import GroupPartition
@@ -431,13 +435,14 @@ def cmd_element(args, out) -> int:
     n = len(w)
     weight = WeightFunction(args.a, args.b if args.b is not None else n)
     a_tab, b_tab = rs_generalized(w)
+    mask = rxi_mask(w, weight)
     report = {
         "window": window_text(w),
         "n": n,
         "length": length(w),
         "length_t": length_t(w),
-        "rdes": XiDescentSet(right_descents(w)).to_text(),
-        "rxi": rxi(w, weight).to_text(),
+        "rdes": mask_text(n, mask & ((1 << n) - 1)),
+        "rxi": mask_text(n, mask),
         "insertion": a_tab.to_text(),
         "recording": b_tab.to_text(),
         "shape": a_tab.shape.to_text(),

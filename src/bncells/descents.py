@@ -12,160 +12,81 @@ weight ``a``:
 
 The full invariant — generators plus all gated sign reflections — is
 constant on left cells in the regimes where cells are understood, and its
-fibers start the class refinement in :mod:`bncells.vogan`.
+fibers start the class refinement in :mod:`bncells.vogan`.  It has one
+form, an int mask: :func:`rxi_mask` for one window, :func:`rxi_masks` for
+a whole rank in the same bit layout, and :func:`mask_text` renders every
+label.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice, pairwise
 from typing import Sequence
 
-from .errors import InvalidInputError
 from .group import (
     WeightFunction,
     group_order,
     lanes_at_least,
+    letter_to_text,
     right_descents,
     window_columns,
 )
 from .partition import GroupPartition
 
 
-@dataclass(frozen=True)
-class XiDescentSet:
-    """A weighted descent invariant.
+def rxi_mask(w: Sequence[int], weight: WeightFunction) -> int:
+    """The gated descent invariant of one window, as an int mask.
 
-    ``classical`` holds generator letter codes; ``extended`` holds positions
-    ``k >= 2`` whose gated sign reflection is a descent; ``extra`` holds
-    names of the flipped-regime witnesses (only ``"ts1t"`` exists).
-    """
+    Bit ``g`` is the generator descent ``g`` (``0`` is ``t``), bit
+    ``n + k - 1`` the gated sign position ``k`` and bit ``2n`` the ``ts1t``
+    witness, which is a descent exactly when ``w(1) + w(2) < 0``.
 
-    classical: frozenset[int] = field(default_factory=frozenset)
-    extended: frozenset[int] = field(default_factory=frozenset)
-    extra: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classical", frozenset(self.classical))
-        object.__setattr__(self, "extended", frozenset(self.extended))
-        object.__setattr__(self, "extra", frozenset(self.extra))
-        if any(k < 2 for k in self.extended):
-            raise InvalidInputError("extended positions start at 2")
-        if not self.extra <= {"ts1t"}:
-            raise InvalidInputError(f"unknown extra witnesses {sorted(self.extra)}")
-
-    def sort_key(self) -> tuple:
-        return (
-            sorted(self.classical),
-            sorted(self.extended),
-            sorted(self.extra),
-        )
-
-    def sign_positions(self) -> frozenset[int]:
-        """Positions whose sign reflection is a descent (1 means the generator)."""
-        out = set(self.extended)
-        if 0 in self.classical:
-            out.add(1)
-        return frozenset(out)
-
-    def to_text(self) -> str:
-        """Render as ``t,s2,t3`` (generator part, then gated part); ``-`` if empty.
-
-        >>> XiDescentSet(frozenset({0, 2}), frozenset({3})).to_text()
-        't,s2,t3'
-        >>> XiDescentSet().to_text()
-        '-'
-        """
-        parts = []
-        if 0 in self.classical:
-            parts.append("t")
-        parts.extend(f"s{i}" for i in sorted(self.classical) if i != 0)
-        parts.extend(f"t{k}" for k in sorted(self.extended))
-        parts.extend(sorted(self.extra))
-        return ",".join(parts) if parts else "-"
-
-
-def ts1t_descent(w: Sequence[int]) -> bool:
-    """Whether the negating swap ``t s1 t`` of the first two positions is a descent.
-
-    The reflection sends ``(w(1), w(2))`` to ``(-w(2), -w(1))`` and shortens
-    ``w`` exactly when ``w(1) + w(2) < 0``; rank 1 has no such reflection.
-
-    >>> ts1t_descent((1, -2)), ts1t_descent((2, -1)), ts1t_descent((-1,))
-    (True, False, False)
-    """
-    return len(w) >= 2 and w[0] + w[1] < 0
-
-
-def rdes_enhanced(w: Sequence[int], weight: WeightFunction) -> XiDescentSet:
-    """Right descents plus the single rank-2 witness for the given weight.
-
-    >>> rdes_enhanced((-1, -2), WeightFunction(1, 2)).to_text()
-    't,s1,t2'
-    >>> rdes_enhanced((-1, -2), WeightFunction(1, 1)).to_text()
-    't,s1'
-    >>> rdes_enhanced((-1, -2), WeightFunction(2, 1)).to_text()
+    >>> mask_text(3, rxi_mask((-2, -1, 3), WeightFunction(1, 3)))
+    't,t2'
+    >>> mask_text(2, rxi_mask((-1, -2), WeightFunction(2, 1)))
     't,s1,ts1t'
     """
-    classical = right_descents(w)
-    if weight.b > weight.a:
-        extended = frozenset({2} if len(w) >= 2 and w[1] < 0 else ())
-        return XiDescentSet(classical, extended, frozenset())
-    if weight.a > weight.b:
-        extra = frozenset({"ts1t"} if ts1t_descent(w) else ())
-        return XiDescentSet(classical, frozenset(), extra)
-    return XiDescentSet(classical, frozenset(), frozenset())
-
-
-def rxi(w: Sequence[int], weight: WeightFunction) -> XiDescentSet:
-    """The full gated descent invariant (all sign positions up to the rank).
-
-    Defined for ``b >= a``; for ``a > b`` it falls back to the rank-2
-    enhancement, the finest invariant available there.
-
-    >>> rxi((-2, -1, 3), WeightFunction(1, 3)).to_text()
-    't,t2'
-    >>> rxi((-2, -1, 3), WeightFunction(1, 1)).to_text()
-    't'
-    """
-    if weight.a > weight.b:
-        return rdes_enhanced(w, weight)
-    classical = right_descents(w)
-    extended = frozenset(
-        k
-        for k in range(2, len(w) + 1)
+    n = len(w)
+    mask = sum(1 << g for g in right_descents(w))
+    mask += sum(
+        1 << (n + k - 1)
+        for k in range(2, n + 1)
         if w[k - 1] < 0 and weight.slope_exceeds(k - 1)
     )
-    return XiDescentSet(classical, extended, frozenset())
+    if weight.a > weight.b and n >= 2 and w[0] + w[1] < 0:
+        mask += 1 << 2 * n
+    return mask
 
 
-def _from_mask(n: int, mask: int) -> XiDescentSet:
-    """The invariant that :func:`rxi_partition` encodes as ``mask`` at rank ``n``."""
-    return XiDescentSet(
-        frozenset(g for g in range(n) if mask >> g & 1),
-        frozenset(k for k in range(2, n + 1) if mask >> (n + k - 1) & 1),
-        frozenset({"ts1t"} if mask >> (2 * n) & 1 else ()),
-    )
+def mask_text(n: int, mask: int) -> str:
+    """Render a rank-``n`` mask as ``t,s2,t3``: generators, then gated positions.
+
+    >>> mask_text(4, 0b10100101), mask_text(2, 1 << 4), mask_text(3, 0)
+    ('t,s2,t2,t4', 'ts1t', '-')
+    """
+    parts = [letter_to_text(g) for g in range(n) if mask >> g & 1]
+    parts += [f"t{k}" for k in range(2, n + 1) if mask >> (n + k - 1) & 1]
+    if mask >> 2 * n & 1:
+        parts.append("ts1t")
+    return ",".join(parts) or "-"
 
 
 def rxi_partition(n: int, weight: WeightFunction) -> GroupPartition:
     """Fibers of the gated descent invariant over the whole rank-``n`` group.
 
-    Each window is reduced to an integer mask of its :func:`rxi` value: bit
-    ``g`` for the generator descent ``g`` (``0`` is ``t``), bit ``n + k - 1``
-    for the gated sign position ``k`` and bit ``2n`` for ``ts1t``.  Class ids
-    number the masks in order of first appearance.  Labels are the rendered
-    invariants, each rendered once per fiber from its mask.
+    Class ids number the :func:`rxi_masks` in order of first appearance;
+    each fiber's label is its mask rendered by :func:`mask_text`.
     """
     return GroupPartition.from_keys(
-        n, rxi_masks(n, weight), label_fn=lambda mask: _from_mask(n, mask).to_text()
+        n, rxi_masks(n, weight), label_fn=partial(mask_text, n)
     )
 
 
 def rxi_masks(n: int, weight: WeightFunction) -> array:
-    """The :func:`rxi_partition` mask of every element, in canonical order.
+    """The :func:`rxi_mask` of every element, in canonical order.
 
     Each bit is a 0/1 flag in every 8-bit lane of the columns of
     :func:`~bncells.group.window_columns`: a sign read off a column, or one

@@ -58,8 +58,8 @@ class SignedPerm(tuple):
     >>> w = SignedPerm((-2, 1))
     >>> w(1), w(2), w(-1)
     (-2, 1, 2)
-    >>> (w * w.inverse()).is_identity()
-    True
+    >>> w * w
+    SignedPerm('-1,-2')
     """
 
     __slots__ = ()
@@ -82,10 +82,6 @@ class SignedPerm(tuple):
     # -- basic structure ----------------------------------------------------
 
     @property
-    def rank(self) -> int:
-        return len(self)
-
-    @property
     def window(self) -> tuple[int, ...]:
         return tuple(self)
 
@@ -95,18 +91,12 @@ class SignedPerm(tuple):
             return self[i - 1]
         return -self[-i - 1]
 
-    def is_identity(self) -> bool:
-        return all(self[i] == i + 1 for i in range(len(self)))
-
     # -- group operations ----------------------------------------------------
 
     def __mul__(self, other: Sequence[int]) -> "SignedPerm":
         if len(other) != len(self):
             raise RankError("cannot multiply windows of different ranks")
         return SignedPerm(mul(self, other))
-
-    def inverse(self) -> "SignedPerm":
-        return SignedPerm(inverse(self))
 
     # -- text ------------------------------------------------------------------
 
@@ -209,16 +199,13 @@ def word_to_text(word: Iterable[int]) -> str:
     return " ".join(letter_to_text(g) for g in word)
 
 
-def parse_window(text: str, n: int | None = None) -> SignedPerm:
+def parse_window(text: str) -> SignedPerm:
     """Parse comma-separated window text, e.g. ``"-7,-5,6,4,3,-2,1"``."""
     try:
         entries = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"malformed window text {text!r}") from exc
-    w = SignedPerm(entries)
-    if n is not None and w.rank != n:
-        raise RankError(f"window {text!r} has rank {w.rank}, expected {n}")
-    return w
+    return SignedPerm(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +624,6 @@ class WeightFunction:
 
     def letter_weight(self, g: int) -> int:
         return self.b if g == T_LETTER else self.a
-
-    def of(self, w: Sequence[int]) -> int:
-        """Total weight of ``w``: additive over any reduced word."""
-        return self.a * (length(w) - length_t(w)) + self.b * length_t(w)
 
     def slope_exceeds(self, k: int) -> bool:
         """Exact test of ``b/a > k``."""

@@ -70,12 +70,12 @@ class GroupTables:
     """
 
     def __init__(self, n: int) -> None:
-        self.elements = elements = group_elements(n)
+        elements = group_elements(n)
         self.n = n
         self.order = len(elements)
         self.length = array("i", (length(w) for w in elements))
         self.rmul = right_generator_tables(n)
-        self.inverse = inv = inverse_index_table(n)
+        inv = inverse_index_table(n)
         self.lmul = tuple(
             array("i", map(inv.__getitem__, map(table.__getitem__, inv)))
             for table in self.rmul

@@ -96,9 +96,6 @@ class GroupPartition:
     def class_of(self, index: int) -> int:
         return self.class_id[index]
 
-    def in_domain(self, index: int) -> bool:
-        return self.class_id[index] != OUTSIDE
-
     def classes(self) -> list[list[int]]:
         """Element indices grouped by class id (ascending within each class)."""
         out: list[list[int]] = [[] for _ in range(self.num_classes)]

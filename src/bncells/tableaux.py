@@ -114,13 +114,7 @@ def count_standard_tableaux(p: Partition) -> int:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """An ordered pair of partitions; sizes add up to the rank.
-
-    Conjugation transposes both components *and* swaps their order.
-
-    >>> Bipartition((2, 1), (1,)).conjugate()
-    Bipartition(plus_part=(1,), minus_part=(2, 1))
-    """
+    """An ordered pair of partitions; sizes add up to the rank."""
 
     plus_part: Partition
     minus_part: Partition
@@ -132,11 +126,6 @@ class Bipartition:
     @property
     def size(self) -> int:
         return sum(self.plus_part) + sum(self.minus_part)
-
-    def conjugate(self) -> "Bipartition":
-        return Bipartition(
-            conjugate_partition(self.minus_part), conjugate_partition(self.plus_part)
-        )
 
     def to_text(self) -> str:
         left = ",".join(map(str, self.plus_part)) or "-"
@@ -217,9 +206,6 @@ class StandardTableau:
     def entries(self) -> frozenset[int]:
         return frozenset(x for row in self.rows for x in row)
 
-    def row_reading_word(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
-
     def to_text(self) -> str:
         return _rows_text(self.rows)
 
@@ -257,9 +243,6 @@ class Bitableau:
     @property
     def size(self) -> int:
         return self.plus.size + self.minus.size
-
-    def row_reading_word(self) -> tuple[int, ...]:
-        return self.plus.row_reading_word() + (0,) + self.minus.row_reading_word()
 
     def to_text(self) -> str:
         return f"{self.plus.to_text()} | {self.minus.to_text()}"

@@ -46,6 +46,7 @@ from bncells.group import (
     element_index,
     group_elements,
     inverse,
+    inverse_index_table,
     mul,
     mul_gen_right,
     right_descents,
@@ -66,6 +67,7 @@ from bncells.tableaux import (
     StandardTableau,
     bipartitions,
     check_partition,
+    conjugate_partition,
     partitions,
     rs_generalized,
     shape,
@@ -280,6 +282,22 @@ def rs_generalized_inverse(A: Bitableau, B: Bitableau) -> SignedPerm:
     return SignedPerm(out)
 
 
+def conjugate(bp: Bipartition) -> Bipartition:
+    """Transpose both components *and* swap their order.
+
+    >>> conjugate(Bipartition((2, 1), (1,)))
+    Bipartition(plus_part=(1,), minus_part=(2, 1))
+    """
+    return Bipartition(
+        conjugate_partition(bp.minus_part), conjugate_partition(bp.plus_part)
+    )
+
+
+def reading_word(t: StandardTableau) -> tuple[int, ...]:
+    """The entries row by row: the order the tableau listings sort by."""
+    return tuple(x for row in t.rows for x in row)
+
+
 def _removable_corners(shape: Sequence[int]) -> list[int]:
     return [
         r
@@ -323,7 +341,7 @@ def standard_tableaux(
         return out
 
     result = [StandardTableau(rows) for rows in rec(shape, total)]
-    result.sort(key=lambda t: t.row_reading_word())
+    result.sort(key=reading_word)
     return result
 
 
@@ -337,7 +355,7 @@ def standard_bitableaux(shape: Bipartition) -> list[Bitableau]:
         for tp in standard_tableaux(shape.plus_part, plus_entries):
             for tm in standard_tableaux(shape.minus_part, minus_entries):
                 out.append(Bitableau(tp, tm))
-    out.sort(key=lambda b: b.row_reading_word())
+    out.sort(key=lambda b: reading_word(b.plus) + (0,) + reading_word(b.minus))
     return out
 
 
@@ -389,7 +407,7 @@ def canonical_element(shape_: Bipartition, n: int) -> SignedPerm:
     w_signs = tuple(range(-1, -q - 1, -1)) + tuple(range(q + 1, n + 1))
     out = SignedPerm(mul(w_blocks, w_signs))
     got = shape(out)
-    expected = shape_.conjugate()
+    expected = conjugate(shape_)
     if got != expected:
         raise FalsificationError(
             f"canonical element shape mismatch: got {got.to_text()}, "
@@ -453,7 +471,7 @@ def orbit_meets_canonical(z, right_orbits, left_orbits) -> bool:
     ``vogan.xi_orbits`` at the same weight.  Exponentially slower than
     :func:`star_closed_form`, which it cross-checks at tiny ranks.
     """
-    target = canonical_element(shape(z).conjugate(), len(z))
+    target = canonical_element(conjugate(shape(z)), len(z))
     rc = right_orbits.class_of(element_index(z))
     lc = left_orbits.class_of(element_index(target))
     return any(
@@ -614,14 +632,14 @@ def coset_decompose(w: Sequence[int], subset_id: str) -> CosetDecomposition:
     unique minimal representative with ``rep(n) = w(n)``.
     """
     w = SignedPerm(w)
-    n = w.rank
+    n = len(w)
     if subset_id == "J":
         rep = SignedPerm(sorted(w))
     elif subset_id == "K":
         rep = rep_fix_last(n, w[-1])
     else:
         raise InvalidInputError(f"unsupported parabolic subset id {subset_id!r}")
-    part = rep.inverse() * w
+    part = SignedPerm(inverse(rep)) * w
     return CosetDecomposition(rep=rep, part=part, subset_id=subset_id)
 
 
@@ -706,13 +724,13 @@ def verify_admissible(
 def right_cells(kl: KLBasis) -> GroupPartition:
     """The right cells: the left cells of the inverses."""
     left = left_cells(kl).class_id
-    inv = kl.tables.inverse
+    inv = inverse_index_table(kl.n)
     return GroupPartition(kl.n, canonical_ids(map(left.__getitem__, inv)))
 
 
 def two_sided_cells(kl: KLBasis) -> GroupPartition:
     """Components of the graph of left steps and right steps (left steps of inverses)."""
-    inv = kl.tables.inverse
+    inv = inverse_index_table(kl.n)
 
     def successors(i: int) -> set[int]:
         out = left_successors(kl, i)

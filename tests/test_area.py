@@ -280,7 +280,7 @@ class TestCellDecomposition:
     def test_cells_match_oracle_above_threshold(self, n):
         kl = cached_kl(n, 1, n)
         oracle = {
-            frozenset(kl.tables.elements[i] for i in cls)
+            frozenset(group_elements(n)[i] for i in cls)
             for cls in left_cells(kl).classes()
         }
         for cell in area_decomposition(n):

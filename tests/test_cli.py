@@ -374,6 +374,25 @@ def test_element_report_matches_library(rng_seeded):
         assert payload["recording"] == b_tab.to_text()
 
 
+def tsv_fields(*argv):
+    code, text = run_cli(*argv)
+    assert code == 0
+    return dict(line.split("\t") for line in text.splitlines())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_element_descent_fields_match_the_rxi_dump(n):
+    def dump(a, b):
+        return tsv_fields("cells", "--n", f"{n}", "--method", "rxi", "--a", f"{a}", "--b", f"{b}")
+
+    plain = dump(1, 1)
+    for a, b in [(3, 2), (2, 2), (2, 3), (1, n + 1)]:
+        for window, label in dump(a, b).items():
+            report = tsv_fields("element", "--w", window, "--quick", "--a", f"{a}", "--b", f"{b}")
+            assert report["rxi"] == label
+            assert report["rdes"] == plain[window]
+
+
 def test_element_malformed_window_is_usage_error():
     code, _ = run_cli("element", "--w", "1,1")
     assert code == 2

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given
 
 from bncells.area import in_area, sigma_word
-from bncells.descents import (
-    XiDescentSet,
-    rdes_enhanced,
-    rxi,
-    rxi_partition,
-    ts1t_descent,
-)
-from bncells.errors import InvalidInputError
+from bncells.descents import mask_text, rxi_mask, rxi_masks, rxi_partition
 from bncells.group import (
     MAX_ENUMERATION_RANK,
     WeightFunction,
@@ -24,40 +17,31 @@ from bncells.group import (
     right_descents,
 )
 from bncells.hecke import left_cells
-from bncells.partition import OUTSIDE, GroupPartition
+from bncells.partition import OUTSIDE
 
 from .conftest import signed_perms
 from .test_hecke import cached_kl
 
 
-# -- the dataclass -----------------------------------------------------------
+def descent_bits(w) -> int:
+    """The generator part of a mask, read off :func:`right_descents`."""
+    return sum(1 << g for g in right_descents(w))
+
+
+def sign_positions(n: int, mask: int) -> frozenset[int]:
+    """Positions whose sign reflection is a descent: ``t`` (bit 0) is position 1."""
+    bits = {1: 0, **{k: n + k - 1 for k in range(2, n + 1)}}
+    return frozenset(k for k, bit in bits.items() if mask >> bit & 1)
+
+
+# -- the rendering -------------------------------------------------------------
 
 
 def test_text_rendering_orders_generators_then_gated_positions():
-    ds = XiDescentSet(frozenset({2, 0, 1}), frozenset({4, 2}))
-    assert ds.to_text() == "t,s1,s2,t2,t4"
-    assert XiDescentSet().to_text() == "-"
-    assert XiDescentSet(extra=frozenset({"ts1t"})).to_text() == "ts1t"
-
-
-def test_sign_positions_merges_generator_and_gated_witnesses():
-    ds = XiDescentSet(frozenset({0, 1}), frozenset({3}))
-    assert ds.sign_positions() == frozenset({1, 3})
-    assert XiDescentSet(frozenset({1})).sign_positions() == frozenset()
-
-
-def test_validation_rejects_bad_payloads():
-    with pytest.raises(InvalidInputError):
-        XiDescentSet(extended=frozenset({1}))
-    with pytest.raises(InvalidInputError):
-        XiDescentSet(extra=frozenset({"ts2t"}))
-
-
-def test_sort_key_is_deterministic():
-    values = {rxi(w, WeightFunction(1, 3)) for w in group_elements(3)}
-    ordered = sorted(values, key=XiDescentSet.sort_key)
-    assert ordered == sorted(ordered, key=XiDescentSet.sort_key)
-    assert len({v.to_text() for v in values}) == len(values)
+    # generators t, s1, s2, then the gated positions 2 and 4 (bits 5 and 7)
+    assert mask_text(4, 0b10100111) == "t,s1,s2,t2,t4"
+    assert mask_text(4, 0) == "-"
+    assert mask_text(2, 1 << 4) == "ts1t"
 
 
 # -- pointwise semantics -----------------------------------------------------
@@ -65,38 +49,41 @@ def test_sort_key_is_deterministic():
 
 @given(signed_perms(max_rank=6))
 def test_classical_part_is_the_right_descent_set(w):
+    n = len(w)
     for weight in (WeightFunction(1, 9), WeightFunction(1, 1), WeightFunction(3, 1)):
-        assert rxi(w, weight).classical == right_descents(w)
-        assert rdes_enhanced(w, weight).classical == right_descents(w)
+        assert rxi_mask(w, weight) & ((1 << n) - 1) == descent_bits(w)
 
 
 @given(signed_perms(max_rank=6))
 def test_gated_positions_require_negative_window_entries(w):
-    ds = rxi(w, WeightFunction(1, 9))
-    assert all(w[k - 1] < 0 for k in ds.extended)
-    assert ds.extra == frozenset()
+    n = len(w)
+    mask = rxi_mask(w, WeightFunction(1, 9))
+    assert all(w[k - 1] < 0 for k in range(2, n + 1) if mask >> (n + k - 1) & 1)
+    assert mask >> 2 * n == 0
 
 
 @given(signed_perms(max_rank=6))
 def test_flipped_weights_never_use_gated_positions(w):
-    ds = rxi(w, WeightFunction(3, 1))
-    assert ds.extended == frozenset()
-    assert ds.extra <= frozenset({"ts1t"})
+    n = len(w)
+    mask = rxi_mask(w, WeightFunction(3, 1))
+    assert mask >> n & ((1 << n) - 1) == 0
+    assert mask >> 2 * n <= 1
 
 
 def test_equal_weights_reduce_to_plain_descents():
     weight = WeightFunction(2, 2)
     for w in group_elements(3):
-        ds = rxi(w, weight)
-        assert ds == XiDescentSet(right_descents(w))
-        assert rdes_enhanced(w, weight) == ds
+        assert rxi_mask(w, weight) == descent_bits(w)
 
 
 def test_enhanced_invariant_agrees_with_full_one_at_rank_two():
-    for a, b in [(1, 2), (1, 1), (1, 5)]:
+    # at rank 2 the one gated position is 2 (bit 3) and ts1t is bit 4
+    for a, b in [(1, 2), (1, 1), (1, 5), (2, 1)]:
         weight = WeightFunction(a, b)
         for w in group_elements(2):
-            assert rdes_enhanced(w, weight) == rxi(w, weight)
+            t2 = b > a and w[1] < 0
+            ts1t = a > b and w[0] + w[1] < 0
+            assert rxi_mask(w, weight) == descent_bits(w) | t2 << 3 | ts1t << 4
 
 
 def test_gate_profile_alone_determines_the_partition():
@@ -165,9 +152,10 @@ def test_staircase_sign_positions_fill_the_negative_prefix(n):
         if q >= 2:
             # b/a = q - 1/2 is the smallest bracket where the claim applies
             barely = WeightFunction(2, 2 * q - 1)
-            assert rxi(sigma, barely).sign_positions() == frozenset(range(1, q + 1))
-        dominant = WeightFunction(1, n)
-        assert rxi(sigma, dominant).sign_positions() == frozenset(range(1, q + 1))
+            mask = rxi_mask(sigma, barely)
+            assert sign_positions(n, mask) == frozenset(range(1, q + 1))
+        mask = rxi_mask(sigma, WeightFunction(1, n))
+        assert sign_positions(n, mask) == frozenset(range(1, q + 1))
 
 
 # -- restriction to the staircase-shape region --------------------------------
@@ -185,8 +173,8 @@ def test_region_fibers_match_plain_descent_fibers_in_window_regimes(n):
         for w in group_elements(n):
             if not in_area(w):
                 continue
-            kx = rxi(w, weight)
-            kr = right_descents(w)
+            kx = rxi_mask(w, weight)
+            kr = descent_bits(w)
             assert by_rxi.setdefault(kx, kr) == kr
             assert by_rdes.setdefault(kr, kx) == kx
 
@@ -205,7 +193,8 @@ def test_left_cells_refine_fibers(n, a, b):
 def test_ts1t_window_rule_matches_the_length_test(n):
     reflection = from_word(n, (0, 1, 0))
     for w in group_elements(n):
-        assert ts1t_descent(w) == (length(mul(w, reflection)) < length(w))
+        ts1t = rxi_mask(w, WeightFunction(2, 1)) >> 2 * n
+        assert ts1t == (length(mul(w, reflection)) < length(w))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -214,14 +203,8 @@ def test_mask_seed_matches_per_element_invariants(n):
     weights = [WeightFunction(3, 2), WeightFunction(2, 2)]
     weights += [WeightFunction(2, 2 * k + 1) for k in range(1, max(n, 2))]
     for weight in weights:
-        seed = rxi_partition(n, weight)
-        reference = GroupPartition.from_keys(
-            n,
-            [rxi(w, weight) for w in group_elements(n)],
-            label_fn=XiDescentSet.to_text,
-        )
-        assert list(seed.class_id) == list(reference.class_id)
-        assert seed.labels == reference.labels
+        per_element = array("I", (rxi_mask(w, weight) for w in group_elements(n)))
+        assert rxi_masks(n, weight) == per_element
 
 
 def test_a_lane_holds_the_mask_of_every_enumerable_rank():

@@ -1,4 +1,4 @@
-"""Run the usage examples embedded in the library docstrings."""
+"""Run the usage examples embedded in the library and oracle docstrings."""
 
 import doctest
 import importlib
@@ -21,3 +21,9 @@ def test_module_doctests(name):
     module = importlib.import_module(name)
     result = doctest.testmod(module)
     assert result.failed == 0
+
+
+def test_oracle_doctests():
+    result = doctest.testmod(importlib.import_module("tests.oracles"))
+    assert result.failed == 0
+    assert result.attempted > 0

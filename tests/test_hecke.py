@@ -77,7 +77,7 @@ def change_lowest_coefficient(kl, iw, delta):
 
 def cells_as_windows(kl, partition):
     return {
-        frozenset(kl.tables.elements[i] for i in cls) for cls in partition.classes()
+        frozenset(group_elements(kl.n)[i] for i in cls) for cls in partition.classes()
     }
 
 
@@ -207,7 +207,7 @@ class TestBasisInvariants:
         # the T_w -> T_{w^-1} anti-automorphism preserves the canonical basis
         for n in (2, 3):
             kl = cached_kl(n, 1, n)
-            elements = kl.tables.elements
+            elements = group_elements(n)
             for w in group_elements(n):
                 mirrored = {
                     element_index(inverse(elements[y])): poly
@@ -503,5 +503,5 @@ class TestCells:
     def test_right_descents_constant_on_left_cells(self, n, a, b):
         kl = cached_kl(n, a, b)
         for cls in left_cells(kl).classes():
-            descents = {right_descents(kl.tables.elements[i]) for i in cls}
+            descents = {right_descents(group_elements(n)[i]) for i in cls}
             assert len(descents) == 1

@@ -9,10 +9,11 @@ so are ``__future__`` imports.
 Only ``group.py`` reads the enumeration buffer ``window_bytes``, so the
 byte encoding of a window value is known to one module.
 
-A top-level function or class of the library is called when another
-definition of the library, a script or the benchmark loads it.  None is
-left to the tests alone: a helper that loses its last caller, or a new one
-written for tests alone, fails here, and belongs in the tests.
+A top-level function or class of the library, or a method or property of
+one of its classes, is called when another definition of the library, a
+script or the benchmark loads it.  None is left to the tests alone: a
+helper that loses its last caller, or a new one written for tests alone,
+fails here, and belongs in the tests.
 """
 
 import ast
@@ -101,25 +102,45 @@ CALLED_ONLY_BY_UNIT_TESTS: set[str] = set()
 LIBRARY = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def library_definitions(sources: dict[str, str]) -> dict[tuple[str, str], ast.AST]:
-    """``(module, name)`` of every top-level function and class of ``sources``."""
-    return {
-        (module, node.name): node
-        for module, source in sources.items()
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
+    """``(module, name)`` of every top-level function and class of ``sources``,
+    and ``(module, "Class.name")`` of every method and property of a class.
+
+    Dunder methods are left out, as the language calls them, and so are
+    dataclass fields, which are not definitions.
+    """
+    out = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            out[module, node.name] = node
+            if isinstance(node, ast.ClassDef):
+                out.update(
+                    ((module, f"{node.name}.{item.name}"), item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not is_dunder(item.name)
+                )
+    return out
 
 
 def loaded_definitions(source: str, module: str | None, definitions):
     """``((module, name), line)`` for each load of a library definition.
 
-    A bare name resolves to ``module``'s own definitions or through
+    A bare name resolves to ``module``'s own top-level definitions or through
     ``from .m import x`` and ``from bncells.m import x``; an attribute
-    ``anything.x`` counts for every definition named ``x``.
+    ``anything.x`` counts for every definition, method or property named
+    ``x``.
     """
     tree = ast.parse(source)
-    bound = {name: (m, name) for m, name in definitions if m == module}
+    bound = {name: (m, name) for m, name in definitions if m == module and "." not in name}
+    by_attribute: dict[str, list] = {}
+    for key in definitions:
+        by_attribute.setdefault(key[1].rpartition(".")[2], []).append(key)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and (
             node.level or node.module.startswith("bncells.")
@@ -127,10 +148,12 @@ def loaded_definitions(source: str, module: str | None, definitions):
             m = node.module.rpartition(".")[2]
             bound.update({a.asname or a.name: (m, a.name) for a in node.names})
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name):
             keys = [bound[node.id]] if node.id in bound else []
         elif isinstance(node, ast.Attribute):
-            keys = [key for key in definitions if key[1] == node.attr]
+            keys = by_attribute.get(node.attr, [])
         else:
             continue
         yield from ((key, node.lineno) for key in keys if key in definitions)
@@ -188,6 +211,22 @@ def test_caller_guard_flags_a_definition_with_no_outside_caller():
     }
     assert lacking_a_caller(library, []) == {"a.for_tests"}
     script = "from bncells.a import for_tests\nfor_tests(3)\n"
+    assert lacking_a_caller(library, [script]) == set()
+
+
+def test_caller_guard_flags_a_method_with_no_outside_caller():
+    library = {
+        "a": (
+            "class C:\n"
+            "    size: int\n"
+            "    def __init__(self):\n        self.size = 0\n"
+            "    @property\n    def used(self):\n        return self.size\n"
+            "    def for_tests(self, k):\n        return self.for_tests(k - 1)\n"
+        ),
+        "b": "from .a import C\nC().used\n",
+    }
+    assert lacking_a_caller(library, []) == {"a.C.for_tests"}
+    script = "from bncells.a import C\nC().for_tests(3)\n"
     assert lacking_a_caller(library, [script]) == set()
 
 

@@ -38,7 +38,6 @@ class TestGroupPartition:
     def test_partial_domain(self):
         p = GroupPartition.from_keys(2, ["x", None, "x", "y"])
         assert list(p.class_id) == [0, OUTSIDE, 0, 1]
-        assert p.in_domain(0) and not p.in_domain(1)
         assert p.num_classes == 2
         assert p.classes() == [[0, 2], [3]]
 

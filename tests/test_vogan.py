@@ -842,7 +842,7 @@ def per_element_tsv(partition):
     return [
         f"{window_text(w)}\t{partition.label_of(partition.class_of(i))}"
         for i, w in enumerate(group_elements(partition.n))
-        if partition.in_domain(i)
+        if partition.class_id[i] != OUTSIDE
     ]
 
 
