@@ -8,8 +8,9 @@ change) and provides, with exact integer/Laurent arithmetic throughout:
   suffixes, the canonical enumeration and its index tables;
 - :mod:`bncells.hecke` -- the Iwahori-Hecke algebra, the Kazhdan-Lusztig
   basis, and its left cells (the oracle);
-- :mod:`bncells.tableaux` -- classic and signed-permutation
-  Robinson-Schensted correspondences, shapes, and counting;
+- :mod:`bncells.tableaux` -- partitions and the count of standard
+  bitableaux, signed Robinson-Schensted insertion as row lists, their
+  text, and the recording fibers;
 - :mod:`bncells.knuth` -- the classes of the generalized Knuth moves;
 - :mod:`bncells.descents` -- the weight-gated generalized descent invariant
   and its fibers;

@@ -58,7 +58,13 @@ from .group import (
     window_text,
 )
 from .partition import GroupPartition
-from .tableaux import count_standard_bitableaux, recording_fibers, rs_generalized
+from .tableaux import (
+    bitableau_text,
+    count_standard_bitableaux,
+    insertion_rows,
+    recording_fibers,
+    shape_text,
+)
 from .vogan import run_summary, tsv_blocks, vogan_classes, xi_orbits
 
 METHODS = ("oracle-kl", "vogan", "rs-asymptotic", "rxi", "orbits", "area")
@@ -434,7 +440,7 @@ def cmd_element(args, out) -> int:
     w = parse_window(args.w)
     n = len(w)
     weight = WeightFunction(args.a, args.b if args.b is not None else n)
-    a_tab, b_tab = rs_generalized(w)
+    plus, minus, plus_rec, minus_rec = insertion_rows(w)
     mask = rxi_mask(w, weight)
     report = {
         "window": window_text(w),
@@ -443,9 +449,9 @@ def cmd_element(args, out) -> int:
         "length_t": length_t(w),
         "rdes": mask_text(n, mask & ((1 << n) - 1)),
         "rxi": mask_text(n, mask),
-        "insertion": a_tab.to_text(),
-        "recording": b_tab.to_text(),
-        "shape": a_tab.shape.to_text(),
+        "insertion": bitableau_text(plus, minus),
+        "recording": bitableau_text(plus_rec, minus_rec),
+        "shape": shape_text(plus, minus),
         "in_area": area.in_area(w),
     }
     if not args.quick:

@@ -11,20 +11,25 @@ standard Young tableaux whose entry sets partition ``{1, ..., n}``:
 
 Both maps are bijections, and ``B(w) = A(w^{-1})``.  On an all-positive
 window the minus tableaux are empty and this is classic Robinson-Schensted.
-One loop, :func:`insertion_rows`, inserts a single window;
-:func:`insertion_codes` builds every element's insertion and recording
-bitableau by induction on rank, one insertion per tableau side and value,
-and the recording fibers and both cycling maps read it.
+One loop, :func:`insertion_rows`, inserts a single window and gives the
+four tableaux as row lists; :func:`insertion_codes` builds every element's
+insertion and recording bitableau by induction on rank, one insertion per
+tableau side and value, and the recording fibers and both cycling maps read
+it.
 
-Text formats: rows of a tableau are ``";"``-separated with space-separated
-entries; the two tableaux of a bitableau are joined by ``" | "``; an empty
-tableau renders as ``"-"``.
+Text formats, rendered from row lists: rows of a tableau are
+``";"``-separated with space-separated entries; the two tableaux of a
+bitableau are joined by ``" | "``; an empty tableau renders as ``"-"``
+(:func:`bitableau_text`).  A shape lists each side's row lengths, as in
+``"(2,1 | -)"`` (:func:`shape_text`).
 
->>> A, B = rs_generalized((-7, -5, 6, 4, 3, -2, 1))
->>> A.to_text()
+>>> plus, minus, plus_rec, minus_rec = insertion_rows((-7, -5, 6, 4, 3, -2, 1))
+>>> bitableau_text(plus, minus)
 '1;3;4;6 | 2;5;7'
->>> B.to_text()
+>>> bitableau_text(plus_rec, minus_rec)
 '3;4;5;7 | 1;2;6'
+>>> shape_text(plus, minus)
+'(1,1,1,1 | 1,1,1)'
 """
 
 from __future__ import annotations
@@ -34,29 +39,19 @@ import itertools
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidInputError
 from .group import coset_entry, rep_rank
 from .partition import GroupPartition
 
 Partition = tuple[int, ...]
+Rows = Sequence[Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
-
-
-def check_partition(parts: Sequence[int]) -> Partition:
-    p = tuple(parts)
-    if any(not isinstance(x, int) or x <= 0 for x in p):
-        raise InvalidInputError(f"partition parts must be positive integers: {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise InvalidInputError(f"partition parts must be weakly decreasing: {p}")
-    return p
 
 
 def partitions(n: int) -> Iterator[Partition]:
@@ -107,145 +102,47 @@ def count_standard_tableaux(p: Partition) -> int:
     return math.factorial(total) // denom
 
 
-# ---------------------------------------------------------------------------
-# bipartitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """An ordered pair of partitions; sizes add up to the rank."""
-
-    plus_part: Partition
-    minus_part: Partition
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "plus_part", check_partition(self.plus_part))
-        object.__setattr__(self, "minus_part", check_partition(self.minus_part))
-
-    @property
-    def size(self) -> int:
-        return sum(self.plus_part) + sum(self.minus_part)
-
-    def to_text(self) -> str:
-        left = ",".join(map(str, self.plus_part)) or "-"
-        right = ",".join(map(str, self.minus_part)) or "-"
-        return f"({left} | {right})"
-
-
-def bipartitions(n: int) -> Iterator[Bipartition]:
-    """All bipartitions of ``n``, larger positive component first.
-
-    >>> [bp.to_text() for bp in bipartitions(1)]
-    ['(1 | -)', '(- | 1)']
-    """
-    for k in range(n, -1, -1):
-        for plus in partitions(k):
-            for minus in partitions(n - k):
-                yield Bipartition(plus, minus)
-
-
-def count_standard_bitableaux_of_shape(shape: Bipartition) -> int:
-    n = shape.size
-    k = sum(shape.plus_part)
-    return (
-        math.comb(n, k)
-        * count_standard_tableaux(shape.plus_part)
-        * count_standard_tableaux(shape.minus_part)
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def count_standard_bitableaux(n: int) -> int:
     """Number of standard bitableaux with ``n`` boxes (hook-length formula).
 
+    A bitableau puts ``k`` of the entries on its plus side, a tableau of a
+    partition of ``k``, and the rest on its minus side.
+
     >>> [count_standard_bitableaux(n) for n in range(1, 8)]
     [2, 6, 20, 76, 312, 1384, 6512]
     """
-    return sum(count_standard_bitableaux_of_shape(bp) for bp in bipartitions(n))
+    fillings = [sum(map(count_standard_tableaux, partitions(k))) for k in range(n + 1)]
+    return sum(math.comb(n, k) * fillings[k] * fillings[n - k] for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
-# standard tableaux
+# text
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """Rows strictly increase left-to-right and down each column; distinct entries."""
+def bitableau_text(plus: Rows, minus: Rows) -> str:
+    """The text of the bitableau with row lists ``plus`` and ``minus``.
 
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        lengths = tuple(len(r) for r in rows)
-        if any(length == 0 for length in lengths):
-            raise InvalidInputError("tableau rows must be non-empty")
-        check_partition(lengths) if lengths else None
-        seen: set[int] = set()
-        for r, row in enumerate(rows):
-            for c, x in enumerate(row):
-                if x in seen:
-                    raise InvalidInputError(f"repeated tableau entry {x}")
-                seen.add(x)
-                if c > 0 and row[c - 1] >= x:
-                    raise InvalidInputError("rows must strictly increase")
-                if r > 0 and rows[r - 1][c] >= x:
-                    raise InvalidInputError("columns must strictly increase")
-
-    @property
-    def shape(self) -> Partition:
-        return tuple(len(r) for r in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    @property
-    def entries(self) -> frozenset[int]:
-        return frozenset(x for row in self.rows for x in row)
-
-    def to_text(self) -> str:
-        return _rows_text(self.rows)
+    >>> bitableau_text([[1, 3], [2]], [])
+    '1 3;2 | -'
+    """
+    return " | ".join(
+        ";".join(" ".join(map(str, row)) for row in rows) or "-"
+        for rows in (plus, minus)
+    )
 
 
-def _rows_text(rows: Sequence[Sequence[int]]) -> str:
-    """Rows ``";"``-separated, entries space-separated; no rows is ``"-"``."""
-    return ";".join(" ".join(map(str, row)) for row in rows) or "-"
+def shape_text(plus: Rows, minus: Rows) -> str:
+    """The text of the shape of the bitableau with row lists ``plus`` and ``minus``.
 
-
-# ---------------------------------------------------------------------------
-# bitableaux
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Bitableau:
-    """A pair of standard tableaux whose entries partition ``{1, ..., size}``."""
-
-    plus: StandardTableau
-    minus: StandardTableau
-
-    def __post_init__(self) -> None:
-        both = self.plus.entries | self.minus.entries
-        total = self.plus.size + self.minus.size
-        if len(both) != total or both != frozenset(range(1, total + 1)):
-            raise InvalidInputError(
-                "bitableau entries must partition {1..size}: "
-                f"{self.plus.to_text()} | {self.minus.to_text()}"
-            )
-
-    @property
-    def shape(self) -> Bipartition:
-        return Bipartition(self.plus.shape, self.minus.shape)
-
-    @property
-    def size(self) -> int:
-        return self.plus.size + self.minus.size
-
-    def to_text(self) -> str:
-        return f"{self.plus.to_text()} | {self.minus.to_text()}"
+    >>> shape_text([[1, 3], [2]], [])
+    '(2,1 | -)'
+    """
+    left, right = (
+        ",".join(str(len(row)) for row in rows) or "-" for rows in (plus, minus)
+    )
+    return f"({left} | {right})"
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +166,6 @@ def _insert(rows: list[list[int]], x: int) -> int:
         r += 1
 
 
-def _freeze(rows: list[list[int]]) -> StandardTableau:
-    return StandardTableau(tuple(tuple(r) for r in rows))
-
-
 def insertion_rows(w: Iterable[int]) -> tuple[list[list[int]], ...]:
     """Row lists ``(plus, minus, plus_rec, minus_rec)`` of one signed insertion.
 
@@ -294,19 +187,6 @@ def insertion_rows(w: Iterable[int]) -> tuple[list[list[int]], ...]:
         else:
             rows[r].append(position)
     return plus, minus, plus_rec, minus_rec
-
-
-def rs_generalized(w: Sequence[int]) -> tuple[Bitableau, Bitableau]:
-    """Signed-permutation insertion (see module docstring for the convention).
-
-    >>> [b.to_text() for b in rs_generalized((3, 1, 2))]  # classic RS
-    ['1 2;3 | -', '1 3;2 | -']
-    """
-    plus, minus, plus_rec, minus_rec = insertion_rows(w)
-    return (
-        Bitableau(_freeze(plus), _freeze(minus)),
-        Bitableau(_freeze(plus_rec), _freeze(minus_rec)),
-    )
 
 
 def _insert_packed(side: bytes, x: int) -> tuple[int, bytes]:
@@ -456,18 +336,8 @@ def recording_fibers(n: int) -> GroupPartition:
     ('1 2 | -', '2 | 1', '1;2 | -', '1 | 2', '- | 1;2', '- | 1 2')
     """
     ids, _, codes = recording_fiber_ids(n)
-    labels = tuple(" | ".join(map(_rows_text, _code_rows(n, code))) for code in codes)
+    labels = tuple(bitableau_text(*_code_rows(n, code)) for code in codes)
     return GroupPartition(n=n, class_id=ids, labels=labels)
-
-
-def shape(w: Sequence[int]) -> Bipartition:
-    """Common shape of the insertion and recording bitableaux of ``w``.
-
-    >>> shape((-7, -5, 6, 4, 3, -2, 1)).to_text()
-    '(1,1,1,1 | 1,1,1)'
-    """
-    A, _ = rs_generalized(w)
-    return A.shape
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,9 +13,12 @@ that a cheaper scheme replaced (the refinement rounds, each run on the
 elements and kept), kept to compare with.
 :func:`coset_product_elements` is the canonical order by its definition,
 one window product per element, which the library's enumeration buffer must
-reproduce.  The inverse insertion maps, the listings of standard
-(bi)tableaux, :func:`longest_parabolic` and :func:`canonical_element` are
-reference code that only these oracles and the unit tests read.
+reproduce.  The validated tableau objects, the reference insertion
+:func:`rs_generalized` (the library's row lists, frozen into those objects
+and rendered by their own code), the inverse insertion maps, the listings
+of standard (bi)tableaux, :func:`longest_parabolic` and
+:func:`canonical_element` are reference code that only these oracles and
+the unit tests read.
 
 The last section is not written from scratch.  It holds element-wise
 helpers that the library once carried and no command runs: reduced words,
@@ -60,18 +63,7 @@ from bncells.hecke import (
 )
 from bncells.knuth import MOVE_KINDS, _scope
 from bncells.partition import OUTSIDE, GroupPartition, canonical_ids
-from bncells.tableaux import (
-    Bipartition,
-    Bitableau,
-    Partition,
-    StandardTableau,
-    bipartitions,
-    check_partition,
-    conjugate_partition,
-    partitions,
-    rs_generalized,
-    shape,
-)
+from bncells.tableaux import Partition, conjugate_partition, insertion_rows, partitions
 from bncells.vogan import CellularMap, build_epsilon, build_psi, extended_image_table
 
 # Generator letter codes, mirroring the library convention: 0 is the sign
@@ -235,8 +227,114 @@ def oracle_t_mul_gen(tables, weight, h, g, side="left"):
 
 
 # ---------------------------------------------------------------------------
-# reference tableau code: inverse insertion and listings of standard fillings
+# reference tableau code: validated tableaux, insertion and its inverse, and
+# listings of standard fillings
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Bipartition:
+    """An ordered pair of partitions; sizes add up to the rank."""
+
+    plus_part: Partition
+    minus_part: Partition
+
+    @property
+    def size(self) -> int:
+        return sum(self.plus_part) + sum(self.minus_part)
+
+    def to_text(self) -> str:
+        left = ",".join(map(str, self.plus_part)) or "-"
+        right = ",".join(map(str, self.minus_part)) or "-"
+        return f"({left} | {right})"
+
+
+def bipartitions(n: int) -> Iterator[Bipartition]:
+    """All bipartitions of ``n``, larger positive component first.
+
+    >>> [bp.to_text() for bp in bipartitions(1)]
+    ['(1 | -)', '(- | 1)']
+    """
+    for k in range(n, -1, -1):
+        for plus in partitions(k):
+            for minus in partitions(n - k):
+                yield Bipartition(plus, minus)
+
+
+@dataclass(frozen=True)
+class StandardTableau:
+    """Rows strictly increase left-to-right and down each column; distinct entries."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        if not all(rows) or any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
+            raise InvalidInputError(f"row lengths must be a partition: {rows}")
+        if len(self.entries) != self.size:
+            raise InvalidInputError(f"repeated tableau entry: {rows}")
+        pairs = [(a, b) for row in rows for a, b in zip(row, row[1:])]
+        pairs += [pair for up, down in zip(rows, rows[1:]) for pair in zip(up, down)]
+        if any(a >= b for a, b in pairs):
+            raise InvalidInputError(f"rows and columns must strictly increase: {rows}")
+
+    @property
+    def shape(self) -> Partition:
+        return tuple(map(len, self.rows))
+
+    @property
+    def size(self) -> int:
+        return sum(self.shape)
+
+    @property
+    def entries(self) -> frozenset[int]:
+        return frozenset(x for row in self.rows for x in row)
+
+    def to_text(self) -> str:
+        return ";".join(" ".join(map(str, row)) for row in self.rows) or "-"
+
+
+@dataclass(frozen=True)
+class Bitableau:
+    """A pair of standard tableaux whose entries partition ``{1, ..., size}``."""
+
+    plus: StandardTableau
+    minus: StandardTableau
+
+    def __post_init__(self) -> None:
+        if self.plus.entries | self.minus.entries != set(range(1, self.size + 1)):
+            raise InvalidInputError(f"entries must partition 1..size: {self.to_text()}")
+
+    @property
+    def shape(self) -> Bipartition:
+        return Bipartition(self.plus.shape, self.minus.shape)
+
+    @property
+    def size(self) -> int:
+        return self.plus.size + self.minus.size
+
+    def to_text(self) -> str:
+        return f"{self.plus.to_text()} | {self.minus.to_text()}"
+
+
+def rs_generalized(w: Sequence[int]) -> tuple[Bitableau, Bitableau]:
+    """The insertion and recording bitableaux of ``w``, validated.
+
+    >>> [b.to_text() for b in rs_generalized((3, 1, 2))]  # classic RS
+    ['1 2;3 | -', '1 3;2 | -']
+    """
+    plus, minus, plus_rec, minus_rec = map(StandardTableau, insertion_rows(w))
+    return Bitableau(plus, minus), Bitableau(plus_rec, minus_rec)
+
+
+def shape(w: Sequence[int]) -> Bipartition:
+    """Common shape of the insertion and recording bitableaux of ``w``.
+
+    >>> shape((-7, -5, 6, 4, 3, -2, 1)).to_text()
+    '(1,1,1,1 | 1,1,1)'
+    """
+    return rs_generalized(w)[0].shape
 
 
 def _reverse_insert(rows: list[list[int]], r: int) -> int:
@@ -317,7 +415,6 @@ def standard_tableaux(
     >>> [t.to_text() for t in standard_tableaux((2, 1))]
     ['1 2;3', '1 3;2']
     """
-    shape = check_partition(shape)
     total = sum(shape)
     ent = tuple(range(1, total + 1)) if entries is None else tuple(sorted(entries))
     if len(ent) != total or len(set(ent)) != total:

@@ -29,13 +29,14 @@ from bncells.group import (
 from bncells.hecke import left_cells
 from bncells.knuth import knuth_classes
 from bncells.partition import GroupPartition
-from bncells.tableaux import rs_generalized, shape
 from bncells.vogan import build_epsilon, build_psi, vogan_classes, xi_orbits
 
 from .oracles import (
     apply_move,
     reference_recording_fibers,
     right_cells,
+    rs_generalized,
+    shape,
     two_sided_cells,
     verify_admissible,
     welsh_bridge,

@@ -34,13 +34,14 @@ from bncells.group import (
     suffixes,
 )
 from bncells.hecke import left_cells
-from bncells.tableaux import Bipartition, shape
 
 from .oracles import (
+    Bipartition,
     canonical_word,
     coset_product_elements,
     extreme_windows,
     in_area_reduced,
+    shape,
 )
 from .test_hecke import cached_kl
 

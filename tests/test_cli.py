@@ -13,8 +13,9 @@ from bncells import cli
 from bncells.cli import METHODS, _class_diff, main
 from bncells.group import WeightFunction, parse_window
 from bncells.partition import GroupPartition, canonical_ids
-from bncells.tableaux import rs_generalized
 from bncells.vogan import vogan_classes
+
+from .oracles import rs_generalized, shape
 
 
 # sha256 and class counts of the benchmark's rank-6 dumps, read, never written
@@ -372,6 +373,7 @@ def test_element_report_matches_library(rng_seeded):
         a_tab, b_tab = rs_generalized(parse_window(text_w))
         assert payload["insertion"] == a_tab.to_text()
         assert payload["recording"] == b_tab.to_text()
+        assert payload["shape"] == a_tab.shape.to_text()
 
 
 def tsv_fields(*argv):
@@ -391,6 +393,15 @@ def test_element_descent_fields_match_the_rxi_dump(n):
             report = tsv_fields("element", "--w", window, "--quick", "--a", f"{a}", "--b", f"{b}")
             assert report["rxi"] == label
             assert report["rdes"] == plain[window]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_element_tableau_fields_match_the_insertion_dump(n):
+    dump = tsv_fields("cells", "--n", f"{n}", "--method", "rs-asymptotic")
+    for window, label in dump.items():
+        report = tsv_fields("element", "--w", window, "--quick")
+        assert report["recording"] == label
+        assert report["shape"] == shape(parse_window(window)).to_text()
 
 
 def test_element_malformed_window_is_usage_error():

@@ -14,6 +14,11 @@ one of its classes, is called when another definition of the library, a
 script or the benchmark loads it.  None is left to the tests alone: a
 helper that loses its last caller, or a new one written for tests alone,
 fails here, and belongs in the tests.
+
+No two of those definitions share a name.  A syntax tree does not say
+what type ``x`` has in a load of ``x.name``, so the load is matched by the
+name alone; with one definition per name it is matched exactly, and a
+method with no caller cannot hide behind a namesake that has one.
 """
 
 import ast
@@ -133,14 +138,12 @@ def loaded_definitions(source: str, module: str | None, definitions):
 
     A bare name resolves to ``module``'s own top-level definitions or through
     ``from .m import x`` and ``from bncells.m import x``; an attribute
-    ``anything.x`` counts for every definition, method or property named
+    ``anything.x`` counts for the one definition, method or property named
     ``x``.
     """
     tree = ast.parse(source)
     bound = {name: (m, name) for m, name in definitions if m == module and "." not in name}
-    by_attribute: dict[str, list] = {}
-    for key in definitions:
-        by_attribute.setdefault(key[1].rpartition(".")[2], []).append(key)
+    by_attribute = {key[1].rpartition(".")[2]: key for key in definitions}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and (
             node.level or node.module.startswith("bncells.")
@@ -151,12 +154,28 @@ def loaded_definitions(source: str, module: str | None, definitions):
         if not isinstance(getattr(node, "ctx", None), ast.Load):
             continue
         if isinstance(node, ast.Name):
-            keys = [bound[node.id]] if node.id in bound else []
+            key = bound.get(node.id)
         elif isinstance(node, ast.Attribute):
-            keys = by_attribute.get(node.attr, [])
+            key = by_attribute.get(node.attr)
         else:
             continue
-        yield from ((key, node.lineno) for key in keys if key in definitions)
+        if key in definitions:
+            yield key, node.lineno
+
+
+def shared_names(definitions) -> list[str]:
+    """The names that more than one of ``definitions`` bears."""
+    names = [name.rpartition(".")[2] for _, name in definitions]
+    return sorted({name for name in names if names.count(name) > 1})
+
+
+def test_no_two_library_definitions_share_a_name():
+    clash = {
+        "a": "def size():\n    pass\n",
+        "b": "class C:\n    def size(self):\n        pass\n",
+    }
+    assert shared_names(library_definitions(clash)) == ["size"]
+    assert shared_names(library_definitions(LIBRARY)) == []
 
 
 def lacking_a_caller(library: dict[str, str], outside: list[str]) -> set[str]:

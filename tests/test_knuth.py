@@ -19,7 +19,7 @@ from bncells.group import (
 )
 from bncells.knuth import MOVE_KINDS, _guard_masks, knuth_classes
 from bncells.partition import GroupPartition
-from bncells.tableaux import count_standard_bitableaux, rs_generalized
+from bncells.tableaux import count_standard_bitableaux
 
 from .conftest import signed_perms
 from .oracles import (
@@ -29,6 +29,7 @@ from .oracles import (
     apply_move,
     coset_decompose,
     oracle_knuth_closure,
+    rs_generalized,
     welsh_bridge,
 )
 

@@ -31,7 +31,6 @@ from bncells.tableaux import (
     count_standard_bitableaux,
     recording_fiber_ids,
     recording_fibers,
-    rs_generalized,
 )
 from bncells.vogan import (
     CellularMap,
@@ -64,6 +63,7 @@ from .oracles import (
     reference_minimal_index_labels,
     reference_rounds,
     right_cells,
+    rs_generalized,
     star_closed_form,
     verify_admissible,
 )
