@@ -1,23 +1,47 @@
 """Iwahori-Hecke algebra with unequal weights and its canonical basis.
 
 Exact reference computation used to certify the fast combinatorial layers.
-Elements of the algebra live on the standard basis ``{T_w}``.  One that is
-being built or peeled is a transient ``{element_index: {exponent:
-coefficient}}`` dict.  A finished canonical element is stored compactly as
-two parallel ``array('i')``: its indices ``y`` in increasing order, and ids
+Elements of the algebra live on the standard basis ``{T_w}``.  A Laurent
+polynomial in ``v`` is held as one Python int of fixed-width signed lanes:
+with ``O = max(a, b)`` the largest exponent any element in the computation
+reaches, the coefficient of ``v^e`` sits in lane ``O - e``, that is in bits
+``LANE_BITS * (O - e)`` upward, as a balanced digit in
+``[-2^(LANE_BITS-1), 2^(LANE_BITS-1))`` (:func:`encode`, :func:`decode`).
+Multiplying by ``v^-c`` is then a left shift by ``LANE_BITS * c``, a sum is
+one int addition, ``P == 0`` is the zero test, ``P & low == 0`` with
+``low`` the mask of lanes ``0..O`` says that no term has degree ``>= 0``,
+and ``P == encode({0: 1})`` that ``P`` is 1.  Multiplying by ``v^c`` is a
+right shift, and it is exact only because every operand it shifts has its
+exponents ``<= 0``: its lowest ``O >= c`` lanes are zero.  The stored
+polynomials are checked for that (the degree conditions) before any
+arithmetic reads them.
+
+An element being built or peeled is a transient ``{element_index:
+packed}`` dict.  A finished canonical element is stored compactly as two
+parallel ``array('i')``: its indices ``y`` in increasing order, and ids
 into one table per basis that holds each distinct polynomial ``p_{y,w}``
-once, as a tuple of ``(exponent, coefficient)`` pairs.  At rank 5 about
-three million ``(y, w)`` pairs share some twenty thousand polynomials, so
-the pairs cost eight bytes each (the storage of du Cloux's Coxeter3:
-*Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter groups*,
-Experiment. Math. 11, 2002).
+once, as its packed int.  At rank 5 about three million ``(y, w)`` pairs
+share some twenty thousand polynomials, so the pairs cost eight bytes each
+(the storage of du Cloux's Coxeter3: *Computing Kazhdan-Lusztig polynomials
+for arbitrary Coxeter groups*, Experiment. Math. 11, 2002).
+
+A lane that overflows would carry silently into its neighbour, so every
+transient element carries a bound on its coefficients, in terms of ``M``,
+the largest coefficient of the stored polynomials, read off the data as
+they are stored: ``2M`` after a generator product (each term gets at most
+two contributions), ``M`` more for subtracting a stored element, and
+``|m|_1 M`` more for peeling ``m`` times one.  Before any coefficient of a
+transient is read or tested the bound must be below ``2^(LANE_BITS-1)``;
+otherwise the computation is refused with a :class:`BudgetError` that names
+the lane width (:func:`check_lanes`).
 
 The canonical basis element ``C_w`` is the unique bar-invariant element equal
 to ``T_w`` plus a combination of ``T_y`` with strictly negative exponents.
 It is built by induction on length: multiply a generator basis element into
-the previous canonical element, then peel off the bar-invariant interference
-terms ``M`` from the top down.  Every structural property the construction
-relies on is asserted and raises :class:`FalsificationError` when violated.
+the previous canonical element, then peel off bar-invariant multiples of
+shorter canonical elements from the top down.  Every structural property
+the construction relies on is asserted and raises
+:class:`FalsificationError` when violated.
 
 The result is certified apart from the construction, and no ``bar(T_y)``
 is ever formed (:func:`verify_bar_invariance`): the generator tables are
@@ -29,6 +53,10 @@ follows by induction on length, and with it the basis is the canonical one.
 
 Cells are strongly connected components of the multiplication graph: ``y``
 is reachable from ``w`` when ``C_y`` appears in some ``C_g * C_w``.
+
+>>> p = encode({0: 1, -2: -3}, 2)
+>>> decode(p << LANE_BITS, 2) == {-1: 1, -3: -3}
+True
 """
 
 from __future__ import annotations
@@ -50,11 +78,10 @@ from .group import (
 )
 from .partition import GroupPartition, canonical_ids
 
-HeckeElt = dict[int, dict[int, int]]
-Poly = tuple[tuple[int, int], ...]
-Terms = Iterable[tuple[int, Sequence[tuple[int, int]]]]
-ONE: Poly = ((0, 1),)
+HeckeElt = dict[int, int]
+Terms = Iterable[tuple[int, int]]
 
+LANE_BITS = 16
 HARD_MAX_RANK = 5
 
 
@@ -93,6 +120,11 @@ class GroupTables:
     def by_length(self) -> list[int]:
         return sorted(range(self.order), key=lambda i: (self.length[i], i))
 
+    def peel_positions(self) -> list[int]:
+        """Per index, ``(-length, index)`` as one int: longest first, then by index."""
+        longest, order = max(self.length), self.order
+        return [(longest - k) * order + i for i, k in enumerate(self.length)]
+
 
 @functools.lru_cache(maxsize=None)
 def group_tables(n: int) -> GroupTables:
@@ -100,39 +132,117 @@ def group_tables(n: int) -> GroupTables:
 
 
 # ---------------------------------------------------------------------------
+# packed Laurent polynomials
+# ---------------------------------------------------------------------------
+
+
+def lane_top(weight: WeightFunction) -> int:
+    """``O``, the exponent held in lane 0: the largest any element reaches."""
+    return max(weight.a, weight.b)
+
+
+def check_lanes(bound: int) -> None:
+    """Refuse coefficients up to ``bound`` unless a lane holds them exactly."""
+    if bound >= 1 << (LANE_BITS - 1):
+        raise BudgetError(
+            f"coefficients up to {bound} do not fit the {LANE_BITS}-bit lanes"
+        )
+
+
+def nonneg_lanes(top: int) -> int:
+    """The mask of lanes ``0..top``, which hold the terms of degree ``>= 0``."""
+    return (1 << LANE_BITS * (top + 1)) - 1
+
+
+def encode(poly: dict[int, int], top: int) -> int:
+    """``poly`` (``{exponent: coefficient}``) packed with ``v^top`` in lane 0.
+
+    >>> encode({0: 1, -1: -2}, 1) == (1 << LANE_BITS) - (2 << 2 * LANE_BITS)
+    True
+    """
+    out = 0
+    for e, c in poly.items():
+        if e > top:
+            raise InvalidInputError(f"exponent {e} lies above lane 0 (v^{top})")
+        check_lanes(abs(c))
+        out += c << LANE_BITS * (top - e)
+    return out
+
+
+def decode(packed: int, top: int) -> dict[int, int]:
+    """The ``{exponent: coefficient}`` dict of ``packed``, lane by lane.
+
+    Each lane is read as a balanced digit.  Runs of zero lanes are skipped
+    at once, so the cost is one step per term.
+
+    >>> decode(encode({-3: 5, -1: -1}, 2), 2) == {-3: 5, -1: -1}
+    True
+    """
+    bits = LANE_BITS
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = {}
+    e = top
+    while packed:
+        skip = ((packed & -packed).bit_length() - 1) // bits
+        packed >>= bits * skip
+        e -= skip
+        c = packed & mask
+        if c >= half:
+            c -= 1 << bits
+        out[e] = c
+        packed = (packed - c) >> bits
+        e -= 1
+    return out
+
+
+def _symmetrized_nonneg(packed: int, top: int) -> dict[int, int]:
+    """The bar-invariant polynomial that matches ``packed`` in degrees >= 0.
+
+    Used to peel bar-invariant correction terms.  Lanes ``0..top`` are cut
+    off as one signed value: their digits are balanced and below
+    ``2^(LANE_BITS-1)``, so it lies within the signed range of their width.
+    """
+    mask = nonneg_lanes(top)
+    low = packed & mask
+    if low > mask >> 1:
+        low -= mask + 1
+    out = decode(low, top)
+    out.update({-e: c for e, c in out.items()})
+    return out
+
+
+# ---------------------------------------------------------------------------
 # T-basis arithmetic
 # ---------------------------------------------------------------------------
 
 
-def t_basis(i: int) -> HeckeElt:
-    """The basis element ``T_w`` for the element with index ``i``."""
-    return {i: {0: 1}}
-
-
-def _add_term(
-    target: HeckeElt, i: int, poly: Sequence[tuple[int, int]], factor: Poly
+def _subtract(
+    h: HeckeElt, elt: tuple[array, array], polys: Sequence[int], m: dict[int, int]
 ) -> None:
-    """In-place ``target[i] += factor * poly``, one shift per term of ``factor``."""
-    cur = target.get(i)
-    if cur is None:
-        cur = target[i] = {}
-    for k, f in factor:
-        for e, c in poly:
-            e += k
-            new = cur.get(e, 0) + f * c
-            if new:
-                cur[e] = new
-            else:
-                cur.pop(e, None)
-    if not cur:
-        del target[i]
+    """In-place ``h -= m * C``, for ``C`` stored as ``elt`` over ``polys``.
 
-
-def h_add_scaled(target: HeckeElt, source: Terms, factor: dict[int, int]) -> None:
-    """In-place ``target += factor * source`` with zero stripping."""
-    pairs = tuple(factor.items())
-    for i, poly in source:
-        _add_term(target, i, poly, pairs)
+    ``m * p`` is one shift per term of ``m``, computed once per distinct
+    ``p``.  A term ``v^k`` with ``k > 0`` shifts right; that is exact because
+    ``k`` is at most the lane top and every stored ``p`` has its exponents
+    ``<= 0``, which the degree conditions check before ``p`` is read here.
+    """
+    bits = LANE_BITS
+    ys, ids = elt
+    if m == {0: 1}:
+        scaled: Sequence[int] | dict[int, int] = polys
+    else:
+        shifts = [(bits * k, c) for k, c in m.items()]
+        scaled = {}
+        for k in set(ids):
+            p = polys[k]
+            scaled[k] = sum(c * (p >> s if s >= 0 else p << -s) for s, c in shifts)
+    get = h.get
+    for y, p in zip(ys, map(scaled.__getitem__, ids)):
+        d = get(y, 0) - p
+        if d:
+            h[y] = d
+        else:
+            h.pop(y, None)
 
 
 def c_gen_mul(
@@ -148,6 +258,10 @@ def c_gen_mul(
     quadratic relation ``T_g^2 = T_e + (v^c - v^-c) T_g`` gives, on the left,
     ``C_g T_y = T_{gy} + v^-c T_y`` when ``g`` lengthens ``y`` and
     ``T_{gy} + v^c T_y`` when it shortens ``y``; the right side mirrors it.
+    The terms of ``h`` are ``(index, packed)``; ``v^c`` is a right shift,
+    exact when the shortened terms have no exponent above ``top - c``, as
+    stored polynomials (exponents ``<= 0``, ``c <= top``) do.  Each term of
+    the result gets at most two contributions.
     """
     if side == "left":
         table = tables.lmul[g]
@@ -155,14 +269,16 @@ def c_gen_mul(
         table = tables.rmul[g]
     else:
         raise InvalidInputError(f"side must be 'left' or 'right', got {side!r}")
-    c = weight.letter_weight(g)
+    shift = LANE_BITS * weight.letter_weight(g)
     length = tables.length
-    up, down = ((c, 1),), ((-c, 1),)
-    out: HeckeElt = {}
-    for i, poly in h:
-        j = table[i]
-        _add_term(out, j, poly, ONE)
-        _add_term(out, i, poly, up if length[j] < length[i] else down)
+    h = dict(h)
+    out = {table[i]: p for i, p in h.items()}
+    for i, p in h.items():
+        s = out.get(i, 0) + (p >> shift if length[table[i]] < length[i] else p << shift)
+        if s:
+            out[i] = s
+        else:
+            out.pop(i, None)
     return out
 
 
@@ -172,28 +288,32 @@ def c_gen_mul(
 
 
 def intern_element(
-    h: HeckeElt, ids: dict[Poly, int], polys: list[Poly]
+    h: HeckeElt, ids: dict[int, int], polys: list[int]
 ) -> tuple[array, array]:
     """``h`` as its sorted indices and the ids of its coefficients.
 
-    Each coefficient is looked up in ``ids`` as its sorted ``(exp, coeff)``
-    pairs; one not there yet is appended to ``polys`` and given the next id.
+    Each packed coefficient is looked up in ``ids``; one not there yet is
+    appended to ``polys`` and given the next id.
     """
     ys = array("i", sorted(h))
-    out = array("i")
-    for y in ys:
-        key = tuple(sorted(h[y].items()))
-        k = ids.get(key)
-        if k is None:
-            k = ids[key] = len(polys)
-            polys.append(key)
-        out.append(k)
-    return ys, out
+    coeffs = list(map(h.__getitem__, ys))
+    for p in coeffs:
+        if p not in ids:
+            ids[p] = len(polys)
+            polys.append(p)
+    return ys, array("i", map(ids.__getitem__, coeffs))
 
 
-def _terms(elt: tuple[array, array], polys: Sequence[Poly]) -> Terms:
+def _terms(elt: tuple[array, array], polys: Sequence[int]) -> Terms:
     ys, ids = elt
     return zip(ys, map(polys.__getitem__, ids))
+
+
+def _largest_coefficient(polys: Iterable[int], top: int) -> int:
+    """The largest ``|coefficient|`` of the packed ``polys``, 0 for none."""
+    return max(
+        (abs(c) for p in polys for c in decode(p, top).values()), default=0
+    )
 
 
 @dataclass(frozen=True)
@@ -204,83 +324,87 @@ class KLBasis:
     ``i`` in the ``T`` basis as two parallel ``array('i')``: the indices
     ``y`` of its terms in increasing order, and for each the id of
     ``p_{y,w}`` in ``polys``, which holds every distinct coefficient once as
-    a tuple of ``(exp, coeff)`` pairs.  ``mu[(g, i)]`` maps ``j`` to the
-    bar-invariant coefficient of ``C_j`` in ``C_g * C_i``, for every ``g``
-    that lengthens ``i``; the leading term ``C_{g i}`` is not stored.
+    its packed int (lane top :func:`lane_top` of ``weight``; see the module
+    docstring).  :meth:`terms` reads an element back decoded.
+    ``mu[(g, i)]`` maps ``j`` to the bar-invariant coefficient of ``C_j`` in
+    ``C_g * C_i``, as an ``{exp: coeff}`` dict, for every ``g`` that
+    lengthens ``i``; the leading term ``C_{g i}`` is not stored.
     """
 
     n: int
     weight: WeightFunction
     tables: GroupTables = field(repr=False)
     cw: tuple[tuple[array, array], ...] = field(repr=False)
-    polys: tuple[Poly, ...] = field(repr=False)
+    polys: tuple[int, ...] = field(repr=False)
     mu: dict[tuple[int, int], dict[int, dict[int, int]]] = field(repr=False)
 
-    def terms(self, i: int) -> Terms:
-        """The ``(y, p_{y,w})`` pairs of ``C_w`` for ``w`` of index ``i``."""
-        return _terms(self.cw[i], self.polys)
+    def terms(self, i: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+        """The ``(y, p_{y,w})`` pairs of ``C_w`` for ``w`` of index ``i``.
 
-
-def _bar(p: dict[int, int]) -> dict[int, int]:
-    """The involution ``v -> v^-1`` on a ``{exponent: coefficient}`` dict."""
-    return {-k: c for k, c in p.items()}
-
-
-def _symmetrized_nonneg(p: dict[int, int]) -> dict[int, int]:
-    """The unique bar-invariant polynomial matching ``p`` in degrees >= 0.
-
-    Used to peel bar-invariant correction terms: take the coefficients of
-    ``p`` in non-negative degrees and mirror the strictly positive ones.
-    """
-    out: dict[int, int] = {}
-    for k, c in p.items():
-        if k >= 0:
-            out[k] = out[-k] = c
-    return out
+        Each ``p_{y,w}`` is decoded as its ``(exp, coeff)`` pairs, by exponent.
+        """
+        top = lane_top(self.weight)
+        return (
+            (y, tuple(sorted(decode(p, top).items())))
+            for y, p in _terms(self.cw[i], self.polys)
+        )
 
 
 def _extract_interference(
     tables: GroupTables,
     h: HeckeElt,
     cw: Sequence[tuple[array, array]],
-    polys: Sequence[Poly],
+    polys: Sequence[int],
     shortened: Sequence[int],
+    lead: int,
     top: int,
     *,
+    positions: Sequence[int],
     known_tops: bool,
+    bound: int,
+    scale: int,
 ) -> dict[int, dict[int, int]]:
     """Peel bar-invariant multiples of lower canonical elements off ``h``.
 
-    Mutates ``h`` top-down until only the canonical element remains (when
-    ``known_tops`` is false, recursion step) or nothing remains (when true,
-    the leading term was subtracted beforehand).  Every peeled ``C_i`` must
-    have ``i`` shortened by ``shortened``, the generator's table on the side
-    it multiplies from.  The lower ``C_i`` are read from the stored basis
-    ``cw`` over ``polys`` (see :class:`KLBasis`).  Returns the extracted
-    coefficients keyed by element index.
+    Mutates ``h`` top-down (by ``positions``, see
+    :meth:`GroupTables.peel_positions`) until only the canonical element
+    ``lead`` remains (when ``known_tops`` is false, recursion step) or
+    nothing remains (when true, the leading term was subtracted beforehand).
+    Every peeled ``C_i`` must have ``i`` shortened by ``shortened``, the
+    generator's table on the side it multiplies from.  The lower ``C_i``
+    are read from the stored basis ``cw`` over ``polys`` (see
+    :class:`KLBasis`), whose coefficients are at most ``scale``.  ``bound``
+    bounds the coefficients of ``h``; it grows by ``|m|_1 scale`` per
+    peeled ``m`` and is checked (:func:`check_lanes`) before any
+    coefficient is read, and so before the caller reads what is left.
+    Returns the extracted coefficients, decoded and keyed by element index.
     """
+    check_lanes(bound)
+    low = nonneg_lanes(top)
+    length = tables.length
     out: dict[int, dict[int, int]] = {}
-    order = sorted(
-        (i for i in h if i != top),
-        key=lambda i: (-tables.length[i], i),
-    )
-    for i in order:
+    for i in sorted(h, key=positions.__getitem__):
         coeff = h.get(i)
-        if not coeff:
+        if not coeff or i == lead:
             continue
-        m = coeff if known_tops else _symmetrized_nonneg(coeff)
-        if not m:
+        if known_tops:
+            m = decode(coeff, top)
+            if any(m.get(-e) != c for e, c in m.items()):
+                raise FalsificationError(
+                    f"interference coefficient not bar-invariant at index {i}: {m}"
+                )
+        elif coeff & low:
+            m = _symmetrized_nonneg(coeff, top)
+        else:
             continue
-        if known_tops and _bar(m) != m:
-            raise FalsificationError(
-                f"interference coefficient not bar-invariant at index {i}: {m}"
-            )
-        if tables.length[shortened[i]] >= tables.length[i]:
+        if length[shortened[i]] >= length[i]:
             raise FalsificationError(
                 f"interference at index {i} not shortened by the generator"
             )
-        out[i] = dict(m)
-        h_add_scaled(h, _terms(cw[i], polys), {k: -c for k, c in m.items()})
+        out[i] = m
+        bound += sum(map(abs, m.values())) * scale
+        check_lanes(bound)
+        _subtract(h, cw[i], polys, m)
     return out
 
 
@@ -313,17 +437,25 @@ def kl_basis(
     shortening ``w``) test only :func:`c_gen_mul` and are left to its tests.
 
     Each ``C_w`` is built as a transient dict and interned
-    (:func:`intern_element`) once it is finished; nothing else is interned.
+    (:func:`intern_element`) once it is finished and meets the degree
+    conditions; nothing else is interned.  The largest coefficient stored so
+    far, read off each new polynomial, scales the lane bound of the next
+    elements.
     """
     check_oracle_budget(n, allow_heavy)
     tables = group_tables(n)
-    ids: dict[Poly, int] = {}
-    polys: list[Poly] = []
+    top = lane_top(weight)
+    one = encode({0: 1}, top)
+    low = nonneg_lanes(top)
+    positions = tables.peel_positions()
+    ids: dict[int, int] = {}
+    polys: list[int] = []
     cw: list[tuple[array, array]] = [(array("i"), array("i"))] * tables.order
     mu: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     covered: set[tuple[int, int]] = set()
 
-    cw[0] = intern_element(t_basis(0), ids, polys)
+    cw[0] = intern_element({0: one}, ids, polys)
+    scale = 1
     for iw in tables.by_length():
         if iw == 0:
             continue
@@ -331,20 +463,23 @@ def kl_basis(
         iu = tables.lmul[g][iw]
         h = c_gen_mul(tables, weight, g, _terms(cw[iu], polys))
         mu[(g, iu)] = _extract_interference(
-            tables, h, cw, polys, tables.lmul[g], iw, known_tops=False
+            tables, h, cw, polys, tables.lmul[g], iw, top,
+            positions=positions, known_tops=False, bound=2 * scale, scale=scale,
         )
         covered.add((g, iu))
-        top = h.get(iw)
-        if top != {0: 1}:
+        lead = h.get(iw, 0)
+        if lead != one:
+            lead = decode(lead, top)
             raise FalsificationError(
-                f"leading coefficient of canonical element {iw} is {top}"
+                f"leading coefficient of canonical element {iw} is {lead}"
             )
-        for i, coeff in h.items():
-            if i != iw and coeff and max(coeff) >= 0:
-                raise FalsificationError(
-                    f"non-negative exponent below the top of canonical element {iw}"
-                )
+        if any(p & low for i, p in h.items() if i != iw):
+            raise FalsificationError(
+                f"non-negative exponent below the top of canonical element {iw}"
+            )
+        known = len(polys)
         cw[iw] = intern_element(h, ids, polys)
+        scale = max(scale, _largest_coefficient(polys[known:], top))
 
     # remaining ascent pairs: subtract the known leading term, then every
     # top coefficient of what is left is itself an interference coefficient
@@ -354,13 +489,15 @@ def kl_basis(
             if tables.length[j] < tables.length[iu] or (g, iu) in covered:
                 continue
             h = c_gen_mul(tables, weight, g, _terms(cw[iu], polys))
-            h_add_scaled(h, _terms(cw[j], polys), {0: -1})
+            _subtract(h, cw[j], polys, {0: 1})
             mu[(g, iu)] = _extract_interference(
-                tables, h, cw, polys, tables.lmul[g], -1, known_tops=True
+                tables, h, cw, polys, tables.lmul[g], -1, top,
+                positions=positions, known_tops=True, bound=3 * scale, scale=scale,
             )
             if h:
+                residue = {i: decode(p, top) for i, p in h.items()}
                 raise FalsificationError(
-                    f"residue after interference extraction for ({g}, {iu}): {h}"
+                    f"residue after interference extraction for ({g}, {iu}): {residue}"
                 )
 
     result = KLBasis(
@@ -425,6 +562,10 @@ def verify_bar_invariance(kl: KLBasis) -> None:
     ``C_s = T_s + v^-c T_e``, holds only ``T_z`` shorter than ``w`` (by the
     degree conditions); peeled from the top down, it must split into
     bar-invariant multiples of ``C_z`` with ``zs < z`` and leave nothing.
+    Every element that step reads is shorter than ``w``, or ``w``, so its
+    degree conditions were checked first and its right shifts are exact.
+    The lane bound starts from the largest coefficient of ``kl.polys``,
+    read off the data here, not taken from the construction.
 
     By induction on length every ``C_w`` is then bar-invariant: bar is a
     ring involution, ``C_s`` is bar-invariant, and ``C_w`` is ``C_{ws} C_s``
@@ -438,27 +579,35 @@ def verify_bar_invariance(kl: KLBasis) -> None:
     tables, weight, polys = kl.tables, kl.weight, kl.polys
     length, rmul = tables.length, tables.rmul
     _verify_generator_tables(tables)
-    negative = [all(e < 0 for e, c in p if c) for p in polys]
+    top = lane_top(weight)
+    one = encode({0: 1}, top)
+    low = nonneg_lanes(top)
+    scale = _largest_coefficient(polys, top)
+    positions = tables.peel_positions()
     for iw in tables.by_length():
         (ys, ids), lw = kl.cw[iw], length[iw]
         if len(ys) != len(ids) or any(y >= z for y, z in zip(ys, ys[1:])):
             raise FalsificationError(f"element {iw} is not stored in index order")
-        if iw not in ys or any(
-            polys[k] != ONE if y == iw else length[y] >= lw or not negative[k]
+        bad = [
+            y
             for y, k in zip(ys, ids)
-        ):
-            raise FalsificationError(f"element {iw} fails the degree conditions")
+            if (polys[k] != one if y == iw else length[y] >= lw or polys[k] & low)
+        ]
+        if bad or iw not in ys:
+            at = f" at T_{bad[0]}: {dict(kl.terms(iw))[bad[0]]}" if bad else ""
+            raise FalsificationError(f"element {iw} fails the degree conditions{at}")
         if iw == 0:
             continue
         s = next((g for g in range(tables.n) if length[rmul[g][iw]] < lw), None)
         if s is None:
             raise FalsificationError(f"element {iw} has no right descent")
-        h = c_gen_mul(tables, weight, s, kl.terms(rmul[s][iw]), side="right")
-        h_add_scaled(h, kl.terms(iw), {0: -1})
+        h = c_gen_mul(tables, weight, s, _terms(kl.cw[rmul[s][iw]], polys), "right")
+        _subtract(h, kl.cw[iw], polys, {0: 1})
         step = f"canonical element {iw} fails its right-descent step by {s}"
         try:
             _extract_interference(
-                tables, h, kl.cw, polys, rmul[s], -1, known_tops=True
+                tables, h, kl.cw, polys, rmul[s], -1, top,
+                positions=positions, known_tops=True, bound=3 * scale, scale=scale,
             )
         except FalsificationError as exc:
             raise FalsificationError(f"{step}: {exc}") from exc

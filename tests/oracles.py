@@ -10,7 +10,11 @@ written with the library's own pieces.  The ``reference_*`` functions are
 the per-element loops that builtins replaced in the library (id density,
 canonical ids, minimal-index labels, window texts, recording fibers) or
 that a cheaper scheme replaced (the refinement rounds, each run on the
-elements and kept), kept to compare with.
+elements and kept), kept to compare with.  :func:`t_basis`,
+:func:`h_add_scaled` and :func:`reference_symmetrized_nonneg` are the
+Hecke arithmetic on ``{index: {exp: coeff}}`` dicts that the library held
+before it packed each polynomial into one int; the tests build expected
+elements with them.
 :func:`coset_product_elements` is the canonical order by its definition,
 one window product per element, which the library's enumeration buffer must
 reproduce.  The validated tableau objects, the reference insertion
@@ -224,6 +228,42 @@ def oracle_t_mul_gen(tables, weight, h, g, side="left"):
                 add(i, e - c, -k)
     cleaned = {i: {e: k for e, k in p.items() if k} for i, p in out.items()}
     return {i: p for i, p in cleaned.items() if p}
+
+
+def t_basis(i: int) -> dict[int, dict[int, int]]:
+    """The basis element ``T_w`` for the element with index ``i``."""
+    return {i: {0: 1}}
+
+
+def h_add_scaled(target, source, factor: dict[int, int]) -> None:
+    """In-place ``target += factor * source`` on ``{index: {exp: coeff}}``.
+
+    ``source`` is ``(index, (exp, coeff) pairs)`` terms; zeros are stripped.
+    """
+    for i, poly in source:
+        cur = target.setdefault(i, {})
+        for k, f in factor.items():
+            for e, c in poly:
+                new = cur.get(e + k, 0) + f * c
+                if new:
+                    cur[e + k] = new
+                else:
+                    cur.pop(e + k, None)
+        if not cur:
+            del target[i]
+
+
+def reference_symmetrized_nonneg(p: dict[int, int]) -> dict[int, int]:
+    """The unique bar-invariant polynomial matching ``p`` in degrees >= 0.
+
+    Take the coefficients of ``p`` in non-negative degrees and mirror the
+    strictly positive ones.
+    """
+    out: dict[int, int] = {}
+    for k, c in p.items():
+        if k >= 0:
+            out[k] = out[-k] = c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import io
 from array import array
 
@@ -22,16 +23,25 @@ from bncells.group import (
     right_descents,
 )
 from bncells.hecke import (
+    LANE_BITS,
     c_gen_mul,
+    decode,
+    encode,
     group_tables,
-    h_add_scaled,
     intern_element,
     kl_basis,
+    lane_top,
     left_cells,
-    t_basis,
     verify_bar_invariance,
 )
-from .oracles import canonical_word, right_cells, two_sided_cells
+from .oracles import (
+    canonical_word,
+    h_add_scaled,
+    reference_symmetrized_nonneg,
+    right_cells,
+    t_basis,
+    two_sided_cells,
+)
 from .oracles import oracle_t_mul_gen as t_mul_gen
 
 
@@ -55,6 +65,22 @@ def element(kl, iw):
     return {y: dict(poly) for y, poly in kl.terms(iw)}
 
 
+def packed(h, top):
+    """A ``{index: {exp: coeff}}`` element as ``{index: packed}``."""
+    return {i: encode(poly, top) for i, poly in h.items()}
+
+
+def unpacked(h, top):
+    """A ``{index: packed}`` element as ``{index: {exp: coeff}}``."""
+    return {i: decode(p, top) for i, p in h.items()}
+
+
+def packed_terms(kl, iw):
+    """The ``(y, packed p_{y,w})`` terms of ``C_w`` as stored."""
+    ys, ids = kl.cw[iw]
+    return [(y, kl.polys[k]) for y, k in zip(ys, ids)]
+
+
 def with_stored(kl, iw, stored, polys=None):
     """``kl`` with ``C_w`` (``w`` of index ``iw``) stored as ``(ys, ids)``."""
     cw = kl.cw[:iw] + (stored,) + kl.cw[iw + 1 :]
@@ -66,7 +92,8 @@ def add_to_element(kl, iw, extra):
     elt = element(kl, iw)
     h_add_scaled(elt, terms(extra), {0: 1})
     polys = list(kl.polys)
-    stored = intern_element(elt, {poly: k for k, poly in enumerate(polys)}, polys)
+    ids = {poly: k for k, poly in enumerate(polys)}
+    stored = intern_element(packed(elt, lane_top(kl.weight)), ids, polys)
     return with_stored(kl, iw, stored, tuple(polys))
 
 
@@ -81,14 +108,61 @@ def cells_as_windows(kl, partition):
     }
 
 
-@given(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9).filter(bool), max_size=6))
+# sha256 of every decoded (w, y, p_{y,w}) and every mu entry of the basis at
+# (n, a, b), taken from the dict-of-dicts construction before polynomials
+# were packed into ints (see test_basis_and_mu_are_frozen)
+FROZEN_DIGESTS = {
+    (3, 1, 1): "e8d57635723b711e1b9934d37bf82f2b496aef14457846a41f3bab04225f7668",
+    (3, 1, 2): "8a434b4ae2a8a0b366502fc6d0f625010711fa64bf591bec482ff3ae55a1a35a",
+    (3, 3, 2): "fa7713ca38eb007a0a6c30c8043c7a070de4b2d1e7ac11d1d8cf69966b36935b",
+    (3, 2, 55): "d9bb753fea2b8b14be3bddf45e0b8098693e7013326256ba63d92b7f380b21bd",
+    (4, 1, 1): "642fb146cc709d9444455b506d26c8883ea64086a581dbfb7f98cbb57b947f55",
+    (4, 1, 2): "8516f622823f4c42baedbbfb7adb556b2802c6db925cc4e66a678f89ce170510",
+    (4, 3, 2): "81f3c318d352056a043d2a81b919d66e65f2b9e066bd2eb2fe668082a7247f2d",
+    (4, 2, 55): "3e3a7fb107a5c063f08ad6d30bdd4be79b1dcf350cb8697f0ae02c4610f5bc31",
+}
+
+LANE = 2 ** (LANE_BITS - 1)
+COEFFICIENTS = st.integers(1 - LANE, LANE - 1).filter(bool)
+
+
+@given(st.dictionaries(st.integers(-6, 6), COEFFICIENTS, max_size=6))
 def test_symmetrized_nonneg(p):
-    # the unique bar-invariant polynomial that agrees with p in degrees >= 0
-    m = hecke._symmetrized_nonneg(p)
-    assert hecke._bar(m) == m
-    assert {k: c for k, c in m.items() if k >= 0} == {
-        k: c for k, c in p.items() if k >= 0
-    }
+    # the unique bar-invariant polynomial that agrees with p in degrees >= 0,
+    # read off the packed lanes 0..6 whatever the signs of the coefficients
+    m = hecke._symmetrized_nonneg(encode(p, 6), 6)
+    assert m == reference_symmetrized_nonneg(p)
+    assert {-k: c for k, c in m.items()} == m
+
+
+@given(
+    st.integers(0, 40).flatmap(
+        lambda top: st.tuples(
+            st.just(top),
+            st.dictionaries(st.integers(-60, top), COEFFICIENTS, max_size=8),
+            st.integers(0, top),
+        )
+    )
+)
+def test_lanes_round_trip_and_shift_exactly(case):
+    top, p, c = case
+    x = encode(p, top)
+    assert decode(x, top) == p
+    # v^-c is a left shift, always exact
+    assert x << LANE_BITS * c == encode({e - c: k for e, k in p.items()}, top)
+    # v^c is a right shift, exact while no exponent passes the top
+    if all(e + c <= top for e in p):
+        assert x >> LANE_BITS * c == encode({e + c: k for e, k in p.items()}, top)
+
+
+def test_encode_refuses_what_a_lane_cannot_hold():
+    extremes = {-1: 1 - LANE, 0: LANE - 1}
+    assert decode(encode(extremes, 0), 0) == extremes
+    for c in (LANE, -LANE, 2**40):
+        with pytest.raises(BudgetError, match=f"{LANE_BITS}-bit lanes"):
+            encode({0: c}, 3)
+    with pytest.raises(InvalidInputError, match="above lane 0"):
+        encode({4: 1}, 3)
 
 
 class TestGenerators:
@@ -149,14 +223,16 @@ class TestGenerators:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_c_gen_mul_is_t_gen_plus_scaled_element(self, side):
         # C_g h = T_g h + v^-c h (and mirrored), on every C_w and a mixed element
+        # (the lane top is one above the weight's: ``mixed`` has an exponent 1)
         kl = cached_kl(3, 1, 2)
+        top = lane_top(kl.weight) + 1
         mixed = {5: {0: 1, -2: 3}, 17: {1: -1}, 40: {0: 2}}
         for h in [element(kl, iw) for iw in range(kl.tables.order)] + [mixed]:
             for g in range(3):
                 expected = t_mul_gen(kl.tables, kl.weight, h, g, side)
                 h_add_scaled(expected, terms(h), {-kl.weight.letter_weight(g): 1})
-                got = c_gen_mul(kl.tables, kl.weight, g, terms(h), side)
-                assert h_equal(got, expected)
+                got = c_gen_mul(kl.tables, kl.weight, g, packed(h, top).items(), side)
+                assert h_equal(unpacked(got, top), expected)
 
     @pytest.mark.parametrize(
         "n,a,b",
@@ -174,8 +250,8 @@ class TestGenerators:
                 if tables.is_left_descent(g, iw):
                     expected = {}
                     h_add_scaled(expected, kl.terms(iw), {c: 1, -c: 1})
-                    got = c_gen_mul(tables, weight, g, kl.terms(iw))
-                    assert h_equal(got, expected), (g, iw)
+                    got = c_gen_mul(tables, weight, g, packed_terms(kl, iw))
+                    assert h_equal(unpacked(got, lane_top(weight)), expected), (g, iw)
 
     def test_bad_side_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -230,9 +306,9 @@ class TestBasisInvariants:
     @pytest.mark.parametrize("n", [3, 4])
     def test_interning_table_holds_each_used_polynomial_once(self, n):
         kl = cached_kl(n, 3, 2)
+        top = lane_top(kl.weight)
         for poly in kl.polys:
-            assert poly and poly == tuple(sorted(dict(poly).items()))
-            assert all(c for _, c in poly)
+            assert poly and encode(decode(poly, top), top) == poly
         assert len(set(kl.polys)) == len(kl.polys)
         used = set().union(*(ids for _, ids in kl.cw))
         assert used == set(range(len(kl.polys)))
@@ -252,7 +328,8 @@ class TestBasisInvariants:
         kl = cached_kl(2, 1, 2)
         tables = kl.tables
         for (g, i), interference in kl.mu.items():
-            got = c_gen_mul(tables, kl.weight, g, kl.terms(i))
+            got = c_gen_mul(tables, kl.weight, g, packed_terms(kl, i))
+            got = unpacked(got, lane_top(kl.weight))
             expected = {}
             h_add_scaled(expected, kl.terms(tables.lmul[g][i]), {0: 1})
             for j, m in interference.items():
@@ -270,27 +347,66 @@ class TestBasisInvariants:
             verify_bar_invariance(change_lowest_coefficient(kl, iw, 1))
 
     def test_bar_check_catches_a_coefficient_wider_than_any_fixed_slot(self):
+        # 2^40 more on the lowest term of T_e in C_w does not fit a lane: it
+        # is refused when packed, and added to the packed int it carries into
+        # the lane two above, which reads as another polynomial
         kl = cached_kl(3, 2, 55)
         iw = kl.tables.by_length()[-1]
+        with pytest.raises(BudgetError, match=f"{LANE_BITS}-bit lanes"):
+            change_lowest_coefficient(kl, iw, 2**40)
+        (ys, ids), top = kl.cw[iw], lane_top(kl.weight)
+        lowest = min(element(kl, iw)[0])
+        polys = kl.polys + (kl.polys[ids[0]] + (2**40 << LANE_BITS * (top - lowest)),)
+        moved = array("i", ids)
+        moved[0] = len(polys) - 1
+        assert decode(polys[-1], top) != element(kl, iw)[0]
         with pytest.raises(FalsificationError, match=f"element {iw} "):
-            verify_bar_invariance(change_lowest_coefficient(kl, iw, 2**40))
+            verify_bar_invariance(with_stored(kl, iw, (ys, moved), polys))
 
     def test_bar_check_slot_width_is_read_off_the_data(self):
-        # For generators x, y of equal weight in slots i, j (length order),
-        # X = (v - v^-1) (T_x - T_y - (2^(F i) - 2^(F j)) T_e) satisfies
-        # bar(X) = -X, so C_w + X is not bar-invariant; yet with F bits per
-        # slot X packs to zero and C_w + X packs like C_w.  Only a width
-        # read off the data tells them apart, whatever fixed F is tried.
+        # q = 2^F v^e - v^(e-1) packs to zero in lanes of F bits, so with a
+        # fixed F the mutant C_w + q T_e would pack like C_w.  A q that
+        # does not fit the lanes is refused when it is packed; one that fits
+        # is caught, or raises the largest stored coefficient, which the
+        # check reads off the data, beyond what the lanes can carry
         kl = cached_kl(3, 2, 55)
-        by_length = kl.tables.by_length()
-        x, y = (kl.tables.lmul[g][0] for g in (1, 2))
-        i, j = by_length.index(x), by_length.index(y)
-        iw = by_length[-1]
+        iw = kl.tables.by_length()[-1]
+        e = min(element(kl, iw)[0])
+        refusal = f"element {iw} |{LANE_BITS}-bit lanes"
         for fixed_bits in range(1, 65):
-            spread = 2 ** (fixed_bits * i) - 2 ** (fixed_bits * j)
-            extra = {x: {1: 1, -1: -1}, y: {1: -1, -1: 1}, 0: {1: -spread, -1: spread}}
-            with pytest.raises(FalsificationError, match=f"element {iw} "):
-                verify_bar_invariance(add_to_element(kl, iw, extra))
+            with pytest.raises((FalsificationError, BudgetError), match=refusal):
+                mutant = add_to_element(kl, iw, {0: {e: 2**fixed_bits, e - 1: -1}})
+                verify_bar_invariance(mutant)
+        mutant = add_to_element(kl, iw, {0: {e: LANE // 2, e - 1: -1}})
+        with pytest.raises(BudgetError, match=f"{LANE_BITS}-bit lanes"):
+            verify_bar_invariance(mutant)
+
+    def test_kl_basis_refuses_lanes_its_bound_does_not_fit(self, monkeypatch):
+        # the rank-3 bound reaches 20 at (1,2); 5-bit lanes hold up to 15
+        monkeypatch.setattr(hecke, "LANE_BITS", 5)
+        with pytest.raises(BudgetError, match="5-bit lanes"):
+            kl_basis(3, WeightFunction(1, 2))
+
+    def test_the_lane_width_is_one_constant(self, monkeypatch):
+        # 6-bit lanes hold the rank-3 bound (20 < 32): same basis, same mu
+        expected = cached_kl(3, 1, 2)
+        want = [list(expected.terms(i)) for i in range(expected.tables.order)]
+        monkeypatch.setattr(hecke, "LANE_BITS", 6)
+        kl = kl_basis(3, WeightFunction(1, 2))
+        assert [list(kl.terms(i)) for i in range(kl.tables.order)] == want
+        assert kl.mu == expected.mu
+
+    @pytest.mark.parametrize("n,a,b", FROZEN_DIGESTS)
+    def test_basis_and_mu_are_frozen(self, n, a, b):
+        kl = cached_kl(n, a, b)
+        h = hashlib.sha256()
+        for w in range(kl.tables.order):
+            for y, poly in kl.terms(w):
+                h.update(f"C {w} {y} {sorted(dict(poly).items())}\n".encode())
+        for (g, i), interference in sorted(kl.mu.items()):
+            for j, m in sorted(interference.items()):
+                h.update(f"mu {g} {i} {j} {sorted(m.items())}\n".encode())
+        assert h.hexdigest() == FROZEN_DIGESTS[n, a, b]
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("extra", ["T_e", "(v+v^-1) T_ws", "(v+v^-1) C_t"])
@@ -317,7 +433,8 @@ class TestBasisInvariants:
         tables = kl.tables
         iw = tables.by_length()[-1]
         iu = tables.rmul[0][iw]
-        residue = c_gen_mul(tables, kl.weight, 0, kl.terms(iu), side="right")
+        residue = c_gen_mul(tables, kl.weight, 0, packed_terms(kl, iu), side="right")
+        residue = unpacked(residue, lane_top(kl.weight))
         h_add_scaled(residue, kl.terms(iw), {0: -1})
         ix = next(x for x, p in residue.items() if max(p) < 0)
         with pytest.raises(FalsificationError, match=f"element {iw} .*residue"):
@@ -356,10 +473,12 @@ class TestBasisInvariants:
     def test_peel_rejects_interference_the_generator_does_not_shorten(self):
         # {0: 1} is bar-invariant, but generator 0 lengthens e (index 0)
         kl = cached_kl(2, 1, 2)
+        top = lane_top(kl.weight)
         with pytest.raises(FalsificationError, match="index 0 not shortened"):
             hecke._extract_interference(
-                kl.tables, {0: {0: 1}}, kl.cw, kl.polys, kl.tables.lmul[0], -1,
-                known_tops=True,
+                kl.tables, {0: encode({0: 1}, top)}, kl.cw, kl.polys,
+                kl.tables.lmul[0], -1, top, positions=kl.tables.peel_positions(),
+                known_tops=True, bound=2, scale=1,
             )
 
     @pytest.mark.parametrize("n", [3, 4])
