@@ -13,9 +13,13 @@ benchmark printed them, and the checkout's commit, marked ``+dirty`` when
 its tracked files differ from that commit.  It also runs each command of
 ``HEAVY`` cold from the checkout's ``src/``, ``HEAVY_RUNS`` times, and keeps
 under the key ``heavy`` each run's wall and CPU seconds and peak RSS (from
-``os.wait4``) and their medians.  Both commands then rewrite the table
-between the ``bench-table`` markers of ``README.md`` from the end-to-end
-runs of the newest BENCH file, the one with the latest ``recorded_at``.
+``os.wait4``) and their medians.  A cold ``perfbench/calibrate.py`` runs
+before each command's first run and after each run, and each run also keeps
+``scaled_wall_s``: its wall time scaled to the benchmark's reference host
+speed, as ``perfbench/run.py`` scales its own rounds.  Both commands then
+rewrite the table between the ``bench-table`` markers of ``README.md`` from
+the end-to-end runs of the newest BENCH file, the one with the latest
+``recorded_at``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the benchmark's modules import each other by bare name
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import scaled  # noqa: E402
+
 README = ROOT / "README.md"
+CALIBRATE = ROOT / "perfbench" / "calibrate.py"
 WORKLOADS = ("refine-r6", "oracle-r4", "session-r6")
 SEED = 12
 SECONDS = 40
@@ -78,13 +87,32 @@ def run_cold(checkout: Path, argv: list[str]) -> dict:
     return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": usage.ru_maxrss / 1024}
 
 
+def calibrate() -> float:
+    """Wall seconds of one cold ``CALIBRATE`` process."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, str(CALIBRATE)], check=True)
+    return time.perf_counter() - start
+
+
 def run_heavy(checkout: Path) -> dict:
-    """Each ``HEAVY`` command's cold runs and the median of each measure."""
+    """Each ``HEAVY`` command's cold runs and calibrations, and each measure's median.
+
+    Run ``i`` ran between calibrations ``i`` and ``i + 1``; its
+    ``scaled_wall_s`` is ``perfbench/run.py``'s ``scaled`` of its ``wall_s``.
+    """
     out = {}
     for name, argv in HEAVY.items():
-        runs = [run_cold(checkout, argv) for _ in range(HEAVY_RUNS)]
+        runs, calibrations = [], [calibrate()]
+        for _ in range(HEAVY_RUNS):
+            runs.append(run_cold(checkout, argv))
+            calibrations.append(calibrate())
+        walls = scaled([run["wall_s"] for run in runs], calibrations)
+        for run, wall in zip(runs, walls):
+            run["scaled_wall_s"] = wall
         medians = {key: statistics.median(run[key] for run in runs) for key in runs[0]}
-        out[name] = {"argv": argv, **medians, "runs": runs}
+        out[name] = {
+            "argv": argv, **medians, "calibration_s": calibrations, "runs": runs
+        }
     return out
 
 

@@ -26,10 +26,15 @@ Subcommands
 ``area``
     Dump the staircase-shape region and its cell decomposition.
 
+``cells``, ``orbits`` and ``area`` share one dump path: ``orbits`` dumps
+the ``cells --method orbits`` partition on either side, ``area`` the
+``cells --method area`` one, and only their JSON summaries differ.
+
 All output is newline-terminated UTF-8; ``--format tsv|json`` selects the
-encoding.  Exit codes: 0 = all checks pass, 1 = a checked claim is false,
-2 = usage, budget, or regime error, 141 = the reader closed the output pipe
-(the status a shell reports for SIGPIPE).
+encoding, and one emitter writes it for every command.  Exit codes: 0 = all
+checks pass, 1 = a checked claim is false, 2 = usage, budget, or regime
+error, 141 = the reader closed the output pipe (the status a shell reports
+for SIGPIPE).
 
 The Hecke oracle (:mod:`bncells.hecke`) and the region module
 (:mod:`bncells.area`) are imported by the commands that run them, and
@@ -68,31 +73,31 @@ from .tableaux import (
 from .vogan import run_summary, tsv_blocks, vogan_classes, xi_orbits
 
 METHODS = ("oracle-kl", "vogan", "rs-asymptotic", "rxi", "orbits", "area")
+# the methods whose partition does not depend on the weight
+WEIGHTLESS_METHODS = ("rs-asymptotic", "area")
 FORMATS = ("tsv", "json")
 TABLE_RANKS = range(2, 8)
+TABLE_KEYS = ("n", "boundary", "dominant", "orbits", "cells_source")
 ORACLE_CROSS_CHECK_MAX_RANK = 4
 
 
-def _emit(lines, out) -> None:
-    """Write a short report's ``lines`` in one write call."""
-    out.write("\n".join(lines) + "\n")
+def _emit(args, out, payload: dict, text) -> None:
+    """Write ``payload`` as JSON, or else ``text``: a partition or report lines.
 
-
-def _emit_tsv(partition: GroupPartition, out) -> None:
-    """Write a dump one "K"-coset block to a write call.
-
-    Written a line at a time, a dump streamed into a pipe leaves in
-    buffer-sized pieces, and waking the reader for each one made a cold
-    rank-6 ``cells`` about 10% slower on a 2-core VM.
+    A report goes out in one write call, and a partition's dump one "K"-coset
+    block to a write call.  Written a line at a time, a dump streamed into a
+    pipe leaves in buffer-sized pieces, and waking the reader for each one
+    made a cold rank-6 ``cells`` about 10% slower on a 2-core VM.
     """
-    for block in tsv_blocks(partition):
-        out.write(block.decode())
+    if args.format == "json":
+        import json
 
-
-def _emit_json(payload, out) -> None:
-    import json
-
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    elif isinstance(text, GroupPartition):
+        for block in tsv_blocks(text):
+            out.write(block.decode())
+    else:
+        out.write("\n".join(text) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -100,60 +105,39 @@ def _emit_json(payload, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_count_formula(n: int) -> int:
-    return count_standard_bitableaux(n) - 2**n + 2 ** (n - 1)
-
-
-def _dominant_count_formula(n: int) -> int:
-    return count_standard_bitableaux(n)
-
-
 def _table_row(n: int, exact: bool) -> dict:
     """Counts for one rank; cells refined exactly up to the oracle bound."""
-    orbit_count = xi_orbits(n, WeightFunction(1, n)).num_classes
-    refine_cells = exact or n <= ORACLE_CROSS_CHECK_MAX_RANK
-    if refine_cells:
-        dominant = vogan_classes(n, WeightFunction(1, n)).final
-        boundary = vogan_classes(n, WeightFunction(1, n - 1)).final
-        dom_count, bnd_count = dominant.num_classes, boundary.num_classes
-        source = "refined"
-        if dom_count != _dominant_count_formula(n):
+    dominant = count_standard_bitableaux(n)
+    row = {
+        "n": n,
+        "boundary": dominant - 2**n + 2 ** (n - 1),
+        "dominant": dominant,
+        "orbits": xi_orbits(n, WeightFunction(1, n)).num_classes,
+        "cells_source": "refined+oracle"
+        if n <= ORACLE_CROSS_CHECK_MAX_RANK
+        else "refined" if exact else "formula",
+    }
+    if row["cells_source"] == "formula":
+        return row
+    for kind, weight in (
+        ("dominant", WeightFunction(1, n)),
+        ("boundary", WeightFunction(1, n - 1)),
+    ):
+        refined = vogan_classes(n, weight).final
+        if refined.num_classes != row[kind]:
             raise FalsificationError(
-                f"rank {n}: refined dominant-weight count {dom_count} "
-                f"disagrees with the counting formula "
-                f"{_dominant_count_formula(n)}"
+                f"rank {n}: refined {kind}-weight count {refined.num_classes} "
+                f"disagrees with the counting formula {row[kind]}"
             )
-        if bnd_count != _boundary_count_formula(n):
-            raise FalsificationError(
-                f"rank {n}: refined boundary-weight count {bnd_count} "
-                f"disagrees with the counting formula "
-                f"{_boundary_count_formula(n)}"
-            )
-    else:
-        dom_count = _dominant_count_formula(n)
-        bnd_count = _boundary_count_formula(n)
-        source = "formula"
-    if n <= ORACLE_CROSS_CHECK_MAX_RANK:
-        from . import hecke
+        if n <= ORACLE_CROSS_CHECK_MAX_RANK:
+            from . import hecke
 
-        for weight, refined in (
-            (WeightFunction(1, n), dominant),
-            (WeightFunction(1, n - 1), boundary),
-        ):
-            oracle = hecke.left_cells(hecke.kl_basis(n, weight))
-            if not oracle.same_blocks(refined):
+            if not hecke.left_cells(hecke.kl_basis(n, weight)).same_blocks(refined):
                 raise FalsificationError(
                     f"rank {n}, weight ({weight.a},{weight.b}): oracle cells "
                     f"differ from refinement classes"
                 )
-        source = "refined+oracle"
-    return {
-        "n": n,
-        "boundary": bnd_count,
-        "dominant": dom_count,
-        "orbits": orbit_count,
-        "cells_source": source,
-    }
+    return row
 
 
 def cmd_table(args, out) -> int:
@@ -163,20 +147,9 @@ def cmd_table(args, out) -> int:
             f"got {args.max_n}"
         )
     rows = [_table_row(n, args.exact) for n in range(TABLE_RANKS.start, args.max_n + 1)]
-    if args.format == "json":
-        _emit_json({"rows": rows}, out)
-        return 0
-    _emit(["n\tboundary\tdominant\torbits\tcells_source"], out)
-    _emit(
-        (
-            "\t".join(
-                str(row[key])
-                for key in ("n", "boundary", "dominant", "orbits", "cells_source")
-            )
-            for row in rows
-        ),
-        out,
-    )
+    lines = ["\t".join(TABLE_KEYS)]
+    lines += ("\t".join(str(row[key]) for key in TABLE_KEYS) for row in rows)
+    _emit(args, out, {"rows": rows}, lines)
     return 0
 
 
@@ -224,13 +197,15 @@ def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
         }
     )
 
-    oracle_sets = _cells_as_sets(oracle)
-    if weight.regime(n) == "asymptotic":
-        region_cells = area.area_decomposition(n)
-        label = "region cells"
+    # the region and the other weight of the dominant/boundary pair
+    asymptotic = weight.regime(n) == "asymptotic"
+    if asymptotic:
+        region_cells, label = area.area_decomposition(n), "region cells"
+        companion = WeightFunction(1, n - 1)
     else:
-        region_cells = area.upsilon_decomposition(n)
-        label = "region cell pairs"
+        region_cells, label = area.upsilon_decomposition(n), "region cell pairs"
+        companion = WeightFunction(1, n)
+    oracle_sets = _cells_as_sets(oracle)
     bad = [cell for cell in region_cells if frozenset(cell) not in oracle_sets]
     checks.append(
         {
@@ -242,18 +217,11 @@ def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
         }
     )
 
-    if weight.regime(n) == "asymptotic":
-        companion = WeightFunction(1, n - 1)
-        dominant_cells = oracle_sets
-        boundary_cells = _cells_as_sets(
-            hecke.left_cells(hecke.kl_basis(n, companion, allow_heavy=allow_heavy))
-        )
-    else:
-        companion = WeightFunction(1, n)
-        boundary_cells = oracle_sets
-        dominant_cells = _cells_as_sets(
-            hecke.left_cells(hecke.kl_basis(n, companion, allow_heavy=allow_heavy))
-        )
+    companion_sets = _cells_as_sets(
+        hecke.left_cells(hecke.kl_basis(n, companion, allow_heavy=allow_heavy))
+    )
+    pair = (oracle_sets, companion_sets)
+    dominant_cells, boundary_cells = pair if asymptotic else pair[::-1]
     region = set(area.area_elements(n))
     offenders = [
         cell
@@ -309,28 +277,19 @@ def cmd_verify(args, out) -> int:
                 else f"{split} cells meet two or more classes {counts}",
             }
         )
+    lines = [
+        f"n\t{n}",
+        f"weight\t{weight.a},{weight.b}",
+        f"regime\t{regime_label}",
+        f"num_classes\t{run.final.num_classes}",
+        f"round_count\t{run.round_count}",
+        *(
+            f"check\t{c['check']}\t{'pass' if c['ok'] else 'FAIL'}\t{c['detail']}"
+            for c in checks
+        ),
+    ]
     payload = {**run_summary(run), "regime": regime_label, "checks": checks}
-    if args.format == "json":
-        _emit_json(payload, out)
-    else:
-        _emit(
-            [
-                f"n\t{n}",
-                f"weight\t{weight.a},{weight.b}",
-                f"regime\t{regime_label}",
-                f"num_classes\t{run.final.num_classes}",
-                f"round_count\t{run.round_count}",
-            ],
-            out,
-        )
-        _emit(
-            (
-                f"check\t{c['check']}\t{'pass' if c['ok'] else 'FAIL'}\t"
-                f"{c['detail']}"
-                for c in checks
-            ),
-            out,
-        )
+    _emit(args, out, payload, lines)
     return 0 if all(c["ok"] for c in checks) else 1
 
 
@@ -350,82 +309,47 @@ def _area_partition(n: int) -> GroupPartition:
     return GroupPartition.from_keys(n, keys, label_fn=str)
 
 
-def _partition_for(args) -> tuple[GroupPartition, dict]:
-    """The selected partition plus its JSON summary payload."""
-    n, weight = args.n, WeightFunction(args.a, args.b)
-    extra: dict = {}
-    if args.method == "oracle-kl":
+def cmd_dump(args, out) -> int:
+    """``cells``, ``orbits`` or ``area``: dump one partition, or summarise it.
+
+    ``orbits`` and ``area`` are the ``cells`` methods of their names, with
+    ``orbits`` on either side.  The JSON summary gives the rank and the
+    class count, with the weight and the method (``cells``), the weight and
+    the side (``orbits``), or the region's size and cell sizes (``area``).
+    """
+    n, command = args.n, args.command
+    method = args.method if command == "cells" else command
+    payload: dict = {"n": n}
+    if command == "area":
+        from . import area
+
+        payload["region_size"] = len(area.area_elements(n))
+        payload["cell_sizes"] = sorted(len(cell) for cell in area.area_decomposition(n))
+    else:
+        weight = WeightFunction(args.a, args.b)
+        payload.update(a=weight.a, b=weight.b)
+        if command == "orbits":
+            payload["side"] = args.side
+        else:
+            payload["method"] = method
+    if method == "oracle-kl":
         from . import hecke
 
         part = hecke.left_cells(hecke.kl_basis(n, weight, allow_heavy=args.allow_heavy))
-    elif args.method == "vogan":
+    elif method == "vogan":
         run = vogan_classes(n, weight)
         part = run.final
-        extra = {"round_count": run.round_count}
-    elif args.method == "rs-asymptotic":
+        payload["round_count"] = run.round_count
+    elif method == "rs-asymptotic":
         part = recording_fibers(n)
-    elif args.method == "rxi":
+    elif method == "rxi":
         part = rxi_partition(n, weight)
-    elif args.method == "orbits":
-        part = xi_orbits(n, weight)
+    elif method == "orbits":
+        part = xi_orbits(n, weight, side=args.side if command == "orbits" else "right")
     else:
         part = _area_partition(n)
-    payload = {
-        "n": n,
-        "a": weight.a,
-        "b": weight.b,
-        "method": args.method,
-        "num_classes": part.num_classes,
-        **extra,
-    }
-    return part, payload
-
-
-def cmd_cells(args, out) -> int:
-    part, payload = _partition_for(args)
-    if args.format == "json":
-        _emit_json(payload, out)
-    else:
-        _emit_tsv(part, out)
-    return 0
-
-
-def cmd_orbits(args, out) -> int:
-    weight = WeightFunction(args.a, args.b)
-    part = xi_orbits(args.n, weight, side=args.side)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "a": weight.a,
-                "b": weight.b,
-                "side": args.side,
-                "num_classes": part.num_classes,
-            },
-            out,
-        )
-    else:
-        _emit_tsv(part, out)
-    return 0
-
-
-def cmd_area(args, out) -> int:
-    from . import area
-
-    part = _area_partition(args.n)
-    if args.format == "json":
-        cells = area.area_decomposition(args.n)
-        _emit_json(
-            {
-                "n": args.n,
-                "num_classes": part.num_classes,
-                "region_size": len(area.area_elements(args.n)),
-                "cell_sizes": sorted(len(c) for c in cells),
-            },
-            out,
-        )
-    else:
-        _emit_tsv(part, out)
+    payload["num_classes"] = part.num_classes
+    _emit(args, out, payload, part)
     return 0
 
 
@@ -461,17 +385,11 @@ def cmd_element(args, out) -> int:
         report["orbit_id"] = orbits.class_of(idx)
         report["class_id"] = run.final.class_of(idx)
         report["class_label"] = run.final.label_of(run.final.class_of(idx))
-    if args.format == "json":
-        _emit_json(report, out)
-    else:
-        _emit(
-            (
-                f"{key}\t"
-                f"{str(value).lower() if isinstance(value, bool) else value}"
-                for key, value in report.items()
-            ),
-            out,
-        )
+    lines = (
+        f"{key}\t{str(value).lower() if isinstance(value, bool) else value}"
+        for key, value in report.items()
+    )
+    _emit(args, out, report, lines)
     return 0
 
 
@@ -483,14 +401,16 @@ def cmd_element(args, out) -> int:
 def _add_common(parser, *, need_n=True, oracle=False) -> None:
     if need_n:
         parser.add_argument("--n", type=int, required=True, help="rank")
-    parser.add_argument("--a", type=int, default=1, help="swap-generator weight")
+    # both weights are None until _resolve_defaults, so main can tell a
+    # weight given on the command line from the default one
+    parser.add_argument("--a", type=int, default=None, help="swap-generator weight")
     parser.add_argument("--b", type=int, default=None, help="sign-generator weight")
     parser.add_argument("--format", choices=FORMATS, default="tsv")
     if oracle:
         parser.add_argument(
             "--allow-heavy",
             action="store_true",
-            help="permit the rank-5 Hecke oracle (minutes of runtime)",
+            help="permit the rank-5 Hecke oracle (tens of seconds of runtime)",
         )
 
 
@@ -524,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cells = sub.add_parser("cells", help="dump a partition of the group")
     p_cells.add_argument("--method", choices=METHODS, default="vogan")
     _add_common(p_cells, oracle=True)
-    p_cells.set_defaults(func=cmd_cells)
+    p_cells.set_defaults(func=cmd_dump)
 
     p_orbits = sub.add_parser("orbits", help="dump the orbit partition")
     p_orbits.add_argument("--side", choices=("right", "left"), default="right")
     _add_common(p_orbits)
-    p_orbits.set_defaults(func=cmd_orbits)
+    p_orbits.set_defaults(func=cmd_dump)
 
     p_element = sub.add_parser("element", help="single-element report")
     p_element.add_argument("--w", required=True, help="window, e.g. -2,1,3")
@@ -544,15 +464,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_area = sub.add_parser("area", help="dump the staircase-shape region")
     p_area.add_argument("--n", type=int, required=True)
     p_area.add_argument("--format", choices=FORMATS, default="tsv")
-    p_area.set_defaults(func=cmd_area)
+    p_area.set_defaults(func=cmd_dump)
 
     return parser
 
 
-def _resolve_rank_defaults(args) -> None:
+def _refuse_ignored_flags(parser, args) -> None:
+    """A usage error for a ``cells`` flag that its method would not read."""
+    if args.command != "cells":
+        return
+    if args.allow_heavy and args.method != "oracle-kl":
+        parser.error(
+            f"cells --method {args.method} reads no --allow-heavy; only "
+            "--method oracle-kl does"
+        )
+    if args.method in WEIGHTLESS_METHODS and (args.a, args.b) != (None, None):
+        parser.error(
+            f"cells --method {args.method} reads no --a or --b; its partition "
+            "does not depend on the weight"
+        )
+
+
+def _resolve_defaults(args) -> None:
     # check --n before anything is built from it; the default weight is the
-    # dominant one for that rank, and the element command resolves its own
-    # default from the window's rank
+    # dominant one (1, n) for that rank, and the element command resolves
+    # its own default b from the window's rank
+    if getattr(args, "a", 1) is None:
+        args.a = 1
     if getattr(args, "n", None) is not None:
         check_enumeration_rank(args.n)
         if getattr(args, "b", 0) is None:
@@ -579,13 +517,9 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(
         _glue_window_values(list(sys.argv[1:] if argv is None else argv))
     )
-    if args.command == "cells" and args.allow_heavy and args.method != "oracle-kl":
-        parser.error(
-            f"cells --method {args.method} reads no --allow-heavy; only "
-            "--method oracle-kl does"
-        )
+    _refuse_ignored_flags(parser, args)
     try:
-        _resolve_rank_defaults(args)
+        _resolve_defaults(args)
         return args.func(args, out)
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)

@@ -70,9 +70,9 @@ from .errors import BudgetError, FalsificationError, InvalidInputError
 from .group import (
     T_LETTER,
     WeightFunction,
-    group_elements,
     group_order,
     inverse_index_table,
+    iter_windows,
     length,
     right_generator_tables,
 )
@@ -97,10 +97,9 @@ class GroupTables:
     """
 
     def __init__(self, n: int) -> None:
-        elements = group_elements(n)
         self.n = n
-        self.order = len(elements)
-        self.length = array("i", (length(w) for w in elements))
+        self.order = group_order(n)
+        self.length = array("i", map(length, iter_windows(n)))
         self.rmul = right_generator_tables(n)
         inv = inverse_index_table(n)
         self.lmul = tuple(
@@ -417,7 +416,7 @@ def check_oracle_budget(n: int, allow_heavy: bool) -> None:
     if n == HARD_MAX_RANK and not allow_heavy:
         raise BudgetError(
             f"rank {n} needs allow_heavy=True, or --allow-heavy on the command "
-            "line (expect minutes of compute)"
+            "line (expect tens of seconds of compute)"
         )
 
 

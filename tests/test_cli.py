@@ -43,6 +43,14 @@ def run_cli(*argv):
             for method in METHODS
             if method != "oracle-kl"
         ),
+        # these partitions do not depend on the weight; a weight equal to
+        # the default is refused too, as it was given
+        ("cells", "--n", "2", "--method", "area", "--a", "2", "--b", "1"),
+        *(
+            ("cells", "--n", "2", "--method", method, flag, "1")
+            for method in ("rs-asymptotic", "area")
+            for flag in ("--a", "--b")
+        ),
     ],
 )
 def test_no_subcommand_accepts_a_flag_it_ignores(argv):
@@ -429,6 +437,94 @@ def test_area_tsv_labels_cells_by_minimal_element():
     lines = dict(line.split("\t") for line in text.splitlines())
     assert lines["2,1"] == "2,1"
     assert lines["-1,2"] == lines["-2,1"]
+
+
+# -- one output path ---------------------------------------------------------------
+
+
+def key_paths(payload):
+    """A JSON payload's keys, with those of the dicts in a list as ``list[].key``."""
+    paths = set(payload)
+    for key, value in payload.items():
+        if isinstance(value, list):
+            dicts = [item for item in value if isinstance(item, dict)]
+            paths |= {f"{key}[].{k}" for item in dicts for k in item}
+    return paths
+
+
+WEIGHTED = {"n", "a", "b", "num_classes"}
+VERIFY_KEYS = WEIGHTED | {
+    "round_count",
+    "round_classes",
+    "regime",
+    "checks",
+    "checks[].check",
+    "checks[].ok",
+    "checks[].detail",
+}
+TABLE_KEYS = {
+    "rows",
+    "rows[].n",
+    "rows[].boundary",
+    "rows[].dominant",
+    "rows[].orbits",
+    "rows[].cells_source",
+}
+ELEMENT_KEYS = {
+    "window",
+    "n",
+    "length",
+    "length_t",
+    "rdes",
+    "rxi",
+    "insertion",
+    "recording",
+    "shape",
+    "in_area",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        *(
+            (("cells", "--n", "3", "--method", method), WEIGHTED | {"method"})
+            for method in METHODS
+            if method != "vogan"
+        ),
+        (
+            ("cells", "--n", "3", "--method", "vogan"),
+            WEIGHTED | {"method", "round_count"},
+        ),
+        (("orbits", "--n", "3", "--side", "left"), WEIGHTED | {"side"}),
+        (("area", "--n", "3"), {"n", "num_classes", "region_size", "cell_sizes"}),
+        (("table", "--max-n", "3"), TABLE_KEYS),
+        # the asymptotic and intermediate theorem regimes, and a conjectural one
+        (("verify", "--n", "3", "--a", "1", "--b", "3"), VERIFY_KEYS),
+        (("verify", "--n", "3", "--a", "1", "--b", "2"), VERIFY_KEYS),
+        (("verify", "--n", "3", "--a", "2", "--b", "3"), VERIFY_KEYS),
+        (
+            ("element", "--w", "-2,1,3"),
+            ELEMENT_KEYS | {"orbit_id", "class_id", "class_label"},
+        ),
+        (("element", "--w", "-2,1,3", "--quick"), ELEMENT_KEYS),
+    ],
+)
+def test_every_command_keeps_its_json_keys(argv, keys):
+    code, text = run_cli(*argv, "--format", "json")
+    assert code == 0
+    assert key_paths(json.loads(text)) == keys
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_orbits_and_area_dump_like_their_cells_methods(n):
+    rank = ("--n", str(n))
+    orbits = run_cli("orbits", *rank, "--side", "right")
+    assert orbits[0] == 0
+    assert run_cli("cells", *rank, "--method", "orbits") == orbits
+    area = run_cli("area", *rank)
+    assert area[0] == 0
+    assert run_cli("cells", *rank, "--method", "area") == area
 
 
 # -- dump writes ------------------------------------------------------------------

@@ -19,6 +19,7 @@ from bncells.group import (
     element_index,
     group_elements,
     inverse,
+    length,
     mul_gen_left,
     right_descents,
 )
@@ -209,6 +210,13 @@ class TestGenerators:
         for g, table in enumerate(lmul):
             expected = [element_index(mul_gen_left(g, w)) for w in group_elements(n)]
             assert list(table) == expected
+
+    def test_tables_build_no_window_tuples(self):
+        group_tables.cache_clear()
+        group_elements.cache_clear()
+        tables = group_tables(4)
+        assert group_elements.cache_info().currsize == 0
+        assert list(tables.length) == [length(w) for w in group_elements(4)]
 
     def test_left_right_multiplications_commute(self):
         tables = group_tables(3)

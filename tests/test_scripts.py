@@ -6,8 +6,8 @@ before it breaks the benchmark.  ``verify_small_ranks.py`` and
 ``area_atlas.py`` get a smoke run each, the rank-5 gate of
 ``verify_small_ranks.py`` is checked, and the README performance table must
 be the one ``bench_record.py`` builds from the newest BENCH file (no
-benchmark runs here); its heavy section is run on a rank-3 command, and a
-record names the commit it measured.
+benchmark runs here); its heavy section is run on a rank-3 command with a
+stand-in calibration job, and a record names the commit it measured.
 """
 
 import importlib.util
@@ -149,13 +149,28 @@ def test_heavy_runs_keep_medians_beside_the_runs_the_table_ignores(
 ):
     script = load_script("bench_record")
     monkeypatch.setattr(script, "HEAVY", {"cells-r3": ["cells", "--n", "3"]})
+    # a cheap stand-in for the calibration job, still a cold process
+    stand_in = tmp_path / "calibrate.py"
+    stand_in.write_text("")
+    monkeypatch.setattr(script, "CALIBRATE", stand_in)
     heavy = script.run_heavy(ROOT)
     entry = heavy["cells-r3"]
     assert entry["argv"] == ["cells", "--n", "3"]
     assert len(entry["runs"]) == script.HEAVY_RUNS
-    for key in ("wall_s", "cpu_s", "peak_rss_mb"):
+    for key in ("wall_s", "scaled_wall_s", "cpu_s", "peak_rss_mb"):
         values = sorted(run[key] for run in entry["runs"])
         assert values[0] > 0 and entry[key] == values[len(values) // 2]
+    # each run is scaled by the calibrations on either side of it, to the
+    # reference that perfbench/run.py holds
+    from run import CALIBRATION_REF_S
+
+    calibrations = entry["calibration_s"]
+    assert len(calibrations) == script.HEAVY_RUNS + 1 and min(calibrations) > 0
+    for i, run in enumerate(entry["runs"]):
+        mean = (calibrations[i] + calibrations[i + 1]) / 2
+        assert run["scaled_wall_s"] == pytest.approx(
+            run["wall_s"] * CALIBRATION_REF_S / mean
+        )
     # a BENCH file with a heavy section renders the same end-to-end table
     newest = script.newest_bench()
     bench = json.loads(newest.read_text(encoding="utf-8"))
