@@ -49,13 +49,15 @@ END = "<!-- bench-table end -->"
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 # rank-7 commands, above the benchmark's rank-6 workloads; the left orbits
 # are the largest rank-7 dump and the largest rank-7 peak RSS.  The rank-5
-# verify runs the Hecke oracle and its certificate at its largest rank, one
-# weight, above the benchmark's rank-4 oracle workload
+# verifies run the Hecke oracle and its certificate at its largest rank,
+# at three weights, above the benchmark's rank-4 oracle workload
 HEAVY = {
     "cells-r7": ["cells", "--n", "7", "--a", "1", "--b", "8", "--method", "vogan"],
     "table-r7": ["table", "--exact", "--max-n", "7"],
     "orbits-left-r7": ["orbits", "--n", "7", "--a", "1", "--b", "8", "--side", "left"],
     "verify-r5": ["verify", "--n", "5", "--a", "1", "--b", "5", "--allow-heavy"],
+    "verify-r5-1-4": ["verify", "--n", "5", "--a", "1", "--b", "4", "--allow-heavy"],
+    "verify-r5-2-7": ["verify", "--n", "5", "--a", "2", "--b", "7", "--allow-heavy"],
 }
 HEAVY_RUNS = 3
 

@@ -12,8 +12,9 @@ it against the cheaper invariants:
   one refinement class.
 
 One line per (rank, weight) pair; exits 1 if any check is falsified.
-Rank 5 needs ``--allow-heavy``: each of its weights takes tens of
-seconds, and the whole ``--max-n 5`` sweep stays under 100 MB of memory.
+Rank 5 needs ``--allow-heavy``: each of its weights takes about ten
+seconds (the oracle with its certificate, 2-core VM), and the whole
+``--max-n 5`` sweep stays under 100 MB of memory.
 
 Example:
     python3 scripts/verify_small_ranks.py --max-n 3
@@ -70,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--allow-heavy",
         action="store_true",
-        help="permit rank 5 (tens of seconds per weight)",
+        help="permit rank 5 (about ten seconds per weight)",
     )
     args = parser.parse_args(argv)
     if not 2 <= args.max_n <= 5:

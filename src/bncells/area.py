@@ -28,8 +28,9 @@ fibers, each a union of exactly two cells.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import re
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,6 +79,7 @@ def in_area(w: Sequence[int]) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def _region_flags(n: int) -> bytes:
     """One byte per element in canonical order: 1 in the region, else 0.
 
@@ -99,16 +101,25 @@ def _region_flags(n: int) -> bytes:
     return inside.to_bytes(group_order(n), "little")
 
 
+def area_indices(n: int) -> array:
+    """The element indices of the region members, increasing.
+
+    Membership of every element is decided at once on the enumeration's
+    columns (:func:`_region_flags`, cached per rank).  The members are few,
+    so their positions are found by a bytes search, not a walk over the
+    whole group.
+    """
+    return array("i", map(re.Match.start, re.finditer(b"\x01", _region_flags(n))))
+
+
 @functools.lru_cache(maxsize=None)
 def area_elements(n: int) -> tuple[Window, ...]:
     """Region members in group enumeration order; count is ``sum C(n,q)^2``.
 
-    Membership of every element is decided at once on the enumeration's
-    columns (:func:`_region_flags`), and only the members are decoded to
-    windows.  The count is checked against the closed form.
+    Only the members (:func:`area_indices`) are decoded to windows.  The
+    count is checked against the closed form.
     """
-    members = itertools.compress(itertools.count(), _region_flags(n))
-    out = tuple(iter_windows(n, members))
+    out = tuple(iter_windows(n, area_indices(n)))
     expected = sum(math.comb(n, q) ** 2 for q in range(n + 1))
     if len(out) != expected:
         raise FalsificationError(

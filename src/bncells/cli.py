@@ -36,10 +36,12 @@ checks pass, 1 = a checked claim is false, 2 = usage, budget, or regime
 error, 141 = the reader closed the output pipe (the status a shell reports
 for SIGPIPE).
 
-The Hecke oracle (:mod:`bncells.hecke`) and the region module
-(:mod:`bncells.area`) are imported by the commands that run them, and
-call sites go through the module (``hecke.left_cells``), so a process that
-only refines classes never loads either.
+Every layer above :mod:`bncells.group` and :mod:`bncells.partition` (the
+refinement, tableaux and descent layers, the Hecke oracle and the region
+module) is imported by the commands that run it, and call sites go through
+the module (``hecke.left_cells``, ``vogan.vogan_classes``).  So a process
+that only refines classes never loads the oracle or the region module, and
+``cells --method oracle-kl`` loads none of the refinement layers.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from array import array
 from functools import lru_cache
 
-from .descents import mask_text, rxi_mask, rxi_partition
 from .errors import BnCellsError, FalsificationError, RankError
 from .group import (
     WeightFunction,
@@ -60,17 +62,10 @@ from .group import (
     length,
     length_t,
     parse_window,
+    tsv_blocks,
     window_text,
 )
-from .partition import GroupPartition
-from .tableaux import (
-    bitableau_text,
-    count_standard_bitableaux,
-    insertion_rows,
-    recording_fibers,
-    shape_text,
-)
-from .vogan import run_summary, tsv_blocks, vogan_classes, xi_orbits
+from .partition import OUTSIDE, GroupPartition
 
 METHODS = ("oracle-kl", "vogan", "rs-asymptotic", "rxi", "orbits", "area")
 # the methods whose partition does not depend on the weight
@@ -107,12 +102,14 @@ def _emit(args, out, payload: dict, text) -> None:
 
 def _table_row(n: int, exact: bool) -> dict:
     """Counts for one rank; cells refined exactly up to the oracle bound."""
-    dominant = count_standard_bitableaux(n)
+    from . import tableaux, vogan
+
+    dominant = tableaux.count_standard_bitableaux(n)
     row = {
         "n": n,
         "boundary": dominant - 2**n + 2 ** (n - 1),
         "dominant": dominant,
-        "orbits": xi_orbits(n, WeightFunction(1, n)).num_classes,
+        "orbits": vogan.xi_orbits(n, WeightFunction(1, n)).num_classes,
         "cells_source": "refined+oracle"
         if n <= ORACLE_CROSS_CHECK_MAX_RANK
         else "refined" if exact else "formula",
@@ -123,7 +120,7 @@ def _table_row(n: int, exact: bool) -> dict:
         ("dominant", WeightFunction(1, n)),
         ("boundary", WeightFunction(1, n - 1)),
     ):
-        refined = vogan_classes(n, weight).final
+        refined = vogan.vogan_classes(n, weight).final
         if refined.num_classes != row[kind]:
             raise FalsificationError(
                 f"rank {n}: refined {kind}-weight count {refined.num_classes} "
@@ -241,7 +238,7 @@ def _verify_theorem_regime(n, weight, run, allow_heavy, checks) -> None:
 
 
 def cmd_verify(args, out) -> int:
-    from . import hecke
+    from . import hecke, vogan
 
     n = args.n
     if n < 2:
@@ -252,7 +249,7 @@ def cmd_verify(args, out) -> int:
     # vogan_classes) runs the oracle, so its budget is checked first
     if regime != "low":
         hecke.check_oracle_budget(n, args.allow_heavy)
-    run = vogan_classes(n, weight)
+    run = vogan.vogan_classes(n, weight)
     checks: list[dict] = []
     if regime in ("asymptotic", "intermediate"):
         regime_label = regime
@@ -288,7 +285,7 @@ def cmd_verify(args, out) -> int:
             for c in checks
         ),
     ]
-    payload = {**run_summary(run), "regime": regime_label, "checks": checks}
+    payload = {**vogan.run_summary(run), "regime": regime_label, "checks": checks}
     _emit(args, out, payload, lines)
     return 0 if all(c["ok"] for c in checks) else 1
 
@@ -299,14 +296,24 @@ def cmd_verify(args, out) -> int:
 
 
 def _area_partition(n: int) -> GroupPartition:
+    """The region's cells, each labelled by its shortest (then least) window.
+
+    The class ids are numbered over the region members alone, in index
+    order, and then placed at their indices.
+    """
     from . import area
 
-    keys = [None] * group_order(n)
+    labels = {}
     for cell in area.area_decomposition(n):
         label = window_text(min(cell, key=lambda w: (length(w), w)))
-        for w in cell:
-            keys[element_index(w)] = label
-    return GroupPartition.from_keys(n, keys, label_fn=str)
+        labels.update(dict.fromkeys(cell, label))
+    region = GroupPartition.from_keys(
+        n, list(map(labels.__getitem__, area.area_elements(n))), label_fn=str
+    )
+    class_id = array("i", [OUTSIDE]) * group_order(n)
+    for i, c in zip(area.area_indices(n), region.class_id):
+        class_id[i] = c
+    return GroupPartition(n, class_id, region.labels)
 
 
 def cmd_dump(args, out) -> int:
@@ -337,15 +344,24 @@ def cmd_dump(args, out) -> int:
 
         part = hecke.left_cells(hecke.kl_basis(n, weight, allow_heavy=args.allow_heavy))
     elif method == "vogan":
-        run = vogan_classes(n, weight)
+        from . import vogan
+
+        run = vogan.vogan_classes(n, weight)
         part = run.final
         payload["round_count"] = run.round_count
     elif method == "rs-asymptotic":
-        part = recording_fibers(n)
+        from . import tableaux
+
+        part = tableaux.recording_fibers(n)
     elif method == "rxi":
-        part = rxi_partition(n, weight)
+        from . import descents
+
+        part = descents.rxi_partition(n, weight)
     elif method == "orbits":
-        part = xi_orbits(n, weight, side=args.side if command == "orbits" else "right")
+        from . import vogan
+
+        side = args.side if command == "orbits" else "right"
+        part = vogan.xi_orbits(n, weight, side=side)
     else:
         part = _area_partition(n)
     payload["num_classes"] = part.num_classes
@@ -359,29 +375,31 @@ def cmd_dump(args, out) -> int:
 
 
 def cmd_element(args, out) -> int:
-    from . import area
+    from . import area, descents, tableaux
 
     w = parse_window(args.w)
     n = len(w)
     weight = WeightFunction(args.a, args.b if args.b is not None else n)
-    plus, minus, plus_rec, minus_rec = insertion_rows(w)
-    mask = rxi_mask(w, weight)
+    plus, minus, plus_rec, minus_rec = tableaux.insertion_rows(w)
+    mask = descents.rxi_mask(w, weight)
     report = {
         "window": window_text(w),
         "n": n,
         "length": length(w),
         "length_t": length_t(w),
-        "rdes": mask_text(n, mask & ((1 << n) - 1)),
-        "rxi": mask_text(n, mask),
-        "insertion": bitableau_text(plus, minus),
-        "recording": bitableau_text(plus_rec, minus_rec),
-        "shape": shape_text(plus, minus),
+        "rdes": descents.mask_text(n, mask & ((1 << n) - 1)),
+        "rxi": descents.mask_text(n, mask),
+        "insertion": tableaux.bitableau_text(plus, minus),
+        "recording": tableaux.bitableau_text(plus_rec, minus_rec),
+        "shape": tableaux.shape_text(plus, minus),
         "in_area": area.in_area(w),
     }
     if not args.quick:
+        from . import vogan
+
         idx = element_index(w)
-        orbits = xi_orbits(n, weight)
-        run = vogan_classes(n, weight)
+        orbits = vogan.xi_orbits(n, weight)
+        run = vogan.vogan_classes(n, weight)
         report["orbit_id"] = orbits.class_of(idx)
         report["class_id"] = run.final.class_of(idx)
         report["class_label"] = run.final.label_of(run.final.class_of(idx))
@@ -410,7 +428,7 @@ def _add_common(parser, *, need_n=True, oracle=False) -> None:
         parser.add_argument(
             "--allow-heavy",
             action="store_true",
-            help="permit the rank-5 Hecke oracle (tens of seconds of runtime)",
+            help="permit the rank-5 Hecke oracle (about ten seconds per weight)",
         )
 
 
@@ -444,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cells = sub.add_parser("cells", help="dump a partition of the group")
     p_cells.add_argument("--method", choices=METHODS, default="vogan")
     _add_common(p_cells, oracle=True)
-    p_cells.set_defaults(func=cmd_dump)
+    # a refused flag prints the cells usage, as argparse's own cells errors do
+    p_cells.set_defaults(func=cmd_dump, usage_error=p_cells.error)
 
     p_orbits = sub.add_parser("orbits", help="dump the orbit partition")
     p_orbits.add_argument("--side", choices=("right", "left"), default="right")
@@ -469,17 +488,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_ignored_flags(parser, args) -> None:
+def _refuse_ignored_flags(args) -> None:
     """A usage error for a ``cells`` flag that its method would not read."""
     if args.command != "cells":
         return
     if args.allow_heavy and args.method != "oracle-kl":
-        parser.error(
+        args.usage_error(
             f"cells --method {args.method} reads no --allow-heavy; only "
             "--method oracle-kl does"
         )
     if args.method in WEIGHTLESS_METHODS and (args.a, args.b) != (None, None):
-        parser.error(
+        args.usage_error(
             f"cells --method {args.method} reads no --a or --b; its partition "
             "does not depend on the weight"
         )
@@ -517,7 +536,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(
         _glue_window_values(list(sys.argv[1:] if argv is None else argv))
     )
-    _refuse_ignored_flags(parser, args)
+    _refuse_ignored_flags(args)
     try:
         _resolve_defaults(args)
         return args.func(args, out)

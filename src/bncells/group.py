@@ -33,9 +33,12 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, RankError
+
+if TYPE_CHECKING:
+    from .partition import GroupPartition
 
 # Generator letter code for the sign-change generator t; s_i is the code i.
 T_LETTER = 0
@@ -489,6 +492,16 @@ def render_tsv(n: int, class_id: Sequence[int], labels: Sequence[str]) -> Iterat
         runs = re.finditer(b"\n+", block[stride - 1 :: stride])
         block = b"".join(block[m.start() * stride : m.end() * stride] for m in runs)
         yield block.translate(None, b"\0")
+
+
+def tsv_blocks(partition: GroupPartition) -> Iterator[bytes]:
+    """The dump of ``partition`` as bytes, one "K"-coset block at a time.
+
+    One ``window<TAB>label`` line per in-domain element, in canonical order
+    (:func:`render_tsv`); classes without labels are named by their ids.
+    """
+    labels = partition.labels or [str(c) for c in range(partition.num_classes)]
+    return render_tsv(partition.n, partition.class_id, labels)
 
 
 def rep_rank(n: int, k: int) -> int:

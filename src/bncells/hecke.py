@@ -16,8 +16,9 @@ exponents ``<= 0``: its lowest ``O >= c`` lanes are zero.  The stored
 polynomials are checked for that (the degree conditions) before any
 arithmetic reads them.
 
-An element being built or peeled is a transient ``{element_index:
-packed}`` dict.  A finished canonical element is stored compactly as two
+An element being built or peeled is a transient dense list: the packed
+coefficient of every element index, 0 where it has no term.  A finished
+canonical element is stored compactly as two
 parallel ``array('i')``: its indices ``y`` in increasing order, and ids
 into one table per basis that holds each distinct polynomial ``p_{y,w}``
 once, as its packed int.  At rank 5 about three million ``(y, w)`` pairs
@@ -37,19 +38,30 @@ the lane width (:func:`check_lanes`).
 
 The canonical basis element ``C_w`` is the unique bar-invariant element equal
 to ``T_w`` plus a combination of ``T_y`` with strictly negative exponents.
-It is built by induction on length: multiply a generator basis element into
-the previous canonical element, then peel off bar-invariant multiples of
-shorter canonical elements from the top down.  Every structural property
-the construction relies on is asserted and raises
+It is built by induction on length from the least left descent ``g`` of
+``w``, of weight ``c``, and ``u = g w``: ``C_g C_u`` minus bar-invariant
+multiples of shorter ``C_z`` with ``g z < z``, peeled from the top down.
+Only the descent half ``{y : g y < y}`` is computed and peeled.  ``C_g C_u``
+and every such ``C_z`` lie in ``C_g H``, where the coefficient at ``T_y``
+with ``g y > y`` is ``v^-c`` times the one at ``T_{g y}``, so the other half
+is filled by one shift per term.  That relies on the stored ``C_z`` being
+canonical; a wrong ``C_w`` fails its own certificate step.  Every
+structural property the construction relies on is asserted and raises
 :class:`FalsificationError` when violated.
 
 The result is certified apart from the construction, and no ``bar(T_y)``
-is ever formed (:func:`verify_bar_invariance`): the generator tables are
-checked to be the group's, and each ``C_w`` meets the degree conditions and
-equals ``C_{ws} C_s`` minus bar-invariant multiples of shorter ``C_z`` for
-a right descent ``s`` (the right-handed mirror of Lusztig, *Hecke algebras
-with unequal parameters*, CRM Monograph 18, Thm 6.6).  Bar invariance then
-follows by induction on length, and with it the basis is the canonical one.
+is ever formed: the generator tables are checked to be the group's, each
+``C_w`` meets the degree conditions, and each ``C_w`` has a step, a full
+product ``C_g C_{g w}`` for a left descent ``g`` (Lusztig, *Hecke algebras
+with unequal parameters*, CRM Monograph 18, Thm 6.6) or ``C_{w s} C_s`` for
+a right descent ``s`` (its mirror), that leaves ``C_w`` plus bar-invariant
+multiples of shorter ``C_z``.  Bar invariance then follows by induction on
+length, and with it the basis is the canonical one.  :func:`kl_basis` reads
+the interference coefficients of each ascent pair ``(g, u)`` other than the
+construction's from such a full product, which is a left step for ``g u``:
+every ``w`` with two or more left descents gets one, so only the elements
+with a single left descent need a right step.  :func:`verify_bar_invariance`
+certifies any basis on its own, with a right step for every element.
 
 Cells are strongly connected components of the multiplication graph: ``y``
 is reachable from ``w`` when ``C_y`` appears in some ``C_g * C_w``.
@@ -64,6 +76,8 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import add, lshift, lt, mul, rshift
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, FalsificationError, InvalidInputError
@@ -78,7 +92,7 @@ from .group import (
 )
 from .partition import GroupPartition, canonical_ids
 
-HeckeElt = dict[int, int]
+HeckeElt = list[int]
 Terms = Iterable[tuple[int, int]]
 
 LANE_BITS = 16
@@ -116,13 +130,15 @@ class GroupTables:
                 return g
         raise InvalidInputError("identity has no descent")
 
-    def by_length(self) -> list[int]:
-        return sorted(range(self.order), key=lambda i: (self.length[i], i))
+    def levels(self) -> list[list[int]]:
+        """The indices of each length, increasing, listed by length."""
+        out: list[list[int]] = [[] for _ in range(max(self.length) + 1)]
+        for i, k in enumerate(self.length):
+            out[k].append(i)
+        return out
 
-    def peel_positions(self) -> list[int]:
-        """Per index, ``(-length, index)`` as one int: longest first, then by index."""
-        longest, order = max(self.length), self.order
-        return [(longest - k) * order + i for i, k in enumerate(self.length)]
+    def by_length(self) -> list[int]:
+        return [i for level in self.levels() for i in level]
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,7 +232,11 @@ def _symmetrized_nonneg(packed: int, top: int) -> dict[int, int]:
 
 
 def _subtract(
-    h: HeckeElt, elt: tuple[array, array], polys: Sequence[int], m: dict[int, int]
+    h: HeckeElt,
+    elt: tuple[array, array],
+    polys: Sequence[int],
+    m: dict[int, int],
+    keep: bytes | None = None,
 ) -> None:
     """In-place ``h -= m * C``, for ``C`` stored as ``elt`` over ``polys``.
 
@@ -224,24 +244,25 @@ def _subtract(
     ``p``.  A term ``v^k`` with ``k > 0`` shifts right; that is exact because
     ``k`` is at most the lane top and every stored ``p`` has its exponents
     ``<= 0``, which the degree conditions check before ``p`` is read here.
+    With ``keep`` (one flag per index), only the flagged terms are subtracted.
     """
-    bits = LANE_BITS
     ys, ids = elt
+    if keep is not None:
+        kept = bytes(map(keep.__getitem__, ys))
+        ys, ids = compress(ys, kept), list(compress(ids, kept))
     if m == {0: 1}:
         scaled: Sequence[int] | dict[int, int] = polys
     else:
-        shifts = [(bits * k, c) for k, c in m.items()]
-        scaled = {}
-        for k in set(ids):
-            p = polys[k]
-            scaled[k] = sum(c * (p >> s if s >= 0 else p << -s) for s, c in shifts)
-    get = h.get
+        keys = list(set(ids))
+        coeffs = list(map(polys.__getitem__, keys))
+        total = [0] * len(keys)
+        for k, c in m.items():
+            shift = LANE_BITS * abs(k)
+            part = map(rshift if k > 0 else lshift, coeffs, repeat(shift))
+            total = list(map(add, total, part if c == 1 else map(mul, part, repeat(c))))
+        scaled = dict(zip(keys, total))
     for y, p in zip(ys, map(scaled.__getitem__, ids)):
-        d = get(y, 0) - p
-        if d:
-            h[y] = d
-        else:
-            h.pop(y, None)
+        h[y] -= p
 
 
 def c_gen_mul(
@@ -257,10 +278,11 @@ def c_gen_mul(
     quadratic relation ``T_g^2 = T_e + (v^c - v^-c) T_g`` gives, on the left,
     ``C_g T_y = T_{gy} + v^-c T_y`` when ``g`` lengthens ``y`` and
     ``T_{gy} + v^c T_y`` when it shortens ``y``; the right side mirrors it.
-    The terms of ``h`` are ``(index, packed)``; ``v^c`` is a right shift,
-    exact when the shortened terms have no exponent above ``top - c``, as
-    stored polynomials (exponents ``<= 0``, ``c <= top``) do.  Each term of
-    the result gets at most two contributions.
+    The terms of ``h`` are ``(index, packed)``, and the product is dense.
+    ``v^c`` is a right shift, exact when the shortened terms have no
+    exponent above ``top - c``, as stored polynomials (exponents ``<= 0``,
+    ``c <= top``) do.  Each term of the result gets at most two
+    contributions.
     """
     if side == "left":
         table = tables.lmul[g]
@@ -270,14 +292,11 @@ def c_gen_mul(
         raise InvalidInputError(f"side must be 'left' or 'right', got {side!r}")
     shift = LANE_BITS * weight.letter_weight(g)
     length = tables.length
-    h = dict(h)
-    out = {table[i]: p for i, p in h.items()}
-    for i, p in h.items():
-        s = out.get(i, 0) + (p >> shift if length[table[i]] < length[i] else p << shift)
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
+    out = [0] * tables.order
+    for i, p in h:
+        j = table[i]
+        out[j] += p
+        out[i] += p >> shift if length[j] < length[i] else p << shift
     return out
 
 
@@ -289,18 +308,19 @@ def c_gen_mul(
 def intern_element(
     h: HeckeElt, ids: dict[int, int], polys: list[int]
 ) -> tuple[array, array]:
-    """``h`` as its sorted indices and the ids of its coefficients.
+    """The dense ``h`` as its nonzero indices and the ids of their coefficients.
 
-    Each packed coefficient is looked up in ``ids``; one not there yet is
+    Each packed coefficient gets its id from ``ids``; one not there yet is
     appended to ``polys`` and given the next id.
     """
-    ys = array("i", sorted(h))
-    coeffs = list(map(h.__getitem__, ys))
-    for p in coeffs:
-        if p not in ids:
-            ids[p] = len(polys)
+    setdefault = ids.setdefault
+    out = array("i")
+    for p in compress(h, h):
+        k = setdefault(p, len(polys))
+        if k == len(polys):
             polys.append(p)
-    return ys, array("i", map(ids.__getitem__, coeffs))
+        out.append(k)
+    return array("i", compress(range(len(h)), h)), out
 
 
 def _terms(elt: tuple[array, array], polys: Sequence[int]) -> Terms:
@@ -355,55 +375,87 @@ def _extract_interference(
     cw: Sequence[tuple[array, array]],
     polys: Sequence[int],
     shortened: Sequence[int],
-    lead: int,
+    levels: Iterable[Sequence[int]],
     top: int,
     *,
-    positions: Sequence[int],
     known_tops: bool,
     bound: int,
     scale: int,
+    keep: bytes | None = None,
 ) -> dict[int, dict[int, int]]:
     """Peel bar-invariant multiples of lower canonical elements off ``h``.
 
-    Mutates ``h`` top-down (by ``positions``, see
-    :meth:`GroupTables.peel_positions`) until only the canonical element
-    ``lead`` remains (when ``known_tops`` is false, recursion step) or
-    nothing remains (when true, the leading term was subtracted beforehand).
-    Every peeled ``C_i`` must have ``i`` shortened by ``shortened``, the
-    generator's table on the side it multiplies from.  The lower ``C_i``
-    are read from the stored basis ``cw`` over ``polys`` (see
-    :class:`KLBasis`), whose coefficients are at most ``scale``.  ``bound``
-    bounds the coefficients of ``h``; it grows by ``|m|_1 scale`` per
-    peeled ``m`` and is checked (:func:`check_lanes`) before any
-    coefficient is read, and so before the caller reads what is left.
-    Returns the extracted coefficients, decoded and keyed by element index.
+    Mutates the dense ``h`` top-down, one length level of ``levels`` (index
+    lists, longest first) at a time.  A peel at ``i`` changes only ``i``
+    and shorter terms, so the peels of one level do not interact.  When
+    ``known_tops`` is false (construction), the part of degree ``>= 0`` of
+    each coefficient is symmetrized and peeled; when true (a certificate
+    step, the leading term subtracted beforehand), every coefficient left
+    must itself be bar-invariant and is peeled whole.  Every peeled ``C_i``
+    must have ``i`` shortened by ``shortened``, the generator's table on the
+    side it multiplies from.  The lower ``C_i`` are read from the stored
+    basis ``cw`` over ``polys`` (see :class:`KLBasis`), whose coefficients
+    are at most ``scale``; with ``keep``, only their flagged terms are
+    subtracted.  ``bound`` bounds the coefficients of ``h``; it grows by
+    ``|m|_1 scale`` per peeled ``m`` and is checked (:func:`check_lanes`)
+    before any coefficient is read, and so before the caller reads what is
+    left.  Returns the extracted coefficients, decoded and keyed by element
+    index.
     """
     check_lanes(bound)
     low = nonneg_lanes(top)
     length = tables.length
     out: dict[int, dict[int, int]] = {}
-    for i in sorted(h, key=positions.__getitem__):
-        coeff = h.get(i)
-        if not coeff or i == lead:
-            continue
-        if known_tops:
-            m = decode(coeff, top)
-            if any(m.get(-e) != c for e, c in m.items()):
+    for level in levels:
+        for i in compress(level, map(h.__getitem__, level)):
+            coeff = h[i]
+            if known_tops:
+                m = decode(coeff, top)
+                if any(m.get(-e) != c for e, c in m.items()):
+                    raise FalsificationError(
+                        f"residue at index {i} is not bar-invariant: {m}"
+                    )
+            elif coeff & low:
+                m = _symmetrized_nonneg(coeff, top)
+            else:
+                continue
+            if length[shortened[i]] >= length[i]:
                 raise FalsificationError(
-                    f"interference coefficient not bar-invariant at index {i}: {m}"
+                    f"interference at index {i} not shortened by the generator"
                 )
-        elif coeff & low:
-            m = _symmetrized_nonneg(coeff, top)
-        else:
-            continue
-        if length[shortened[i]] >= length[i]:
-            raise FalsificationError(
-                f"interference at index {i} not shortened by the generator"
-            )
-        out[i] = m
-        bound += sum(map(abs, m.values())) * scale
-        check_lanes(bound)
-        _subtract(h, cw[i], polys, m)
+            out[i] = m
+            bound += sum(map(abs, m.values())) * scale
+            check_lanes(bound)
+            _subtract(h, cw[i], polys, m, keep)
+    return out
+
+
+def _step(
+    kl: KLBasis, g: int, side: str, iw: int, levels: list[list[int]], scale: int
+) -> dict[int, dict[int, int]]:
+    """One certificate step for ``C_w``: a full product peeled to nothing.
+
+    ``C_g C_u - C_w`` with ``u = g w`` (``side="left"``), or ``C_u C_g - C_w``
+    with ``u = w g`` (``"right"``), for ``g`` shortening ``w``, holds only
+    ``T_z`` shorter than ``w`` when the degree conditions hold; peeled from
+    the top down it must split into bar-invariant multiples of ``C_z``
+    with ``z`` shortened by ``g`` on that side, and leave nothing.  Returns
+    the multiples, the interference coefficients of the pair ``(g, u)``.
+    """
+    tables, polys = kl.tables, kl.polys
+    table = tables.lmul[g] if side == "left" else tables.rmul[g]
+    h = c_gen_mul(tables, kl.weight, g, _terms(kl.cw[table[iw]], polys), side)
+    _subtract(h, kl.cw[iw], polys, {0: 1})
+    step = f"canonical element {iw} fails its {side}-descent step by {g}"
+    try:
+        out = _extract_interference(
+            tables, h, kl.cw, polys, table, levels[tables.length[iw] - 1 :: -1],
+            lane_top(kl.weight), known_tops=True, bound=3 * scale, scale=scale,
+        )
+    except FalsificationError as exc:
+        raise FalsificationError(f"{step}: {exc}") from exc
+    if any(h):
+        raise FalsificationError(f"{step}: residue on {len(h) - h.count(0)} elements")
     return out
 
 
@@ -416,7 +468,7 @@ def check_oracle_budget(n: int, allow_heavy: bool) -> None:
     if n == HARD_MAX_RANK and not allow_heavy:
         raise BudgetError(
             f"rank {n} needs allow_heavy=True, or --allow-heavy on the command "
-            "line (expect tens of seconds of compute)"
+            "line (expect about ten seconds of compute per weight)"
         )
 
 
@@ -429,82 +481,88 @@ def kl_basis(
 ) -> KLBasis:
     """Compute the canonical basis and all interference coefficients.
 
-    The budget is checked first (:func:`check_oracle_budget`).  The result
-    is certified by :func:`verify_bar_invariance` at every rank unless
-    ``check_bar=False``; that certificate proves the basis canonical, so the
-    degenerate products ``C_g * C_w = (v^c + v^-c) C_w`` (for ``g``
-    shortening ``w``) test only :func:`c_gen_mul` and are left to its tests.
+    The budget is checked first (:func:`check_oracle_budget`).  Each ``C_w``
+    is built on the descent half of its least left descent ``g`` (see the
+    module docstring): ``C_g C_{g w}`` is formed and peeled there, with one
+    big-int operation per term of ``C_{g w}``, the leading coefficient is
+    checked to be 1, the other half is filled, and the element is interned
+    (:func:`intern_element`).  Its new polynomials are then checked to have
+    no term of degree ``>= 0``; every older one but 1 (id 0, from ``C_e``)
+    was checked when it was new, and 1 must appear once, at ``T_w``.  The
+    largest coefficient stored so far, read off each new polynomial, scales
+    the lane bound of the next elements.
 
-    Each ``C_w`` is built as a transient dict and interned
-    (:func:`intern_element`) once it is finished and meets the degree
-    conditions; nothing else is interned.  The largest coefficient stored so
-    far, read off each new polynomial, scales the lane bound of the next
-    elements.
+    Every other ascent pair ``(g, u)`` is then a full left step for ``g u``
+    (:func:`_step`), which yields its interference coefficients.  So every
+    element with two or more left descents has a step, and unless
+    ``check_bar=False`` the certificate (:func:`_certify`) checks the tables
+    and every element's degree conditions and takes right steps only for
+    the elements with a single left descent.  That certificate proves the
+    basis canonical, so the degenerate products ``C_g * C_w = (v^c + v^-c)
+    C_w`` (for ``g`` shortening ``w``) test only :func:`c_gen_mul` and are
+    left to its tests.
     """
     check_oracle_budget(n, allow_heavy)
     tables = group_tables(n)
+    length, order = tables.length, tables.order
     top = lane_top(weight)
     one = encode({0: 1}, top)
     low = nonneg_lanes(top)
-    positions = tables.peel_positions()
+    levels = tables.levels()
+    # per left generator g, a flag per index y: 1 on the descent half (g y < y)
+    lower = [
+        bytes(map(lt, map(length.__getitem__, table), length)) for table in tables.lmul
+    ]
+    halves = [
+        [list(compress(level, map(flags.__getitem__, level))) for level in levels]
+        for flags in lower
+    ]
     ids: dict[int, int] = {}
     polys: list[int] = []
-    cw: list[tuple[array, array]] = [(array("i"), array("i"))] * tables.order
+    cw: list[tuple[array, array]] = [(array("i"), array("i"))] * order
     mu: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    covered: set[tuple[int, int]] = set()
 
-    cw[0] = intern_element({0: one}, ids, polys)
+    cw[0] = intern_element([one] + [0] * (order - 1), ids, polys)
     scale = 1
-    for iw in tables.by_length():
-        if iw == 0:
-            continue
+    for iw in tables.by_length()[1:]:
         g = tables.min_left_descent(iw)
-        iu = tables.lmul[g][iw]
-        h = c_gen_mul(tables, weight, g, _terms(cw[iu], polys))
-        mu[(g, iu)] = _extract_interference(
-            tables, h, cw, polys, tables.lmul[g], iw, top,
-            positions=positions, known_tops=False, bound=2 * scale, scale=scale,
+        table, flags = tables.lmul[g], lower[g]
+        shift = LANE_BITS * weight.letter_weight(g)
+        h = [0] * order
+        for y, p in _terms(cw[table[iw]], polys):
+            if flags[y]:
+                h[y] += p >> shift
+            else:
+                h[table[y]] += p
+        mu[(g, table[iw])] = _extract_interference(
+            tables, h, cw, polys, table, halves[g][length[iw] - 1 :: -1], top,
+            known_tops=False, bound=2 * scale, scale=scale, keep=flags,
         )
-        covered.add((g, iu))
-        lead = h.get(iw, 0)
-        if lead != one:
-            lead = decode(lead, top)
+        if h[iw] != one:
             raise FalsificationError(
-                f"leading coefficient of canonical element {iw} is {lead}"
+                f"leading coefficient of canonical element {iw} is {decode(h[iw], top)}"
             )
-        if any(p & low for i, p in h.items() if i != iw):
+        for y in list(compress(range(order), h)):
+            h[table[y]] = h[y] << shift
+        known = len(polys)
+        cw[iw] = intern_element(h, ids, polys)
+        if any(p & low for p in polys[known:]) or cw[iw][1].count(0) != 1:
             raise FalsificationError(
                 f"non-negative exponent below the top of canonical element {iw}"
             )
-        known = len(polys)
-        cw[iw] = intern_element(h, ids, polys)
         scale = max(scale, _largest_coefficient(polys[known:], top))
-
-    # remaining ascent pairs: subtract the known leading term, then every
-    # top coefficient of what is left is itself an interference coefficient
-    for g in range(n):
-        for iu in range(tables.order):
-            j = tables.lmul[g][iu]
-            if tables.length[j] < tables.length[iu] or (g, iu) in covered:
-                continue
-            h = c_gen_mul(tables, weight, g, _terms(cw[iu], polys))
-            _subtract(h, cw[j], polys, {0: 1})
-            mu[(g, iu)] = _extract_interference(
-                tables, h, cw, polys, tables.lmul[g], -1, top,
-                positions=positions, known_tops=True, bound=3 * scale, scale=scale,
-            )
-            if h:
-                residue = {i: decode(p, top) for i, p in h.items()}
-                raise FalsificationError(
-                    f"residue after interference extraction for ({g}, {iu}): {residue}"
-                )
 
     result = KLBasis(
         n=n, weight=weight, tables=tables, cw=tuple(cw), polys=tuple(polys), mu=mu
     )
-
+    stepped: set[int] = set()
+    for g in range(n):
+        for iu, iw in enumerate(tables.lmul[g]):
+            if length[iw] > length[iu] and (g, iu) not in mu:
+                mu[(g, iu)] = _step(result, g, "left", iw, levels, scale)
+                stepped.add(iw)
     if check_bar:
-        verify_bar_invariance(result)
+        _certify(result, stepped)
     return result
 
 
@@ -550,21 +608,22 @@ def _verify_generator_tables(tables: GroupTables) -> None:
 def verify_bar_invariance(kl: KLBasis) -> None:
     """Certify that ``kl.cw`` is the canonical basis, without any ``bar(T_y)``.
 
-    (i) :func:`_verify_generator_tables`: ``rmul`` is right multiplication
-    by the generators and ``length`` the Coxeter length, so :func:`c_gen_mul`
-    with ``side="right"`` multiplies by ``C_s``.  (ii) In
-    :meth:`GroupTables.by_length` order, ``C_w`` is stored with its indices
-    increasing and one id each, and meets the degree conditions:
+    (i) :func:`_verify_generator_tables`: ``lmul`` and ``rmul`` are left and
+    right multiplication by the generators and ``length`` the Coxeter
+    length, so :func:`c_gen_mul` multiplies by ``C_s`` on either side.
+    (ii) In :meth:`GroupTables.by_length` order, ``C_w`` is stored with its
+    indices increasing and one id each, and meets the degree conditions:
     ``p_{w,w} = 1``, and every other ``T_y`` in it is shorter than ``w``
-    with ``p_{y,w}`` in ``v^-1 Z[v^-1]``.  For ``w != e`` and a
-    right descent ``s`` of weight ``c``, ``C_{ws} C_s - C_w``, with
-    ``C_s = T_s + v^-c T_e``, holds only ``T_z`` shorter than ``w`` (by the
-    degree conditions); peeled from the top down, it must split into
-    bar-invariant multiples of ``C_z`` with ``zs < z`` and leave nothing.
-    Every element that step reads is shorter than ``w``, or ``w``, so its
-    degree conditions were checked first and its right shifts are exact.
-    The lane bound starts from the largest coefficient of ``kl.polys``,
-    read off the data here, not taken from the construction.
+    with ``p_{y,w}`` in ``v^-1 Z[v^-1]``.  Then ``w != e`` has a right
+    descent ``s``, and takes its right step (:func:`_step`): ``C_{ws} C_s -
+    C_w``, with ``C_s = T_s + v^-c T_e``, holds only ``T_z`` shorter than
+    ``w`` (by the degree conditions); peeled from the top down, it must
+    split into bar-invariant multiples of ``C_z`` with ``zs < z`` and leave
+    nothing.  Every element that step reads is shorter than ``w``, or
+    ``w``, so its degree conditions were checked first and its right
+    shifts are exact.  The lane bound starts from the largest coefficient
+    of ``kl.polys``, read off the data here, not taken from the
+    construction.
 
     By induction on length every ``C_w`` is then bar-invariant: bar is a
     ring involution, ``C_s`` is bar-invariant, and ``C_w`` is ``C_{ws} C_s``
@@ -574,6 +633,25 @@ def verify_bar_invariance(kl: KLBasis) -> None:
     basis down: two such bases differ at ``w`` by a bar-invariant sum of
     shorter ``T_y`` with coefficients in ``v^-1 Z[v^-1]``, whose longest
     coefficient is then bar-invariant, hence zero.
+
+    :func:`kl_basis` runs the same certificate with one difference: an
+    element that passed a left step there (an ascent step, ``C_g C_{g w}``
+    for a left descent ``g`` other than its least one) takes no right step,
+    since a left step serves the induction as well.  This function reuses
+    no step of the construction: it certifies any :class:`KLBasis` on its
+    own, with a right step for every element.
+    """
+    _certify(kl, set())
+
+
+def _certify(kl: KLBasis, stepped: set[int]) -> None:
+    """Parts (i) and (ii) of :func:`verify_bar_invariance`, with a right
+    step for every element but ``e`` and those of ``stepped``.
+
+    The degree conditions are tested once per distinct polynomial, as a
+    flag per id (0 in ``v^-1 Z[v^-1]``, 1 for 1, 2 otherwise), and then
+    per element on its flags and lengths; a second, per-term pass only
+    names the failing ``T_y``.
     """
     tables, weight, polys = kl.tables, kl.weight, kl.polys
     length, rmul = tables.length, tables.rmul
@@ -581,37 +659,36 @@ def verify_bar_invariance(kl: KLBasis) -> None:
     top = lane_top(weight)
     one = encode({0: 1}, top)
     low = nonneg_lanes(top)
+    flags = bytes(1 if p == one else 2 if p & low else 0 for p in polys)
     scale = _largest_coefficient(polys, top)
-    positions = tables.peel_positions()
+    levels = tables.levels()
     for iw in tables.by_length():
         (ys, ids), lw = kl.cw[iw], length[iw]
-        if len(ys) != len(ids) or any(y >= z for y, z in zip(ys, ys[1:])):
+        if len(ys) != len(ids) or not all(map(lt, ys, ys[1:])):
             raise FalsificationError(f"element {iw} is not stored in index order")
-        bad = [
-            y
-            for y, k in zip(ys, ids)
-            if (polys[k] != one if y == iw else length[y] >= lw or polys[k] & low)
-        ]
-        if bad or iw not in ys:
-            at = f" at T_{bad[0]}: {dict(kl.terms(iw))[bad[0]]}" if bad else ""
-            raise FalsificationError(f"element {iw} fails the degree conditions{at}")
+        marks = bytes(map(flags.__getitem__, ids))
+        at = marks.find(1)
+        shorter = ys[:at] + ys[at + 1 :]
+        if (
+            at < 0
+            or ys[at] != iw
+            or marks.count(0) != len(shorter)
+            or max(map(length.__getitem__, shorter), default=-1) >= lw
+        ):
+            bad = [
+                y
+                for y, k in zip(ys, ids)
+                if (polys[k] != one if y == iw else length[y] >= lw or polys[k] & low)
+            ]
+            where = f" at T_{bad[0]}: {dict(kl.terms(iw))[bad[0]]}" if bad else ""
+            raise FalsificationError(f"element {iw} fails the degree conditions{where}")
         if iw == 0:
             continue
         s = next((g for g in range(tables.n) if length[rmul[g][iw]] < lw), None)
         if s is None:
             raise FalsificationError(f"element {iw} has no right descent")
-        h = c_gen_mul(tables, weight, s, _terms(kl.cw[rmul[s][iw]], polys), "right")
-        _subtract(h, kl.cw[iw], polys, {0: 1})
-        step = f"canonical element {iw} fails its right-descent step by {s}"
-        try:
-            _extract_interference(
-                tables, h, kl.cw, polys, rmul[s], -1, top,
-                positions=positions, known_tops=True, bound=3 * scale, scale=scale,
-            )
-        except FalsificationError as exc:
-            raise FalsificationError(f"{step}: {exc}") from exc
-        if h:
-            raise FalsificationError(f"{step}: residue on {len(h)} elements")
+        if iw not in stepped:
+            _step(kl, s, "right", iw, levels, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from .group import (
     group_order,
     inverse_index_table,
     lanes_at_least,
-    render_tsv,
     repeat_by_block,
+    tsv_blocks,
     window_columns,
 )
 from .partition import OUTSIDE, GroupPartition, canonical_ids
@@ -536,19 +536,8 @@ def _lift(n: int, ids: array, fine: array) -> array:
 # ---------------------------------------------------------------------------
 
 
-def tsv_blocks(partition: GroupPartition) -> Iterator[bytes]:
-    """The dump of ``partition`` as bytes, one "K"-coset block at a time.
-
-    One ``window<TAB>label`` line per in-domain element, in canonical order
-    (:func:`group.render_tsv`); classes without labels are named by their
-    ids.
-    """
-    labels = partition.labels or [str(c) for c in range(partition.num_classes)]
-    return render_tsv(partition.n, partition.class_id, labels)
-
-
 def classes_to_tsv(partition: GroupPartition) -> Iterator[str]:
-    """The lines of :func:`tsv_blocks`, without their newlines.
+    """The lines of :func:`group.tsv_blocks`, without their newlines.
 
     Only one block of lines is held at a time.
     """

@@ -185,7 +185,7 @@ def test_cells_reads_allow_heavy_for_the_oracle():
 
 @pytest.mark.parametrize("n", ["5", "6"])
 def test_verify_checks_oracle_budget_before_refining(monkeypatch, n):
-    import bncells.cli as cli_module
+    import bncells.vogan as vogan_module
 
     calls = []
 
@@ -193,19 +193,19 @@ def test_verify_checks_oracle_budget_before_refining(monkeypatch, n):
         calls.append(args)
         raise AssertionError("refinement started before the budget check")
 
-    monkeypatch.setattr(cli_module, "vogan_classes", refuse)
+    monkeypatch.setattr(vogan_module, "vogan_classes", refuse)
     code, _ = run_cli("verify", "--n", n)
     assert code == 2
     assert calls == []
 
 
 def test_verify_checks_oracle_budget_in_the_interval_regime(monkeypatch):
-    import bncells.cli as cli_module
+    import bncells.vogan as vogan_module
 
     def refuse(*args):
         raise AssertionError("refinement started before the budget check")
 
-    monkeypatch.setattr(cli_module, "vogan_classes", refuse)
+    monkeypatch.setattr(vogan_module, "vogan_classes", refuse)
     code, _ = run_cli("verify", "--n", "5", "--a", "3", "--b", "10")
     assert code == 2
 
@@ -543,6 +543,22 @@ class WriteCounter(io.StringIO):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("cells", "--n", "3", "--method", "vogan", "--allow-heavy"),
+        ("cells", "--n", "3", "--method", "area", "--a", "2"),
+        # argparse's own error for a cells flag, for comparison
+        ("cells", "--n", "3", "--method", "magic"),
+    ],
+)
+def test_a_refused_cells_flag_prints_the_cells_usage(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv), out=io.StringIO())
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[0] == "usage: bncells cells [-h]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("cells", "--n", "1"),
         ("cells", "--n", "4", "--method", "rs-asymptotic"),
         ("orbits", "--n", "5", "--side", "left"),
@@ -632,6 +648,25 @@ def test_cli_import_leaves_the_oracle_and_region_layers_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["", "False"]
+
+
+def test_oracle_cells_load_no_refinement_layer():
+    # cells --method oracle-kl runs the oracle alone: neither the CLI import
+    # nor the command loads the refinement, tableaux or descent layers
+    script = (
+        "import io, sys\n"
+        "import bncells.cli\n"
+        "layers = ('bncells.vogan', 'bncells.tableaux', 'bncells.descents')\n"
+        "print(*sorted(set(layers) & set(sys.modules)), sep=',')\n"
+        "argv = ['cells', '--n', '3', '--method', 'oracle-kl']\n"
+        "bncells.cli.main(argv, out=io.StringIO())\n"
+        "print(*sorted(set(layers) & set(sys.modules)), sep=',')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", ""]
 
 
 def in_one_process(argvs):

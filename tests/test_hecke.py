@@ -23,6 +23,7 @@ from bncells.group import (
     mul_gen_left,
     right_descents,
 )
+from bncells.vogan import vogan_classes
 from bncells.hecke import (
     LANE_BITS,
     c_gen_mul,
@@ -72,8 +73,16 @@ def packed(h, top):
 
 
 def unpacked(h, top):
-    """A ``{index: packed}`` element as ``{index: {exp: coeff}}``."""
-    return {i: decode(p, top) for i, p in h.items()}
+    """A dense list of packed coefficients as ``{index: {exp: coeff}}``."""
+    return {i: decode(p, top) for i, p in enumerate(h) if p}
+
+
+def dense(h, order):
+    """A ``{index: packed}`` element as a dense list of ``order`` entries."""
+    out = [0] * order
+    for i, p in h.items():
+        out[i] = p
+    return out
 
 
 def packed_terms(kl, iw):
@@ -94,13 +103,67 @@ def add_to_element(kl, iw, extra):
     h_add_scaled(elt, terms(extra), {0: 1})
     polys = list(kl.polys)
     ids = {poly: k for k, poly in enumerate(polys)}
-    stored = intern_element(packed(elt, lane_top(kl.weight)), ids, polys)
+    h = dense(packed(elt, lane_top(kl.weight)), kl.tables.order)
+    stored = intern_element(h, ids, polys)
     return with_stored(kl, iw, stored, tuple(polys))
 
 
 def change_lowest_coefficient(kl, iw, delta):
     """``kl`` with ``delta`` added to the lowest term of ``T_e`` in ``C_w``."""
     return add_to_element(kl, iw, {0: {min(element(kl, iw)[0]): delta}})
+
+
+def assert_mu_matches_product_expansion(kl):
+    """``C_g * C_w == C_{gw} +`` the stored coefficients times ``C_y``, for every mu."""
+    tables = kl.tables
+    for (g, i), interference in kl.mu.items():
+        got = c_gen_mul(tables, kl.weight, g, packed_terms(kl, i))
+        got = unpacked(got, lane_top(kl.weight))
+        expected = {}
+        h_add_scaled(expected, kl.terms(tables.lmul[g][i]), {0: 1})
+        for j, m in interference.items():
+            h_add_scaled(expected, kl.terms(j), m)
+        assert h_equal(got, expected), (g, i)
+
+
+DESCENT_KINDS = ["several-descents", "one-descent"]
+
+
+def left_descent_count(tables, i):
+    return sum(tables.is_left_descent(g, i) for g in range(tables.n))
+
+
+def middle_element(kl, single):
+    """The median-length index with one left descent, or with two or more,
+    among those whose construction peels at least one ``C_z``."""
+    tables = kl.tables
+
+    def peels(i):
+        g = tables.min_left_descent(i)
+        return bool(kl.mu[g, tables.lmul[g][i]])
+
+    chosen = [
+        i
+        for i in tables.by_length()[1:]
+        if (left_descent_count(tables, i) == 1) == single and peels(i)
+    ]
+    return chosen[len(chosen) // 2]
+
+
+def building(monkeypatch, target):
+    """A flag list, ``[True]`` while ``kl_basis`` builds ``C_w`` for ``w = target``.
+
+    The construction reads each element's least left descent once, first.
+    """
+    now = [False]
+    least = hecke.GroupTables.min_left_descent
+
+    def spy(tables, i):
+        now[0] = i == target
+        return least(tables, i)
+
+    monkeypatch.setattr(hecke.GroupTables, "min_left_descent", spy)
+    return now
 
 
 def cells_as_windows(kl, partition):
@@ -332,17 +395,13 @@ class TestBasisInvariants:
                     assert (g, i) not in kl.mu
 
     def test_mu_matches_product_expansion(self):
-        # C_g * C_w == C_{gw} + sum of stored coefficients times C_y
-        kl = cached_kl(2, 1, 2)
-        tables = kl.tables
-        for (g, i), interference in kl.mu.items():
-            got = c_gen_mul(tables, kl.weight, g, packed_terms(kl, i))
-            got = unpacked(got, lane_top(kl.weight))
-            expected = {}
-            h_add_scaled(expected, kl.terms(tables.lmul[g][i]), {0: 1})
-            for j, m in interference.items():
-                h_add_scaled(expected, kl.terms(j), m)
-            assert h_equal(got, expected)
+        assert_mu_matches_product_expansion(cached_kl(2, 1, 2))
+
+    @pytest.mark.parametrize("n,a,b", [(3, 1, 2), (3, 3, 2), (4, 1, 1), (4, 2, 55)])
+    def test_mu_matches_product_expansion_at_ranks_3_and_4(self, n, a, b):
+        # the construction's mu (least left descents, read on descent halves)
+        # and the ascent steps' mu (full products) against the same reference
+        assert_mu_matches_product_expansion(cached_kl(n, a, b))
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("a,b", [(1, 1), (3, 2), (2, 55)])
@@ -435,8 +494,9 @@ class TestBasisInvariants:
 
     def test_bar_check_catches_a_term_the_peel_never_visits(self):
         # adding to C_w the coefficient r_x of T_x in C_{ws} C_s - C_w keeps
-        # the degree conditions but removes x from the terms to peel; the
-        # peel then leaves x behind as a residue
+        # the degree conditions but zeroes x before the peel; once the
+        # longer terms are peeled, x holds a residue that no bar-invariant
+        # multiple removes
         kl = cached_kl(3, 1, 1)
         tables = kl.tables
         iw = tables.by_length()[-1]
@@ -484,8 +544,8 @@ class TestBasisInvariants:
         top = lane_top(kl.weight)
         with pytest.raises(FalsificationError, match="index 0 not shortened"):
             hecke._extract_interference(
-                kl.tables, {0: encode({0: 1}, top)}, kl.cw, kl.polys,
-                kl.tables.lmul[0], -1, top, positions=kl.tables.peel_positions(),
+                kl.tables, dense({0: encode({0: 1}, top)}, kl.tables.order), kl.cw,
+                kl.polys, kl.tables.lmul[0], kl.tables.levels()[::-1], top,
                 known_tops=True, bound=2, scale=1,
             )
 
@@ -526,8 +586,10 @@ class TestBasisInvariants:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kl_basis_runs_the_bar_check_by_default(self, monkeypatch, n):
+        # kl_basis runs the certificate's private routine, with the elements
+        # its ascent steps already certified
         calls = []
-        monkeypatch.setattr(hecke, "verify_bar_invariance", calls.append)
+        monkeypatch.setattr(hecke, "_certify", lambda kl, stepped: calls.append(kl))
         kl = kl_basis(n, WeightFunction(1, n))
         assert len(calls) == 1 and calls[0] is kl
         kl_basis(n, WeightFunction(1, n), check_bar=False)
@@ -535,16 +597,69 @@ class TestBasisInvariants:
 
     def test_oracle_cells_command_runs_the_bar_check(self, monkeypatch):
         calls = []
-        check = hecke.verify_bar_invariance
+        check = hecke._certify
 
-        def spy(kl):
+        def spy(kl, stepped):
             calls.append(kl.n)
-            check(kl)
+            check(kl, stepped)
 
-        monkeypatch.setattr(hecke, "verify_bar_invariance", spy)
+        monkeypatch.setattr(hecke, "_certify", spy)
         argv = ["cells", "--n", "3", "--method", "oracle-kl"]
         assert main(argv, out=io.StringIO()) == 0
         assert calls == [3]
+
+    def test_ascent_steps_certify_elements_with_two_left_descents(self, monkeypatch):
+        # the certificate takes right steps only for the elements that had
+        # no ascent step: those with a single left descent
+        seen = []
+        monkeypatch.setattr(hecke, "_certify", lambda kl, stepped: seen.append(stepped))
+        tables = kl_basis(4, WeightFunction(1, 26)).tables
+        several = {i for i in range(tables.order) if left_descent_count(tables, i) >= 2}
+        assert seen == [several]
+        assert (len(several), tables.order - 1 - len(several)) == (307, 76)
+
+    def test_the_uncertified_basis_keeps_every_mu(self):
+        kl = kl_basis(4, WeightFunction(1, 26), check_bar=False)
+        assert sum(len(m) for m in kl.mu.values()) == 782
+        assert left_cells(kl).num_classes == 76
+
+    @pytest.mark.parametrize("single", [False, True], ids=DESCENT_KINDS)
+    def test_kl_basis_catches_a_wrong_construction_mu(self, monkeypatch, single):
+        # one more C_z peeled (1 is bar-invariant) while C_w is built
+        now = building(monkeypatch, middle_element(cached_kl(4, 3, 2), single))
+        symmetrized = hecke._symmetrized_nonneg
+        changed = []
+
+        def mutant(packed, top):
+            m = symmetrized(packed, top)
+            if now[0] and not changed:
+                changed.append(m)
+                m = {**m, 0: m.get(0, 0) + 1}
+            return m
+
+        monkeypatch.setattr(hecke, "_symmetrized_nonneg", mutant)
+        with pytest.raises(FalsificationError):
+            kl_basis(4, WeightFunction(3, 2))
+        assert changed
+
+    @pytest.mark.parametrize("single", [False, True], ids=DESCENT_KINDS)
+    def test_a_wrong_filled_half_fails_a_certificate_step(self, monkeypatch, single):
+        # v^-1 more at T_{gw} in C_w keeps the degree conditions and the
+        # construction's own checks; only a full-product step can see it
+        tables = group_tables(4)
+        iw = middle_element(cached_kl(4, 3, 2), single)
+        iu = tables.lmul[tables.min_left_descent(iw)][iw]
+        now = building(monkeypatch, iw)
+        intern = hecke.intern_element
+
+        def mutant(h, ids, polys):
+            if now[0]:
+                h[iu] += 1 << LANE_BITS * (lane_top(WeightFunction(3, 2)) + 1)
+            return intern(h, ids, polys)
+
+        monkeypatch.setattr(hecke, "intern_element", mutant)
+        with pytest.raises(FalsificationError, match="step"):
+            kl_basis(4, WeightFunction(3, 2))
 
     def test_budget_guards(self):
         with pytest.raises(BudgetError):
@@ -598,6 +713,13 @@ class TestCells:
             (list(low.terms(i)), list(high.terms(i))) for i in range(len(low.cw))
         ]
         assert any(mine != theirs for mine, theirs in pairs)
+
+    def test_rank5_certified_cells_equal_the_refinement_classes(self):
+        # the rank-5 oracle with its certificate, at the dominant weight
+        weight = WeightFunction(1, 5)
+        cells = left_cells(kl_basis(5, weight, allow_heavy=True))
+        assert cells.num_classes == 312
+        assert cells.same_blocks(vogan_classes(5, weight).final)
 
     def test_rank3_cell_counts(self):
         assert left_cells(cached_kl(3, 1, 3)).num_classes == 20
