@@ -2,9 +2,12 @@
 
 A window lies in the region exactly when its positive entries decrease (in
 window order) and its negative entries increase as integers — equivalently,
-when its insertion shape is a column pair ``(1^{n-q} | 1^q)`` with ``q`` the
-number of negative entries.  The region has ``sum_q C(n,q)^2`` elements and
-is closed under inversion and under multiplication by the longest element.
+by Schensted, when its insertion shape is a column pair ``(1^{n-q} | 1^q)``
+with ``q`` the number of negative entries.  The element report reads
+membership off that shape; :func:`area_indices` decides it for a whole rank
+at once on the enumeration's columns.  The region has ``sum_q C(n,q)^2``
+elements and is closed under inversion and under multiplication by the
+longest element.
 
 Everything here is built from explicit words in the generators, with every
 structural identity the construction relies on asserted at build time
@@ -55,28 +58,6 @@ Window = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
-
-
-def in_area(w: Sequence[int]) -> bool:
-    """Window test: positives decrease, negatives increase (as integers).
-
-    >>> in_area((-2, -1, 4, 3))
-    True
-    >>> in_area((-1, -2, 3, 4))
-    False
-    """
-    prev_pos: int | None = None
-    prev_neg: int | None = None
-    for x in w:
-        if x > 0:
-            if prev_pos is not None and x > prev_pos:
-                return False
-            prev_pos = x
-        else:
-            if prev_neg is not None and x < prev_neg:
-                return False
-            prev_neg = x
-    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,28 +327,6 @@ def area_decomposition(n: int) -> tuple[frozenset[Window], ...]:
     return tuple(cells)
 
 
-@functools.lru_cache(maxsize=None)
-def _cell_lookup(n: int) -> dict[Window, frozenset[Window]]:
-    out: dict[Window, frozenset[Window]] = {}
-    for cell in area_decomposition(n):
-        for w in cell:
-            out[w] = cell
-    return out
-
-
-def asymptotic_cell(w: Sequence[int]) -> frozenset[Window]:
-    """The asymptotic left cell of a region member.
-
-    >>> sorted(asymptotic_cell((-1, 2)))
-    [(-2, 1), (-1, 2)]
-    """
-    w = tuple(w)
-    cell = _cell_lookup(len(w)).get(w)
-    if cell is None:
-        raise InvalidInputError(f"window {w} is outside the region")
-    return cell
-
-
 # ---------------------------------------------------------------------------
 # descent fibers
 # ---------------------------------------------------------------------------
@@ -390,6 +349,7 @@ def upsilon_decomposition(n: int) -> tuple[frozenset[Window], ...]:
             "descent fibers pair distinct sign counts; rank must be at least 2"
         )
     words = build_words(n)
+    cell_of = {w: cell for cell in area_decomposition(n) for w in cell}
     fibers: list[frozenset[Window]] = []
     descent_values: set[frozenset[int]] = set()
     seen: set[Window] = set()
@@ -401,13 +361,12 @@ def upsilon_decomposition(n: int) -> tuple[frozenset[Window], ...]:
         down_block = from_word(n, block_word(n - 1, q))
         for tau in _suffixes_sorted(down_block):
             tau_inv = inverse(tau)
-            try:
-                first = asymptotic_cell(_reduced_product(sig, tau_inv))
-                second = asymptotic_cell(mul(mul(sig_up, tail_inv), tau_inv))
-            except InvalidInputError as exc:
+            first = cell_of.get(_reduced_product(sig, tau_inv))
+            second = cell_of.get(mul(mul(sig_up, tail_inv), tau_inv))
+            if first is None or second is None:
                 raise FalsificationError(
                     f"paired representative left the region at rank {n}, q={q}"
-                ) from exc
+                )
             if first & second:
                 raise FalsificationError(
                     f"paired cells overlap at rank {n}, q={q}"

@@ -375,7 +375,7 @@ def cmd_dump(args, out) -> int:
 
 
 def cmd_element(args, out) -> int:
-    from . import area, descents, tableaux
+    from . import descents, tableaux
 
     w = parse_window(args.w)
     n = len(w)
@@ -392,7 +392,7 @@ def cmd_element(args, out) -> int:
         "insertion": tableaux.bitableau_text(plus, minus),
         "recording": tableaux.bitableau_text(plus_rec, minus_rec),
         "shape": tableaux.shape_text(plus, minus),
-        "in_area": area.in_area(w),
+        "in_area": tableaux.is_column_pair(plus, minus),
     }
     if not args.quick:
         from . import vogan
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="refine cell counts exactly at every rank (slower)",
     )
     p_table.add_argument("--format", choices=FORMATS, default="tsv")
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=cmd_table, usage_error=p_table.error)
 
     p_verify = sub.add_parser("verify", help="oracle-vs-classes comparison")
     _add_common(p_verify, oracle=True)
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cells = sub.add_parser("cells", help="dump a partition of the group")
     p_cells.add_argument("--method", choices=METHODS, default="vogan")
     _add_common(p_cells, oracle=True)
-    # a refused flag prints the cells usage, as argparse's own cells errors do
+    # a refused flag prints its subcommand's usage, as argparse's own errors do
     p_cells.set_defaults(func=cmd_dump, usage_error=p_cells.error)
 
     p_orbits = sub.add_parser("orbits", help="dump the orbit partition")
@@ -489,7 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _refuse_ignored_flags(args) -> None:
-    """A usage error for a ``cells`` flag that its method would not read."""
+    """A usage error for a ``cells`` or ``table`` flag that the run would not read."""
+    exact_unread = args.command == "table" and args.exact
+    if exact_unread and TABLE_RANKS.start <= args.max_n <= ORACLE_CROSS_CHECK_MAX_RANK:
+        args.usage_error(
+            f"table --exact changes nothing at --max-n {args.max_n}; ranks up "
+            f"to {ORACLE_CROSS_CHECK_MAX_RANK} are always refined and checked"
+        )
     if args.command != "cells":
         return
     if args.allow_heavy and args.method != "oracle-kl":
@@ -519,14 +525,10 @@ def _resolve_defaults(args) -> None:
 def _glue_window_values(argv: list[str]) -> list[str]:
     """Join ``--w -2,1`` into ``--w=-2,1`` so argparse accepts the dash."""
     glued = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--w" and i + 1 < len(argv):
-            glued.append(f"--w={argv[i + 1]}")
-            i += 2
-        else:
-            glued.append(argv[i])
-            i += 1
+    rest = iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--w" else None
+        glued.append(arg if value is None else f"--w={value}")
     return glued
 
 

@@ -53,15 +53,15 @@ The result is certified apart from the construction, and no ``bar(T_y)``
 is ever formed: the generator tables are checked to be the group's, each
 ``C_w`` meets the degree conditions, and each ``C_w`` has a step, a full
 product ``C_g C_{g w}`` for a left descent ``g`` (Lusztig, *Hecke algebras
-with unequal parameters*, CRM Monograph 18, Thm 6.6) or ``C_{w s} C_s`` for
-a right descent ``s`` (its mirror), that leaves ``C_w`` plus bar-invariant
-multiples of shorter ``C_z``.  Bar invariance then follows by induction on
-length, and with it the basis is the canonical one.  :func:`kl_basis` reads
-the interference coefficients of each ascent pair ``(g, u)`` other than the
-construction's from such a full product, which is a left step for ``g u``:
-every ``w`` with two or more left descents gets one, so only the elements
-with a single left descent need a right step.  :func:`verify_bar_invariance`
-certifies any basis on its own, with a right step for every element.
+with unequal parameters*, CRM Monograph 18, Thm 6.6), that leaves ``C_w``
+plus bar-invariant multiples of shorter ``C_z``.  Bar invariance then
+follows by induction on length, and with it the basis is the canonical
+one.  :func:`kl_basis` reads the interference coefficients of each ascent
+pair ``(g, u)`` other than the construction's from such a full product,
+which is a step for ``g u``: every ``w`` with two or more left descents
+gets one, so only the elements with a single left descent need a step of
+their own.  :func:`verify_bar_invariance` certifies any basis on its own,
+with a step by the least left descent of every element.
 
 Cells are strongly connected components of the multiplication graph: ``y``
 is reachable from ``w`` when ``C_y`` appears in some ``C_g * C_w``.
@@ -121,14 +121,12 @@ class GroupTables:
             for table in self.rmul
         )
 
-    def is_left_descent(self, g: int, i: int) -> bool:
-        return self.length[self.lmul[g][i]] < self.length[i]
-
     def min_left_descent(self, i: int) -> int:
-        for g in range(self.n):
-            if self.is_left_descent(g, i):
+        """The least generator that shortens index ``i`` on the left."""
+        for g, table in enumerate(self.lmul):
+            if self.length[table[i]] < self.length[i]:
                 return g
-        raise InvalidInputError("identity has no descent")
+        raise FalsificationError(f"element {i} has no left descent")
 
     def levels(self) -> list[list[int]]:
         """The indices of each length, increasing, listed by length."""
@@ -265,31 +263,20 @@ def _subtract(
         h[y] -= p
 
 
-def c_gen_mul(
-    tables: GroupTables,
-    weight: WeightFunction,
-    g: int,
-    h: Terms,
-    side: str = "left",
-) -> HeckeElt:
-    """Multiply by the canonical generator element ``C_g`` on the given side.
+def c_gen_mul(tables: GroupTables, weight: WeightFunction, g: int, h: Terms) -> HeckeElt:
+    """Multiply by the canonical generator element ``C_g`` on the left.
 
     With ``c`` the generator's weight, ``C_g = T_g + v^-c T_e``, and the
-    quadratic relation ``T_g^2 = T_e + (v^c - v^-c) T_g`` gives, on the left,
+    quadratic relation ``T_g^2 = T_e + (v^c - v^-c) T_g`` gives
     ``C_g T_y = T_{gy} + v^-c T_y`` when ``g`` lengthens ``y`` and
-    ``T_{gy} + v^c T_y`` when it shortens ``y``; the right side mirrors it.
+    ``T_{gy} + v^c T_y`` when it shortens ``y``.
     The terms of ``h`` are ``(index, packed)``, and the product is dense.
     ``v^c`` is a right shift, exact when the shortened terms have no
     exponent above ``top - c``, as stored polynomials (exponents ``<= 0``,
     ``c <= top``) do.  Each term of the result gets at most two
     contributions.
     """
-    if side == "left":
-        table = tables.lmul[g]
-    elif side == "right":
-        table = tables.rmul[g]
-    else:
-        raise InvalidInputError(f"side must be 'left' or 'right', got {side!r}")
+    table = tables.lmul[g]
     shift = LANE_BITS * weight.letter_weight(g)
     length = tables.length
     out = [0] * tables.order
@@ -392,15 +379,14 @@ def _extract_interference(
     each coefficient is symmetrized and peeled; when true (a certificate
     step, the leading term subtracted beforehand), every coefficient left
     must itself be bar-invariant and is peeled whole.  Every peeled ``C_i``
-    must have ``i`` shortened by ``shortened``, the generator's table on the
-    side it multiplies from.  The lower ``C_i`` are read from the stored
-    basis ``cw`` over ``polys`` (see :class:`KLBasis`), whose coefficients
-    are at most ``scale``; with ``keep``, only their flagged terms are
-    subtracted.  ``bound`` bounds the coefficients of ``h``; it grows by
-    ``|m|_1 scale`` per peeled ``m`` and is checked (:func:`check_lanes`)
-    before any coefficient is read, and so before the caller reads what is
-    left.  Returns the extracted coefficients, decoded and keyed by element
-    index.
+    must have ``i`` shortened by ``shortened``, the generator's left table.
+    The lower ``C_i`` are read from the stored basis ``cw`` over ``polys``
+    (see :class:`KLBasis`), whose coefficients are at most ``scale``; with
+    ``keep``, only their flagged terms are subtracted.  ``bound`` bounds the
+    coefficients of ``h``; it grows by ``|m|_1 scale`` per peeled ``m`` and
+    is checked (:func:`check_lanes`) before any coefficient is read, and so
+    before the caller reads what is left.  Returns the extracted
+    coefficients, decoded and keyed by element index.
     """
     check_lanes(bound)
     low = nonneg_lanes(top)
@@ -431,22 +417,21 @@ def _extract_interference(
 
 
 def _step(
-    kl: KLBasis, g: int, side: str, iw: int, levels: list[list[int]], scale: int
+    kl: KLBasis, g: int, iw: int, levels: list[list[int]], scale: int
 ) -> dict[int, dict[int, int]]:
     """One certificate step for ``C_w``: a full product peeled to nothing.
 
-    ``C_g C_u - C_w`` with ``u = g w`` (``side="left"``), or ``C_u C_g - C_w``
-    with ``u = w g`` (``"right"``), for ``g`` shortening ``w``, holds only
-    ``T_z`` shorter than ``w`` when the degree conditions hold; peeled from
-    the top down it must split into bar-invariant multiples of ``C_z``
-    with ``z`` shortened by ``g`` on that side, and leave nothing.  Returns
-    the multiples, the interference coefficients of the pair ``(g, u)``.
+    ``C_g C_u - C_w`` with ``u = g w``, for ``g`` shortening ``w`` on the
+    left, holds only ``T_z`` shorter than ``w`` when the degree conditions
+    hold; peeled from the top down it must split into bar-invariant
+    multiples of ``C_z`` with ``g z < z``, and leave nothing.  Returns the
+    multiples, the interference coefficients of the pair ``(g, u)``.
     """
     tables, polys = kl.tables, kl.polys
-    table = tables.lmul[g] if side == "left" else tables.rmul[g]
-    h = c_gen_mul(tables, kl.weight, g, _terms(kl.cw[table[iw]], polys), side)
+    table = tables.lmul[g]
+    h = c_gen_mul(tables, kl.weight, g, _terms(kl.cw[table[iw]], polys))
     _subtract(h, kl.cw[iw], polys, {0: 1})
-    step = f"canonical element {iw} fails its {side}-descent step by {g}"
+    step = f"canonical element {iw} fails its left-descent step by {g}"
     try:
         out = _extract_interference(
             tables, h, kl.cw, polys, table, levels[tables.length[iw] - 1 :: -1],
@@ -496,8 +481,8 @@ def kl_basis(
     (:func:`_step`), which yields its interference coefficients.  So every
     element with two or more left descents has a step, and unless
     ``check_bar=False`` the certificate (:func:`_certify`) checks the tables
-    and every element's degree conditions and takes right steps only for
-    the elements with a single left descent.  That certificate proves the
+    and every element's degree conditions and takes steps only for the
+    elements with a single left descent.  That certificate proves the
     basis canonical, so the degenerate products ``C_g * C_w = (v^c + v^-c)
     C_w`` (for ``g`` shortening ``w``) test only :func:`c_gen_mul` and are
     left to its tests.
@@ -559,7 +544,7 @@ def kl_basis(
     for g in range(n):
         for iu, iw in enumerate(tables.lmul[g]):
             if length[iw] > length[iu] and (g, iu) not in mu:
-                mu[(g, iu)] = _step(result, g, "left", iw, levels, scale)
+                mu[(g, iu)] = _step(result, g, iw, levels, scale)
                 stepped.add(iw)
     if check_bar:
         _certify(result, stepped)
@@ -573,10 +558,13 @@ def _verify_generator_tables(tables: GroupTables) -> None:
     and right generators send ``e`` (index 0, length 0) to one element, the
     right tables satisfy the type-B_n braid relations, and left and right
     tables commute.  So ``rmul`` is a right action of a quotient of B_n.
-    Every ``w != e`` has a right descent (checked in part (ii)), so length
-    is the distance from ``e`` and the action is transitive, hence regular
-    on ``2^n n!`` points.  The left tables commute with it and agree at
-    ``e``, so they are left multiplication.  Cost ``O(|W| n^2)``.
+    Every ``w != e`` has a left descent (checked in part (ii)), so it
+    reaches ``e`` along left descents, and length is the distance from
+    ``e``.  As ``lmul`` commutes with ``rmul`` and agrees with it at ``e``,
+    ``g (e x) = (e s_g) x``, so by induction along those descents every
+    ``w`` lies in the right orbit of ``e``: the right action is transitive,
+    hence regular on ``2^n n!`` points, and the left tables are left
+    multiplication.  Cost ``O(|W| n^2)``.
     """
     n, length, lmul, rmul = tables.n, tables.length, tables.lmul, tables.rmul
     identity = list(range(tables.order))
@@ -610,43 +598,44 @@ def verify_bar_invariance(kl: KLBasis) -> None:
 
     (i) :func:`_verify_generator_tables`: ``lmul`` and ``rmul`` are left and
     right multiplication by the generators and ``length`` the Coxeter
-    length, so :func:`c_gen_mul` multiplies by ``C_s`` on either side.
+    length, so :func:`c_gen_mul` multiplies by ``C_g`` on the left.
     (ii) In :meth:`GroupTables.by_length` order, ``C_w`` is stored with its
     indices increasing and one id each, and meets the degree conditions:
     ``p_{w,w} = 1``, and every other ``T_y`` in it is shorter than ``w``
-    with ``p_{y,w}`` in ``v^-1 Z[v^-1]``.  Then ``w != e`` has a right
-    descent ``s``, and takes its right step (:func:`_step`): ``C_{ws} C_s -
-    C_w``, with ``C_s = T_s + v^-c T_e``, holds only ``T_z`` shorter than
-    ``w`` (by the degree conditions); peeled from the top down, it must
-    split into bar-invariant multiples of ``C_z`` with ``zs < z`` and leave
-    nothing.  Every element that step reads is shorter than ``w``, or
-    ``w``, so its degree conditions were checked first and its right
-    shifts are exact.  The lane bound starts from the largest coefficient
-    of ``kl.polys``, read off the data here, not taken from the
-    construction.
+    with ``p_{y,w}`` in ``v^-1 Z[v^-1]``.  Then ``w != e`` has a least left
+    descent ``g`` (:meth:`GroupTables.min_left_descent`), and takes its
+    step (:func:`_step`): ``C_g C_{gw} - C_w``, with ``C_g = T_g + v^-c
+    T_e``, holds only ``T_z`` shorter than ``w`` (by the degree
+    conditions); peeled from the top down, it must split into bar-invariant
+    multiples of ``C_z`` with ``gz < z`` and leave nothing.  Every element
+    that step reads is shorter than ``w``, or ``w``, so its degree
+    conditions were checked first and its right shifts are exact.  The lane
+    bound starts from the largest coefficient of ``kl.polys``, read off the
+    data here, not taken from the construction.
 
     By induction on length every ``C_w`` is then bar-invariant: bar is a
-    ring involution, ``C_s`` is bar-invariant, and ``C_w`` is ``C_{ws} C_s``
-    minus bar-invariant multiples of shorter, certified ``C_z``.  This is
-    the right-handed mirror of Lusztig, *Hecke algebras with unequal
-    parameters*, CRM Monograph 18, Thm 6.6.  The degree conditions pin the
-    basis down: two such bases differ at ``w`` by a bar-invariant sum of
-    shorter ``T_y`` with coefficients in ``v^-1 Z[v^-1]``, whose longest
-    coefficient is then bar-invariant, hence zero.
+    ring involution, ``C_g`` is bar-invariant, and ``C_w`` is ``C_g
+    C_{gw}`` minus bar-invariant multiples of shorter, certified ``C_z``
+    (Lusztig, *Hecke algebras with unequal parameters*, CRM Monograph 18,
+    Thm 6.6).  The degree conditions pin the basis down: two such bases
+    differ at ``w`` by a bar-invariant sum of shorter ``T_y`` with
+    coefficients in ``v^-1 Z[v^-1]``, whose longest coefficient is then
+    bar-invariant, hence zero.
 
     :func:`kl_basis` runs the same certificate with one difference: an
-    element that passed a left step there (an ascent step, ``C_g C_{g w}``
-    for a left descent ``g`` other than its least one) takes no right step,
-    since a left step serves the induction as well.  This function reuses
-    no step of the construction: it certifies any :class:`KLBasis` on its
-    own, with a right step for every element.
+    element that passed a step there (an ascent step, ``C_g C_{g w}`` for
+    a left descent ``g`` other than its least one) takes no second step,
+    since any left descent serves the induction.  This function reuses no
+    step of the construction: it certifies any :class:`KLBasis` on its own,
+    with a step for every element.
     """
     _certify(kl, set())
 
 
 def _certify(kl: KLBasis, stepped: set[int]) -> None:
-    """Parts (i) and (ii) of :func:`verify_bar_invariance`, with a right
-    step for every element but ``e`` and those of ``stepped``.
+    """Parts (i) and (ii) of :func:`verify_bar_invariance`, with a step by
+    the least left descent of every element but ``e`` and those of
+    ``stepped``.
 
     The degree conditions are tested once per distinct polynomial, as a
     flag per id (0 in ``v^-1 Z[v^-1]``, 1 for 1, 2 otherwise), and then
@@ -654,7 +643,7 @@ def _certify(kl: KLBasis, stepped: set[int]) -> None:
     names the failing ``T_y``.
     """
     tables, weight, polys = kl.tables, kl.weight, kl.polys
-    length, rmul = tables.length, tables.rmul
+    length = tables.length
     _verify_generator_tables(tables)
     top = lane_top(weight)
     one = encode({0: 1}, top)
@@ -684,11 +673,10 @@ def _certify(kl: KLBasis, stepped: set[int]) -> None:
             raise FalsificationError(f"element {iw} fails the degree conditions{where}")
         if iw == 0:
             continue
-        s = next((g for g in range(tables.n) if length[rmul[g][iw]] < lw), None)
-        if s is None:
-            raise FalsificationError(f"element {iw} has no right descent")
+        # every w != e needs a left descent, for part (i) as well
+        g = tables.min_left_descent(iw)
         if iw not in stepped:
-            _step(kl, s, "right", iw, levels, scale)
+            _step(kl, g, iw, levels, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ One loop, :func:`insertion_rows`, inserts a single window and gives the
 four tableaux as row lists; :func:`insertion_codes` builds every element's
 insertion and recording bitableau by induction on rank, one insertion per
 tableau side and value, and the recording fibers and both cycling maps read
-it.
+it.  :func:`count_standard_bitableaux` counts the bitableaux of one rank
+from the involution numbers, and :func:`is_column_pair` says whether a
+window's insertion pair is the region's column pair.
 
 Text formats, rendered from row lists: rows of a tableau are
 ``";"``-separated with space-separated entries; the two tableaux of a
@@ -40,80 +42,37 @@ import math
 from array import array
 from bisect import bisect_left
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .group import coset_entry, rep_rank
 from .partition import GroupPartition
 
-Partition = tuple[int, ...]
 Rows = Sequence[Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
-# partitions
+# the count
 # ---------------------------------------------------------------------------
-
-
-def partitions(n: int) -> Iterator[Partition]:
-    """All partitions of ``n`` in descending lexicographic order.
-
-    >>> list(partitions(3))
-    [(3,), (2, 1), (1, 1, 1)]
-    """
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
-
-
-def conjugate_partition(p: Partition) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for row in p if row > c) for c in range(p[0]))
-
-
-def hook_lengths(p: Partition) -> list[list[int]]:
-    conj = conjugate_partition(p)
-    return [
-        [(p[r] - c) + (conj[c] - r) - 1 for c in range(p[r])] for r in range(len(p))
-    ]
-
-
-def count_standard_tableaux(p: Partition) -> int:
-    """Hook-length count of standard fillings of shape ``p``.
-
-    >>> count_standard_tableaux((2, 1))
-    2
-    """
-    total = sum(p)
-    denom = 1
-    for row in hook_lengths(p):
-        for h in row:
-            denom *= h
-    return math.factorial(total) // denom
 
 
 @functools.lru_cache(maxsize=None)
 def count_standard_bitableaux(n: int) -> int:
-    """Number of standard bitableaux with ``n`` boxes (hook-length formula).
+    """Number of standard bitableaux with ``n`` boxes.
 
-    A bitableau puts ``k`` of the entries on its plus side, a tableau of a
-    partition of ``k``, and the rest on its minus side.
+    A bitableau puts ``k`` of the entries on its plus side and the rest on
+    its minus side, each side a standard tableau.  By Robinson-Schensted
+    the standard tableaux with ``k`` boxes are as many as the involutions
+    of ``k`` letters, ``t_k = t_{k-1} + (k-1) t_{k-2}``.
 
     >>> [count_standard_bitableaux(n) for n in range(1, 8)]
     [2, 6, 20, 76, 312, 1384, 6512]
     """
-    fillings = [sum(map(count_standard_tableaux, partitions(k))) for k in range(n + 1)]
-    return sum(math.comb(n, k) * fillings[k] * fillings[n - k] for k in range(n + 1))
+    involutions = [1, 1]
+    for k in range(2, n + 1):
+        involutions.append(involutions[-1] + (k - 1) * involutions[-2])
+    return sum(
+        math.comb(n, k) * involutions[k] * involutions[n - k] for k in range(n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +102,19 @@ def shape_text(plus: Rows, minus: Rows) -> str:
         ",".join(str(len(row)) for row in rows) or "-" for rows in (plus, minus)
     )
     return f"({left} | {right})"
+
+
+def is_column_pair(plus: Rows, minus: Rows) -> bool:
+    """Whether every row of both tableaux has one box.
+
+    An inserted sequence decreases exactly when its tableau is one column
+    (Schensted), so a window's insertion pair is a column pair exactly when
+    it lies in the region of :mod:`bncells.area`.
+
+    >>> is_column_pair([[2], [3]], [[1]]), is_column_pair([[1, 3], [2]], [])
+    (True, False)
+    """
+    return all(len(row) == 1 for rows in (plus, minus) for row in rows)
 
 
 # ---------------------------------------------------------------------------

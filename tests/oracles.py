@@ -15,6 +15,10 @@ elements and kept), kept to compare with.  :func:`t_basis`,
 Hecke arithmetic on ``{index: {exp: coeff}}`` dicts that the library held
 before it packed each polynomial into one int; the tests build expected
 elements with them.
+:func:`partitions` and :func:`conjugate_partition` list the shapes the
+tableau references fill, and :func:`in_area` is the region's membership by
+its definition, which the library decides from insertion shapes and
+enumeration columns instead.
 :func:`coset_product_elements` is the canonical order by its definition,
 one window product per element, which the library's enumeration buffer must
 reproduce.  The validated tableau objects, the reference insertion
@@ -41,9 +45,9 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Iterable, Iterator, Sequence
 
-from bncells.area import in_area
 from bncells.descents import rxi_partition
 from bncells.errors import FalsificationError, InvalidInputError
 from bncells.group import (
@@ -67,7 +71,7 @@ from bncells.hecke import (
 )
 from bncells.knuth import MOVE_KINDS, _scope
 from bncells.partition import OUTSIDE, GroupPartition, canonical_ids
-from bncells.tableaux import Partition, conjugate_partition, insertion_rows, partitions
+from bncells.tableaux import insertion_rows
 from bncells.vogan import CellularMap, build_epsilon, build_psi, extended_image_table
 
 # Generator letter codes, mirroring the library convention: 0 is the sign
@@ -267,9 +271,31 @@ def reference_symmetrized_nonneg(p: dict[int, int]) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# reference tableau code: validated tableaux, insertion and its inverse, and
-# listings of standard fillings
+# reference tableau code: partitions, validated tableaux, insertion and its
+# inverse, and listings of standard fillings
 # ---------------------------------------------------------------------------
+
+Partition = tuple[int, ...]
+
+
+def partitions(n: int, cap: int | None = None) -> Iterator[Partition]:
+    """All partitions of ``n`` (parts at most ``cap``), in descending
+    lexicographic order.
+
+    >>> list(partitions(3))
+    [(3,), (2, 1), (1, 1, 1)]
+    """
+    if n == 0:
+        yield ()
+    for first in range(min(n, cap or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def conjugate_partition(p: Partition) -> Partition:
+    if not p:
+        return ()
+    return tuple(sum(1 for row in p if row > c) for c in range(p[0]))
 
 
 @dataclass(frozen=True)
@@ -997,6 +1023,22 @@ def extreme_windows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     the positive reversal ``(n..1)`` and the negated reversal ``(-n..-1)``.
     """
     return tuple(range(n, 0, -1)), tuple(range(-n, 0))
+
+
+def in_area(w: Sequence[int]) -> bool:
+    """Region membership by its definition: positives decrease, negatives
+    increase (as integers), in window order.
+
+    >>> in_area((-2, -1, 4, 3))
+    True
+    >>> in_area((-1, -2, 3, 4))
+    False
+    """
+    positives = [x for x in w if x > 0]
+    negatives = [x for x in w if x < 0]
+    return all(map(gt, positives, positives[1:])) and all(
+        map(lt, negatives, negatives[1:])
+    )
 
 
 def in_area_reduced(w: Sequence[int]) -> bool:

@@ -16,7 +16,6 @@ from bncells.area import (
     area_decomposition,
     area_elements,
     build_words,
-    in_area,
     upsilon_decomposition,
 )
 from bncells.descents import rxi_partition
@@ -33,6 +32,7 @@ from bncells.vogan import build_epsilon, build_psi, vogan_classes, xi_orbits
 
 from .oracles import (
     apply_move,
+    in_area,
     reference_recording_fibers,
     right_cells,
     rs_generalized,

@@ -10,13 +10,11 @@ from bncells.area import (
     Window,
     area_decomposition,
     area_elements,
-    asymptotic_cell,
     block_word,
     block_word_alt,
     build_words,
     fused_word,
     fused_word_alt,
-    in_area,
     sigma_word,
     tail_word,
     upsilon_decomposition,
@@ -27,6 +25,7 @@ from bncells.group import (
     from_word,
     group_elements,
     inverse,
+    iter_windows,
     length,
     length_t,
     mul,
@@ -34,14 +33,14 @@ from bncells.group import (
     suffixes,
 )
 from bncells.hecke import left_cells
+from bncells.tableaux import insertion_rows, is_column_pair
 
 from .oracles import (
-    Bipartition,
     canonical_word,
     coset_product_elements,
     extreme_windows,
+    in_area,
     in_area_reduced,
-    shape,
 )
 from .test_hecke import cached_kl
 
@@ -77,7 +76,7 @@ def subcell_split(cell: Iterable[Sequence[int]]) -> tuple[frozenset[Window], fro
         raise InvalidInputError("cannot split an empty cell")
     n = len(next(iter(members)))
     sig = min(members, key=lambda w: (length(w), w))
-    if asymptotic_cell(sig) != members:
+    if members not in area_decomposition(n):
         raise InvalidInputError("input is not an asymptotic cell of the region")
     q = length_t(sig)
     words = build_words(n)
@@ -127,12 +126,11 @@ class TestMembership:
         assert in_area((1,)) and in_area((-1,))
 
     def test_window_test_matches_shape_test(self):
-        # membership iff both insertion tableaux are single columns
-        for n in range(1, 6):
-            for w in group_elements(n):
-                q = length_t(w)
-                expected = shape(w) == Bipartition((1,) * (n - q), (1,) * q)
-                assert in_area(w) == expected
+        # membership iff both insertion tableaux are single columns: the
+        # element report's rule, read off the insertion rows
+        for n in range(1, 7):
+            for w in iter_windows(n):
+                assert is_column_pair(*insertion_rows(w)[:2]) == in_area(w)
 
     def test_region_size(self):
         for n in range(1, 7):
@@ -267,16 +265,6 @@ class TestCellDecomposition:
             for cell in area_decomposition(n):
                 assert len({length_t(w) for w in cell}) == 1
 
-    def test_lookup_roundtrip(self):
-        for n in range(1, 6):
-            for cell in area_decomposition(n):
-                for w in cell:
-                    assert asymptotic_cell(w) == cell
-
-    def test_lookup_rejects_outside_region(self):
-        with pytest.raises(InvalidInputError):
-            asymptotic_cell((1, 3, 2))
-
     @pytest.mark.parametrize("n", [2, 3])
     def test_cells_match_oracle_above_threshold(self, n):
         kl = cached_kl(n, 1, n)
@@ -313,11 +301,23 @@ class TestDescentFibers:
 
     def test_fiber_is_union_of_two_cells(self):
         for n in range(2, 6):
-            cells = set(area_decomposition(n))
+            cells = area_decomposition(n)
             for fiber in upsilon_decomposition(n):
-                parts = {asymptotic_cell(w) for w in fiber}
+                parts = [cell for cell in cells if cell & fiber]
                 assert len(parts) == 2
-                assert parts <= cells
+                assert parts[0] | parts[1] == fiber
+
+    def test_a_representative_outside_every_region_cell_is_falsified(self, monkeypatch):
+        # without the cell of the rank-3 minimal element sigma(3, 0), the
+        # first pairing at q = 0 finds no cell for its representative
+        kept = tuple(cell for cell in area_decomposition(3) if (3, 2, 1) not in cell)
+        monkeypatch.setattr(area, "area_decomposition", lambda n: kept)
+        upsilon_decomposition.cache_clear()
+        try:
+            with pytest.raises(FalsificationError, match="left the region at rank 3, q=0"):
+                upsilon_decomposition(3)
+        finally:
+            upsilon_decomposition.cache_clear()
 
     def test_rank1_rejected(self):
         with pytest.raises(InvalidInputError):

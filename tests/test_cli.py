@@ -51,12 +51,27 @@ def run_cli(*argv):
             for method in ("rs-asymptotic", "area")
             for flag in ("--a", "--b")
         ),
+        # ranks up to 4 are refined and cross-checked with or without --exact
+        ("table", "--max-n", "4", "--exact"),
+        ("table", "--max-n", "2", "--exact"),
     ],
 )
 def test_no_subcommand_accepts_a_flag_it_ignores(argv):
     with pytest.raises(SystemExit) as err:
         main(list(argv), out=io.StringIO())
     assert err.value.code == 2
+
+
+def test_a_refused_table_flag_prints_the_table_usage(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["table", "--max-n", "3", "--exact"], out=io.StringIO())
+    assert err.value.code == 2
+    text = capsys.readouterr().err
+    assert text.startswith("usage: bncells table [-h]")
+    assert "--exact changes nothing at --max-n 3" in text
+    # from rank 5 on, --exact refines what would be the closed forms
+    args = cli.build_parser().parse_args(["table", "--max-n", "5", "--exact"])
+    cli._refuse_ignored_flags(args)
 
 
 @pytest.mark.parametrize(
@@ -68,6 +83,8 @@ def test_no_subcommand_accepts_a_flag_it_ignores(argv):
         (("verify", "--n", "1"), "rank >= 2"),
         (("table", "--max-n", "9"), "--max-n must be in 2..7, got 9"),
         (("table", "--max-n", "1"), "--max-n must be in 2..7, got 1"),
+        # a rank outside the table is reported as such, --exact or not
+        (("table", "--max-n", "1", "--exact"), "--max-n must be in 2..7, got 1"),
     ],
 )
 def test_ranks_are_checked_at_the_boundary(capsys, argv, message):
@@ -633,40 +650,50 @@ def test_closed_output_pipe_exits_like_sigpipe():
     assert "Exception ignored" not in stderr
 
 
-def test_cli_import_leaves_the_oracle_and_region_layers_unloaded():
-    # a cold refinement run compiles neither the oracle nor the region module
+def fresh_python(script, *args):
+    """The stdout of ``script`` run by a fresh interpreter, which must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_layers(layers, *argvs):
+    """Which of ``layers`` one fresh process has loaded after ``import
+    bncells.cli``, and then after serving each argv in turn."""
     script = (
         "import io, sys\n"
         "import bncells.cli\n"
-        "late = ('bncells.hecke', 'bncells.area', 'bncells.knuth', 'json')\n"
-        "print(*sorted(set(late) & set(sys.modules)), sep=',')\n"
-        "bncells.cli.main(['cells', '--n', '3', '--method', 'vogan'], out=io.StringIO())\n"
-        "print('bncells.hecke' in sys.modules)\n"
+        f"def loaded(): print(*sorted(set({layers!r}) & set(sys.modules)), sep=',')\n"
+        "loaded()\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    bncells.cli.main(argv, out=io.StringIO())\n"
+        "    loaded()\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["", "False"]
+    return fresh_python(script).splitlines()
+
+
+def test_cli_import_leaves_the_oracle_and_region_layers_unloaded():
+    # a cold refinement run compiles neither the oracle nor the region module
+    late = ("bncells.hecke", "bncells.area", "bncells.knuth", "json")
+    assert loaded_layers(late, ["cells", "--n", "3", "--method", "vogan"]) == ["", ""]
 
 
 def test_oracle_cells_load_no_refinement_layer():
     # cells --method oracle-kl runs the oracle alone: neither the CLI import
     # nor the command loads the refinement, tableaux or descent layers
-    script = (
-        "import io, sys\n"
-        "import bncells.cli\n"
-        "layers = ('bncells.vogan', 'bncells.tableaux', 'bncells.descents')\n"
-        "print(*sorted(set(layers) & set(sys.modules)), sep=',')\n"
-        "argv = ['cells', '--n', '3', '--method', 'oracle-kl']\n"
-        "bncells.cli.main(argv, out=io.StringIO())\n"
-        "print(*sorted(set(layers) & set(sys.modules)), sep=',')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["", ""]
+    layers = ("bncells.vogan", "bncells.tableaux", "bncells.descents")
+    argv = ["cells", "--n", "3", "--method", "oracle-kl"]
+    assert loaded_layers(layers, argv) == ["", ""]
+
+
+def test_element_loads_no_region_or_oracle_layer():
+    # the report reads region membership off its insertion rows, and --quick
+    # computes nothing group-wide
+    layers = ("bncells.area", "bncells.hecke", "bncells.vogan")
+    argv = ["element", "--w", "-2,4,1,-3"]
+    assert loaded_layers(layers, [*argv, "--quick"], argv) == ["", "", "bncells.vogan"]
 
 
 def in_one_process(argvs):
@@ -680,14 +707,7 @@ def in_one_process(argvs):
         "    served.append([main(argv, out=out), out.getvalue()])\n"
         "print(json.dumps(served))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(fresh_python(script, json.dumps(argvs)))
 
 
 def alone(argv):
@@ -760,13 +780,6 @@ def test_served_requests_build_no_window_tuples():
         "codes = [main(argv, out=io.StringIO()) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps([codes, group_elements.cache_info().currsize]))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, cached = json.loads(proc.stdout)
+    codes, cached = json.loads(fresh_python(script, json.dumps(argvs)))
     assert codes == [0] * len(argvs)
     assert cached == 0

@@ -5,7 +5,7 @@ from array import array
 import pytest
 from hypothesis import given
 
-from bncells.area import in_area, sigma_word
+from bncells.area import sigma_word
 from bncells.descents import mask_text, rxi_mask, rxi_masks, rxi_partition
 from bncells.group import (
     MAX_ENUMERATION_RANK,
@@ -20,6 +20,7 @@ from bncells.hecke import left_cells
 from bncells.partition import OUTSIDE
 
 from .conftest import signed_perms
+from .oracles import in_area
 from .test_hecke import cached_kl
 
 

@@ -130,7 +130,7 @@ DESCENT_KINDS = ["several-descents", "one-descent"]
 
 
 def left_descent_count(tables, i):
-    return sum(tables.is_left_descent(g, i) for g in range(tables.n))
+    return sum(tables.length[table[i]] < tables.length[i] for table in tables.lmul)
 
 
 def middle_element(kl, single):
@@ -291,18 +291,17 @@ class TestGenerators:
                 b = t_mul_gen(tables, weight, t_mul_gen(tables, weight, h, k, "right"), g, "left")
                 assert a == b
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_c_gen_mul_is_t_gen_plus_scaled_element(self, side):
-        # C_g h = T_g h + v^-c h (and mirrored), on every C_w and a mixed element
+    def test_c_gen_mul_is_t_gen_plus_scaled_element(self):
+        # C_g h = T_g h + v^-c h, on every C_w and a mixed element
         # (the lane top is one above the weight's: ``mixed`` has an exponent 1)
         kl = cached_kl(3, 1, 2)
         top = lane_top(kl.weight) + 1
         mixed = {5: {0: 1, -2: 3}, 17: {1: -1}, 40: {0: 2}}
         for h in [element(kl, iw) for iw in range(kl.tables.order)] + [mixed]:
             for g in range(3):
-                expected = t_mul_gen(kl.tables, kl.weight, h, g, side)
+                expected = t_mul_gen(kl.tables, kl.weight, h, g)
                 h_add_scaled(expected, terms(h), {-kl.weight.letter_weight(g): 1})
-                got = c_gen_mul(kl.tables, kl.weight, g, packed(h, top).items(), side)
+                got = c_gen_mul(kl.tables, kl.weight, g, packed(h, top).items())
                 assert h_equal(unpacked(got, top), expected)
 
     @pytest.mark.parametrize(
@@ -318,15 +317,11 @@ class TestGenerators:
         for g in range(n):
             c = weight.letter_weight(g)
             for iw in range(tables.order):
-                if tables.is_left_descent(g, iw):
+                if tables.length[tables.lmul[g][iw]] < tables.length[iw]:
                     expected = {}
                     h_add_scaled(expected, kl.terms(iw), {c: 1, -c: 1})
                     got = c_gen_mul(tables, weight, g, packed_terms(kl, iw))
                     assert h_equal(unpacked(got, lane_top(weight)), expected), (g, iw)
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(InvalidInputError):
-            c_gen_mul(group_tables(2), WeightFunction(1, 1), 0, terms(t_basis(0)), "up")
 
 
 class TestBasisInvariants:
@@ -479,7 +474,7 @@ class TestBasisInvariants:
     @pytest.mark.parametrize("extra", ["T_e", "(v+v^-1) T_ws", "(v+v^-1) C_t"])
     def test_bar_check_enforces_the_degree_conditions(self, n, extra):
         # each mutant is bar-invariant; C_w0 + (v+v^-1) C_t also passes the
-        # right-descent step by t, which shortens t, so only the degree
+        # left-descent step by t, which shortens t, so only the degree
         # conditions (p_{y,w} in v^-1 Z[v^-1] for y < w) tell it from C_w0
         kl = cached_kl(n, 3, 2)
         iw = kl.tables.by_length()[-1]
@@ -493,15 +488,15 @@ class TestBasisInvariants:
             verify_bar_invariance(add_to_element(kl, iw, added))
 
     def test_bar_check_catches_a_term_the_peel_never_visits(self):
-        # adding to C_w the coefficient r_x of T_x in C_{ws} C_s - C_w keeps
+        # adding to C_w the coefficient r_x of T_x in C_g C_{gw} - C_w keeps
         # the degree conditions but zeroes x before the peel; once the
         # longer terms are peeled, x holds a residue that no bar-invariant
         # multiple removes
         kl = cached_kl(3, 1, 1)
         tables = kl.tables
         iw = tables.by_length()[-1]
-        iu = tables.rmul[0][iw]
-        residue = c_gen_mul(tables, kl.weight, 0, packed_terms(kl, iu), side="right")
+        g = tables.min_left_descent(iw)
+        residue = c_gen_mul(tables, kl.weight, g, packed_terms(kl, tables.lmul[g][iw]))
         residue = unpacked(residue, lane_top(kl.weight))
         h_add_scaled(residue, kl.terms(iw), {0: -1})
         ix = next(x for x, p in residue.items() if max(p) < 0)
@@ -511,7 +506,7 @@ class TestBasisInvariants:
     @pytest.mark.parametrize("n", [3, 4])
     def test_bar_check_catches_a_coefficient_that_is_not_bar_invariant(self, n):
         # v^-1 more on T_t in C_w0 keeps the degree conditions, and t is
-        # shortened by the right descent t of w0, so only the bar-invariance
+        # shortened by the left descent t of w0, so only the bar-invariance
         # of the peeled coefficient at t can fail
         kl = cached_kl(n, 3, 2)
         iw, it = kl.tables.by_length()[-1], kl.tables.rmul[0][0]
@@ -609,8 +604,8 @@ class TestBasisInvariants:
         assert calls == [3]
 
     def test_ascent_steps_certify_elements_with_two_left_descents(self, monkeypatch):
-        # the certificate takes right steps only for the elements that had
-        # no ascent step: those with a single left descent
+        # the certificate steps only the elements that had no ascent step:
+        # those with a single left descent
         seen = []
         monkeypatch.setattr(hecke, "_certify", lambda kl, stepped: seen.append(stepped))
         tables = kl_basis(4, WeightFunction(1, 26)).tables
@@ -645,10 +640,17 @@ class TestBasisInvariants:
     @pytest.mark.parametrize("single", [False, True], ids=DESCENT_KINDS)
     def test_a_wrong_filled_half_fails_a_certificate_step(self, monkeypatch, single):
         # v^-1 more at T_{gw} in C_w keeps the degree conditions and the
-        # construction's own checks; only a full-product step can see it
-        tables = group_tables(4)
-        iw = middle_element(cached_kl(4, 3, 2), single)
-        iu = tables.lmul[tables.min_left_descent(iw)][iw]
+        # construction's own checks; only a full-product left step can see
+        # it: in kl_basis an ascent step that reads C_w may see it first,
+        # and verify_bar_invariance sees it in w's own step
+        kl = cached_kl(4, 3, 2)
+        tables = kl.tables
+        iw = middle_element(kl, single)
+        g = tables.min_left_descent(iw)
+        iu = tables.lmul[g][iw]
+        own_step = f"canonical element {iw} fails its left-descent step by {g}"
+        with pytest.raises(FalsificationError, match=own_step):
+            verify_bar_invariance(add_to_element(kl, iw, {iu: {-1: 1}}))
         now = building(monkeypatch, iw)
         intern = hecke.intern_element
 
@@ -658,8 +660,26 @@ class TestBasisInvariants:
             return intern(h, ids, polys)
 
         monkeypatch.setattr(hecke, "intern_element", mutant)
-        with pytest.raises(FalsificationError, match="step"):
+        with pytest.raises(FalsificationError, match="left-descent step"):
             kl_basis(4, WeightFunction(3, 2))
+
+    def test_an_element_without_a_left_descent_is_a_falsified_table(self, monkeypatch):
+        # t (length 1) sent up by its own left table: no generator shortens it
+        kl = cached_kl(3, 1, 2)
+        tables = copy.copy(kl.tables)
+        it = tables.lmul[0][0]
+        forged = array("i", tables.lmul[0])
+        forged[it] = tables.lmul[1][it]
+        tables.lmul = (forged, *tables.lmul[1:])
+        missing = f"element {it} has no left descent"
+        monkeypatch.setattr(hecke, "group_tables", lambda n: tables)
+        with pytest.raises(FalsificationError, match=missing):
+            kl_basis(3, WeightFunction(1, 2))
+        # part (i) catches the forged table first, so pass it over to reach
+        # the descent lookup of part (ii)
+        monkeypatch.setattr(hecke, "_verify_generator_tables", lambda tables: None)
+        with pytest.raises(FalsificationError, match=missing):
+            verify_bar_invariance(dataclasses.replace(kl, tables=tables))
 
     def test_budget_guards(self):
         with pytest.raises(BudgetError):

@@ -5,7 +5,6 @@ import itertools
 import pytest
 from hypothesis import given
 
-from bncells.area import in_area
 from bncells.errors import InvalidInputError, RankError
 from bncells.group import (
     MAX_ENUMERATION_RANK,
@@ -28,6 +27,7 @@ from .oracles import (
     applicable_moves,
     apply_move,
     coset_decompose,
+    in_area,
     oracle_knuth_closure,
     rs_generalized,
     welsh_bridge,

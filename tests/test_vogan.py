@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bncells import group, tableaux, vogan
-from bncells.area import area_elements, in_area, upsilon_decomposition
+from bncells.area import area_elements, upsilon_decomposition
 from bncells.descents import rxi_masks, rxi_partition
 from bncells.errors import FalsificationError, InvalidInputError, RegimeError
 from bncells.group import (
@@ -54,6 +54,7 @@ from bncells.vogan import (
 from .oracles import (
     coset_decompose,
     coset_product_elements,
+    in_area,
     in_area_reduced,
     orbit_meets_canonical,
     oracle_cycling_map,
